@@ -118,8 +118,7 @@ func suiteMatrix(parallelism int) {
 
 // BenchmarkSuiteParallel measures the wall-clock of fanning the benchmark x
 // policy matrix over the worker pool, per pool width. The sequential
-// sub-benchmark (workers=1) is the baseline for the speedup figure
-// cmd/suitebench reports.
+// sub-benchmark (workers=1) is the baseline for the pooled speedup.
 func BenchmarkSuiteParallel(b *testing.B) {
 	b.ReportAllocs()
 	for _, workers := range []int{1, 2, 4, 8} {

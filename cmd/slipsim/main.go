@@ -7,7 +7,7 @@
 //	slipsim -workload soplex -policy slip+abp [-accesses N] [-warmup N]
 //	        [-seed N] [-cores 2 -workload2 mcf] [-rrip] [-binbits 4]
 //	        [-tech 22nm] [-topology h-tree] [-cpuprofile cpu.out]
-//	        [-trace-cache] [-warm-cache] [-sampling 8] [-intra-parallelism 4]
+//	        [-sampling 8] [-intra-parallelism 4]
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
 //	slipsim -trace file.trc -policy baseline     # replay a tracegen file
@@ -17,63 +17,92 @@
 // (see internal/spec): -dump-spec prints the canonical JSON the flags
 // denote, and that JSON round-trips through -spec (or POSTs to slipd)
 // to reproduce the identical run — `slipsim -dump-spec | slipsim -spec
-// /dev/stdin` is the identity.
+// /dev/stdin` is the identity. The run itself goes through the same
+// experiments.Suite pipeline slipbench and slipd use.
+//
+// -trace replays a file instead of generating the workload; every
+// configuration flag applies except -warmup, since a replay has no warmup
+// phase.
 //
 // -cpuprofile writes a pprof CPU profile covering warmup + measurement;
 // inspect it with `go tool pprof -top cpu.out`.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
+	"repro/internal/experiments"
 	"repro/internal/hier"
 	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
+// errUsage reports a command line slipsim refuses, after run has printed
+// why on stderr. main exits 2 for it, as the flag package does.
+var errUsage = errors.New("slipsim: bad command line")
 
 func main() {
+	switch err := run(os.Args[1:], os.Stdout); {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	default:
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+}
+
+// run executes one slipsim command line, writing the report to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("slipsim", flag.ContinueOnError)
 	var (
-		wl       = flag.String("workload", "soplex", "benchmark name (see slipbench -list)")
-		wl2      = flag.String("workload2", "", "second core's benchmark (with -cores 2)")
-		policyFl = flag.String("policy", "slip+abp",
+		wl       = fs.String("workload", "soplex", "benchmark name (see slipbench -list)")
+		wl2      = fs.String("workload2", "", "second core's benchmark (with -cores 2)")
+		policyFl = fs.String("policy", "slip+abp",
 			"policy name, one of: "+strings.Join(hier.PolicyNames(), "|")+" (see -list-policies)")
-		acc      = flag.Uint64("accesses", 2_000_000, "measured accesses")
-		warm     = flag.Uint64("warmup", 2_000_000, "warmup accesses before stats reset")
-		seed     = flag.Uint64("seed", 42, "random seed")
-		cores    = flag.Int("cores", 1, "number of cores (private L2s, shared L3)")
-		rrip     = flag.Bool("rrip", false, "use SRRIP replacement instead of LRU")
-		binBits  = flag.Uint("binbits", 0, "distribution counter width (0 = default 4)")
-		tech     = flag.String("tech", "", "technology node: 45nm (default) or 22nm")
-		topology = flag.String("topology", "", "interconnect: way-interleaved (default), set-interleaved or h-tree")
-		specIn   = flag.String("spec", "", "run a canonical spec JSON file instead of the flags ('-' for stdin)")
-		dumpSpec = flag.Bool("dump-spec", false, "print the canonical spec JSON for the given flags and exit")
-		traceIn  = flag.String("trace", "", "replay a binary trace file instead of a workload")
-		sampling = flag.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
-		useTC    = flag.Bool("trace-cache", false, "materialize each trace once and replay it (as the experiment engine does); results are bit-identical")
-		useWC    = flag.Bool("warm-cache", false, "warm a separate hierarchy and measure on a snapshot clone (the experiment engine's warm-cache path); results are bit-identical")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
-		listPol  = flag.Bool("list-policies", false, "list the registered policies with their metadata and exit")
-		intraPar = flag.Int("intra-parallelism", 0, "intra-run shard count: split the run over N set-sharded replicas with a bit-identical merge (0 = min(GOMAXPROCS, 8), 1 = sequential)")
+		acc      = fs.Uint64("accesses", 2_000_000, "measured accesses")
+		warm     = fs.Uint64("warmup", 2_000_000, "warmup accesses before stats reset")
+		seed     = fs.Uint64("seed", 42, "random seed")
+		cores    = fs.Int("cores", 1, "number of cores (private L2s, shared L3)")
+		rrip     = fs.Bool("rrip", false, "use SRRIP replacement instead of LRU")
+		binBits  = fs.Uint("binbits", 0, "distribution counter width (0 = default 4)")
+		tech     = fs.String("tech", "", "technology node: 45nm (default) or 22nm")
+		topology = fs.String("topology", "", "interconnect: way-interleaved (default), set-interleaved or h-tree")
+		specIn   = fs.String("spec", "", "run a canonical spec JSON file instead of the flags ('-' for stdin)")
+		dumpSpec = fs.Bool("dump-spec", false, "print the canonical spec JSON for the given flags and exit")
+		traceIn  = fs.String("trace", "", "replay a binary trace file instead of a workload (no warmup phase)")
+		sampling = fs.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
+		listPol  = fs.Bool("list-policies", false, "list the registered policies with their metadata and exit")
+		intraPar = fs.Int("intra-parallelism", 0, "intra-run shard count: split the run over N set-sharded replicas with a bit-identical merge (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errUsage // flag has printed the error and the usage
+	}
+	if *traceIn != "" {
+		warmSet := false
+		fs.Visit(func(f *flag.Flag) { warmSet = warmSet || f.Name == "warmup" })
+		if warmSet {
+			fmt.Fprintln(fs.Output(), "-warmup does not apply to -trace: a replay has no warmup phase")
+			return errUsage
+		}
+	}
 
 	if *listPol {
-		listPolicies(os.Stdout)
-		return
+		listPolicies(stdout)
+		return nil
 	}
 
 	// Resolve the run description: a spec file, or the flags translated
@@ -84,13 +113,13 @@ func main() {
 		if *specIn != "-" {
 			var err error
 			if f, err = os.Open(*specIn); err != nil {
-				fatal(err)
+				return err
 			}
 			defer f.Close()
 		}
 		var err error
 		if sp, err = spec.Parse(f); err != nil {
-			fatal(err)
+			return err
 		}
 	} else {
 		sp = spec.Spec{
@@ -110,91 +139,48 @@ func main() {
 	}
 
 	if *dumpSpec {
-		if err := sp.EncodeJSON(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		return sp.EncodeJSON(stdout)
 	}
 
+	// The canonical spec, not sp, is what runs: it pins warmup = accesses
+	// for a spec file that leaves warmup out, where the Suite would stamp
+	// in its own default.
 	c, err := sp.Canonical()
-	if err != nil && *traceIn == "" {
-		fatal(err)
+	if err != nil {
+		return err
 	}
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	// Trace replay bypasses the spec path: the access stream comes from a
-	// file, so only the policy/knob flags apply.
+	var sys *hier.System
 	if *traceIn != "" {
-		if *cores != 1 {
-			fatal(fmt.Errorf("-trace replay supports one core"))
-		}
-		runTrace(*traceIn, *policyFl, *seed, *rrip, uint8(*binBits), *acc)
-		return
+		sys, err = replay(*traceIn, c)
+	} else {
+		// One run in a one-off process hits neither the trace cache nor the
+		// warm cache, so both stay off.
+		suite := experiments.NewSuite(experiments.Options{
+			Parallelism:      1,
+			IntraParallelism: *intraPar,
+			TraceCacheBytes:  -1,
+			WarmCacheBytes:   -1,
+		})
+		sys, err = suite.RunSpecContext(context.Background(), c)
 	}
-
-	cfg, err := c.Build()
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	sys := hier.New(cfg)
-
-	srcs := make([]trace.Source, cfg.NumCores)
-	for i := range srcs {
-		name := c.Workload
-		if i > 0 && c.MixWith != "" {
-			name = c.MixWith
-		}
-		w, _ := workloads.ByName(name) // canonical specs name valid workloads
-		srcs[i] = w.Build(c.Seed + uint64(i))
-		if *useTC {
-			// Record the whole stream up front and drive the run from the
-			// compact replay buffer (the experiment engine's trace-cache
-			// path); one cursor spans warmup and measurement like the live
-			// generator would.
-			srcs[i] = trace.Record(srcs[i], *c.Warmup+c.Accesses).Replay()
-		}
-	}
-	limit := func(n uint64) []trace.Source {
-		out := make([]trace.Source, len(srcs))
-		for i, s := range srcs {
-			out[i] = trace.Limit(s, n)
-		}
-		return out
-	}
-	// Intra-run sharding: both phases run on the set-sharded executor,
-	// whose merged result is bit-identical to the sequential run (it falls
-	// back to sequential for shard counts <= 1 or unshardable geometries).
-	intra := *intraPar
-	if intra <= 0 {
-		intra = min(runtime.GOMAXPROCS(0), 8)
-	}
-	switch {
-	case *useWC && *c.Warmup > 0:
-		// The experiment engine's warm-cache path: warm a separate
-		// hierarchy, snapshot it, and measure on a materialized clone. The
-		// sources were advanced by the warmup run, so the clone sees the
-		// same measured stream a warmed-in-place system would.
-		ws := hier.New(cfg)
-		ws.RunSharded(intra, limit(*c.Warmup)...)
-		ws.ResetStats()
-		sys = ws.Snapshot().System()
-	case *c.Warmup > 0:
-		sys.RunSharded(intra, limit(*c.Warmup)...)
-		sys.ResetStats()
-	}
-	sys.RunSharded(intra, limit(c.Accesses)...)
-	report(sys, cfg.Policy)
+	report(stdout, sys)
+	return nil
 }
 
 // listPolicies renders the policy registry: every run-nable policy with
@@ -221,34 +207,35 @@ func listPolicies(w io.Writer) {
 	fmt.Fprintln(w, tb.String())
 }
 
-// runTrace replays a tracegen file through a single-core system.
-func runTrace(path, policy string, seed uint64, rrip bool, binBits uint8, acc uint64) {
-	pol, err := hier.ParsePolicy(policy)
+// replay drives a tracegen file through the single-core system c
+// describes. There is no warmup: statistics cover the first c.Accesses
+// accesses of the file.
+func replay(path string, c spec.Spec) (*hier.System, error) {
+	if c.Cores != 1 {
+		return nil, errors.New("-trace replay supports one core")
+	}
+	cfg, err := c.Build()
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
 	defer f.Close()
 	r, err := trace.NewReader(f)
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	sys := hier.New(hier.Config{
-		Policy:  pol,
-		Seed:    seed,
-		UseRRIP: rrip,
-		BinBits: binBits,
-	})
-	sys.Run(trace.Limit(r, acc))
-	report(sys, pol)
+	sys := hier.New(cfg)
+	sys.Run(trace.Limit(r, c.Accesses))
+	return sys, nil
 }
 
-func report(sys *hier.System, pol hier.PolicyKind) {
+// report prints the run's per-level, energy, traffic and timing summary.
+func report(w io.Writer, sys *hier.System) {
 	cfg := sys.Config()
-	fmt.Printf("policy: %s, cores: %d\n\n", pol, cfg.NumCores)
+	fmt.Fprintf(w, "policy: %s, cores: %d\n\n", cfg.Policy, cfg.NumCores)
 
 	tb := stats.NewTable("Per-level summary", "level", "accesses", "hit rate", "access pJ", "movement pJ", "metadata pJ", "total uJ")
 	for c := 0; c < cfg.NumCores; c++ {
@@ -276,41 +263,41 @@ func report(sys *hier.System, pol hier.PolicyKind) {
 		fmt.Sprintf("%.0f", l3.Stats.MovementPJ.PJ()),
 		fmt.Sprintf("%.0f", l3.Stats.MetadataPJ.PJ()),
 		fmt.Sprintf("%.1f", l3.Stats.TotalPJ()/1e6))
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 
 	f2 := sys.SublevelHitFractions(2)
 	f3 := sys.SublevelHitFractions(3)
-	fmt.Printf("L2 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n", 100*f2[0], 100*f2[1], 100*f2[2])
-	fmt.Printf("L3 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n\n", 100*f3[0], 100*f3[1], 100*f3[2])
+	fmt.Fprintf(w, "L2 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n", 100*f2[0], 100*f2[1], 100*f2[2])
+	fmt.Fprintf(w, "L3 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n\n", 100*f3[0], 100*f3[1], 100*f3[2])
 
-	if pol.IsSLIP() {
+	if cfg.Policy.IsSLIP() {
 		cls2 := sys.InsertionClassFractions(2)
 		cls3 := sys.InsertionClassFractions(3)
-		fmt.Printf("L2 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
+		fmt.Fprintf(w, "L2 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
 			100*cls2[0], 100*cls2[1], 100*cls2[2], 100*cls2[3])
-		fmt.Printf("L3 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
+		fmt.Fprintf(w, "L3 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
 			100*cls3[0], 100*cls3[1], 100*cls3[2], 100*cls3[3])
 		m := sys.MMU(0)
-		fmt.Printf("TLB: %d hits, %d misses; profile fetches %d, writebacks %d; EOU runs %d (%.0f pJ)\n\n",
+		fmt.Fprintf(w, "TLB: %d hits, %d misses; profile fetches %d, writebacks %d; EOU runs %d (%.0f pJ)\n\n",
 			m.Stats.TLBHits.Value(), m.Stats.TLBMisses.Value(),
 			m.Stats.ProfileFetches.Value(), m.Stats.ProfileWrites.Value(),
 			m.Stats.PolicyRecomputs.Value(), sys.EOUPJ())
 	}
 
 	d := sys.DRAM()
-	fmt.Printf("DRAM: %d reads, %d writes, %d metadata transfers, %.1f uJ\n",
+	fmt.Fprintf(w, "DRAM: %d reads, %d writes, %d metadata transfers, %.1f uJ\n",
 		d.Stats.Reads.Value(), d.Stats.Writes.Value(),
 		d.Stats.MetadataReads.Value()+d.Stats.MetadataWrites.Value(),
 		d.Stats.EnergyPJ.PJ()/1e6)
 	for c := 0; c < cfg.NumCores; c++ {
-		fmt.Printf("core%d: %d instrs, %.0f cycles, IPC %.2f\n",
+		fmt.Fprintf(w, "core%d: %d instrs, %.0f cycles, IPC %.2f\n",
 			c, sys.Instrs(c), sys.Cycles(c), sys.IPC(c))
 	}
-	fmt.Printf("full-system dynamic energy: %.1f uJ\n", sys.FullSystemPJ()/1e6)
+	fmt.Fprintf(w, "full-system dynamic energy: %.1f uJ\n", sys.FullSystemPJ()/1e6)
 	if k := sys.SampleK(); k > 1 {
-		fmt.Printf("\nset sampling 1/%d: %d accesses simulated, %d skipped\n",
+		fmt.Fprintf(w, "\nset sampling 1/%d: %d accesses simulated, %d skipped\n",
 			k, sys.SampledAccesses, sys.SkippedAccesses)
-		fmt.Printf("extrapolated (x%d): L2 misses %d, L3 misses %d, DRAM traffic %d, "+
+		fmt.Fprintf(w, "extrapolated (x%d): L2 misses %d, L3 misses %d, DRAM traffic %d, "+
 			"energy %.1f uJ, cycles %.0f, EDP %.3g pJ*cyc\n",
 			k, sys.ScaledL2Misses(true), sys.ScaledL3Misses(true), sys.ScaledDRAMTraffic(),
 			sys.ScaledFullSystemPJ()/1e6, sys.ScaledMaxCycles(), sys.ScaledEDP())

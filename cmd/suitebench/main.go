@@ -1,28 +1,4 @@
-// Command suitebench measures simulator throughput and the parallel
-// experiment engine, writing the numbers to a JSON file (default
-// BENCH_suite.json) so CI and EXPERIMENTS.md can track them:
-//
-//   - ns per simulated access and accesses/second through the full
-//     SLIP+ABP system on one goroutine;
-//
-//   - wall-clock of the benchmark x policy matrix sequentially and on the
-//     worker pool, and the resulting speedup.
-//
-//   - the trace-generation share of a run (generator-only ns/access vs.
-//     full-simulation ns/access);
-//
-//   - wall-clock of the fig9 benchmark x policy matrix (every benchmark
-//     against all five policies) with the trace materialization cache off
-//     and on at the same parallelism, written to BENCH_replay.json.
-//
-//   - a worker sweep of the matrix (wall-clock and speedup per worker
-//     count) plus the warm-state snapshot cache off/on timing of a
-//     re-measured matrix, written to BENCH_scaling.json.
-//
-//   - a set-sampling calibration of the fig9 matrix: full fidelity vs.
-//     each sampling factor, with wall-clock speedup and the extrapolation
-//     error of per-level miss ratios, energy and EDP, written to
-//     BENCH_sampling.json.
+// Command suitebench writes the two result artifacts the docs cite:
 //
 //   - a cross-policy comparison of every policy in the registry (the
 //     paper's comparison set and any registry-only additions) over the
@@ -30,25 +6,20 @@
 //     to BENCH_policies.json plus a markdown table (BENCH_policies.md)
 //     that EXPERIMENTS.md embeds.
 //
-//   - an intra-run parallelism sweep: one engine run timed per shard count
-//     of the set-sharded executor, written to BENCH_intra.json with the
-//     host CPU context and a cpu_bound flag.
+//   - a set-sampling calibration of the fig9 matrix: full fidelity vs.
+//     each sampling factor, with wall-clock speedup and the extrapolation
+//     error of per-level miss ratios, energy and EDP, written to
+//     BENCH_sampling.json.
+//
+// Simulator speed is measured by the repository benchmark (perfbench/),
+// not here.
 //
 // Usage:
 //
-//	suitebench [-accesses N] [-warmup N] [-benchmarks a,b,c]
-//	           [-parallel N] [-out BENCH_suite.json]
-//	           [-replay-benchmarks a,b,c] [-replay-out BENCH_replay.json]
-//	           [-scaling-workers 1,2,4,8,16] [-scaling-out BENCH_scaling.json]
-//	           [-sampling-factors 2,4,8,16] [-sampling-out BENCH_sampling.json]
+//	suitebench [-accesses N] [-warmup N] [-benchmarks a,b,c] [-parallel N]
 //	           [-policies-out BENCH_policies.json] [-policies-md BENCH_policies.md]
-//	           [-intra-sweep 1,2,4,8] [-intra-out BENCH_intra.json]
-//	           [-mutexprofile mutex.out] [-blockprofile block.out]
-//
-// -mutexprofile and -blockprofile (mirroring slipsim's -cpuprofile) record
-// lock contention and goroutine blocking across all passes, so whatever
-// serializes the worker pool is diagnosable straight from the CLI:
-// `go tool pprof -top mutex.out`.
+//	           [-sampling-factors 2,4,8,16] [-sampling-benchmarks a,b,c]
+//	           [-sampling-out BENCH_sampling.json]
 package main
 
 import (
@@ -58,107 +29,12 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/hier"
-	"repro/internal/spec"
 	"repro/internal/workloads"
 )
-
-// result is the JSON schema of BENCH_suite.json.
-type result struct {
-	// The hardware context the numbers were measured under: throughput
-	// figures are host-dependent, so quoting one without these is how
-	// docs and recorded artifacts drift apart.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	NumCPU     int `json:"num_cpu"`
-
-	// Single-goroutine simulator hot path.
-	SingleThreadNsPerAccess float64 `json:"single_thread_ns_per_access"`
-	SingleThreadAccessesSec float64 `json:"single_thread_accesses_per_sec"`
-	SingleThreadAccesses    uint64  `json:"single_thread_accesses"`
-
-	// Benchmark x policy matrix through the experiment engine.
-	MatrixRuns       int     `json:"matrix_runs"`
-	SequentialNs     int64   `json:"sequential_ns"`
-	ParallelNs       int64   `json:"parallel_ns"`
-	ParallelWorkers  int     `json:"parallel_workers"`
-	Speedup          float64 `json:"speedup"`
-	AccessesPerRun   uint64  `json:"accesses_per_run"`
-	WarmupPerRun     uint64  `json:"warmup_per_run"`
-	MatrixBenchmarks string  `json:"matrix_benchmarks"`
-}
-
-// replayResult is the JSON schema of BENCH_replay.json: the fig9
-// benchmark x policy matrix timed with the trace materialization cache off
-// and on, at identical parallelism.
-type replayResult struct {
-	MatrixRuns     int    `json:"matrix_runs"`
-	Benchmarks     string `json:"benchmarks"`
-	Policies       string `json:"policies"`
-	AccessesPerRun uint64 `json:"accesses_per_run"`
-	WarmupPerRun   uint64 `json:"warmup_per_run"`
-	Parallelism    int    `json:"parallelism"`
-
-	CacheOffNs int64   `json:"cache_off_ns"`
-	CacheOnNs  int64   `json:"cache_on_ns"`
-	Speedup    float64 `json:"speedup"`
-
-	// Trace-generation vs. simulation split on one goroutine.
-	TraceGenNsPerAccess float64 `json:"trace_gen_ns_per_access"`
-	SimNsPerAccess      float64 `json:"sim_ns_per_access"`
-	TraceGenShare       float64 `json:"trace_gen_share"`
-
-	// Cache activity of the cache-on pass.
-	TraceCacheHits   uint64 `json:"trace_cache_hits"`
-	TraceCacheMisses uint64 `json:"trace_cache_misses"`
-	TraceCacheBytes  int64  `json:"trace_cache_bytes"`
-}
-
-// scalingResult is the JSON schema of BENCH_scaling.json: the worker
-// sweep over the benchmark x policy matrix, plus the warm-state snapshot
-// cache off/on timing of a re-measured matrix.
-type scalingResult struct {
-	Benchmarks     string `json:"benchmarks"`
-	Policies       string `json:"policies"`
-	MatrixRuns     int    `json:"matrix_runs"`
-	AccessesPerRun uint64 `json:"accesses_per_run"`
-	WarmupPerRun   uint64 `json:"warmup_per_run"`
-
-	// The hardware context the sweep ran under. Speedup beyond 1.0 needs
-	// real cores: a 1-CPU container caps every worker count at ~1.0x no
-	// matter how parallel the engine is, so readers must interpret the
-	// sweep against NumCPU. CPUBound makes that machine-readable: true
-	// when the sweep asked for more workers than the host has CPUs, i.e.
-	// the upper points measure scheduling overhead, not engine scaling.
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	NumCPU     int  `json:"num_cpu"`
-	CPUBound   bool `json:"cpu_bound"`
-
-	Sweep []scalingPoint `json:"sweep"`
-
-	// Warm-state snapshot cache: the same matrix measured at a second,
-	// distinct window (so every run repeats its warmup identity but not
-	// its memo key), warm cache off vs on.
-	WarmSecondWindowRuns int     `json:"warm_second_window_runs"`
-	WarmOffSecondPassNs  int64   `json:"warm_off_second_pass_ns"`
-	WarmOnSecondPassNs   int64   `json:"warm_on_second_pass_ns"`
-	WarmSpeedup          float64 `json:"warm_speedup"`
-	WarmCacheHits        uint64  `json:"warm_cache_hits"`
-	WarmCacheMisses      uint64  `json:"warm_cache_misses"`
-	WarmCacheBytes       int64   `json:"warm_cache_bytes"`
-}
-
-// scalingPoint is one worker count of the sweep.
-type scalingPoint struct {
-	Workers int     `json:"workers"`
-	WallNs  int64   `json:"wall_ns"`
-	Speedup float64 `json:"speedup"` // vs. the first (lowest) worker count
-}
 
 // samplingArtifact is the JSON schema of BENCH_sampling.json: the
 // calibration report plus the host context it was measured under.
@@ -168,64 +44,17 @@ type samplingArtifact struct {
 	NumCPU     int `json:"num_cpu"`
 }
 
-// intraResult is the JSON schema of BENCH_intra.json: one experiment-engine
-// run (warmup + measured window, both sharded) timed per intra-run shard
-// count, on an otherwise idle pool. On a host with NumCPU < the shard count
-// the sweep cannot speed up — the points then measure the executor's
-// coordination and merge overhead instead, which is what CPUBound flags.
-type intraResult struct {
-	Benchmark      string `json:"benchmark"`
-	Policy         string `json:"policy"`
-	AccessesPerRun uint64 `json:"accesses_per_run"`
-	WarmupPerRun   uint64 `json:"warmup_per_run"`
-
-	GOMAXPROCS int  `json:"gomaxprocs"`
-	NumCPU     int  `json:"num_cpu"`
-	CPUBound   bool `json:"cpu_bound"`
-
-	Points []intraPoint `json:"points"`
-}
-
-// intraPoint is one shard count of the intra-run sweep. Speedup is against
-// the S=1 (sequential) point; below 1.0 it is the sharding overhead — on a
-// cpu-bound host that is the expected shape, and its magnitude bounds the
-// coordination + merge cost since the simulated work itself is identical.
-type intraPoint struct {
-	Shards  int     `json:"shards"`
-	WallNs  int64   `json:"wall_ns"`
-	Speedup float64 `json:"speedup"`
-}
-
-// timeMatrix simulates the matrix on a fresh suite and returns wall-clock
-// plus the suite (so callers can read its trace-cache stats).
-func timeMatrix(opts experiments.Options, pols []hier.PolicyKind) (time.Duration, *experiments.Suite) {
-	s := experiments.NewSuite(opts)
-	start := time.Now()
-	s.RunAll(pols...)
-	return time.Since(start), s
-}
-
 func main() {
 	var (
 		acc      = flag.Uint64("accesses", 150_000, "measured accesses per matrix run")
 		warm     = flag.Uint64("warmup", 150_000, "warmup accesses per matrix run")
-		benches  = flag.String("benchmarks", "soplex,milc,sphinx3,mcf", "matrix benchmark set")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size for the parallel pass")
-		single   = flag.Uint64("single", 2_000_000, "accesses for the single-thread throughput pass")
-		out      = flag.String("out", "BENCH_suite.json", "output JSON path")
-		replayB  = flag.String("replay-benchmarks", "", "benchmark set for the replay pass (default: all, the fig9 matrix)")
-		replayO  = flag.String("replay-out", "BENCH_replay.json", "replay benchmark output JSON path (empty skips the pass)")
-		scaleW   = flag.String("scaling-workers", "1,2,4,8,16", "comma-separated worker counts for the scaling sweep")
-		scaleO   = flag.String("scaling-out", "BENCH_scaling.json", "scaling sweep output JSON path (empty skips the pass)")
-		mutexPro = flag.String("mutexprofile", "", "write a mutex contention profile covering all passes to this file")
-		blockPro = flag.String("blockprofile", "", "write a goroutine blocking profile covering all passes to this file")
+		benches  = flag.String("benchmarks", "soplex,milc,sphinx3,mcf", "benchmark set for the cross-policy comparison")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker pool size")
 		sampleO  = flag.String("sampling-out", "BENCH_sampling.json", "set-sampling calibration output JSON path (empty skips the pass)")
 		sampleF  = flag.String("sampling-factors", "2,4,8,16", "comma-separated sampling factors for the calibration pass")
 		sampleB  = flag.String("sampling-benchmarks", "", "benchmark set for the calibration pass (default: all, the fig9 matrix)")
 		policyO  = flag.String("policies-out", "BENCH_policies.json", "cross-policy comparison output JSON path (empty skips the pass)")
 		policyMD = flag.String("policies-md", "BENCH_policies.md", "cross-policy comparison markdown table path (empty skips the table)")
-		intraS   = flag.String("intra-sweep", "1,2,4,8", "comma-separated shard counts for the intra-run parallelism sweep")
-		intraO   = flag.String("intra-out", "BENCH_intra.json", "intra-run sweep output JSON path (empty skips the pass)")
 	)
 	flag.Parse()
 
@@ -239,11 +68,8 @@ func main() {
 	if *acc == 0 {
 		fail("-accesses must be > 0")
 	}
-	if *single == 0 {
-		fail("-single must be > 0")
-	}
 	benchSet := strings.Split(*benches, ",")
-	if *benches == "" || len(benchSet) == 0 {
+	if *benches == "" {
 		fail("-benchmarks must name at least one benchmark")
 	}
 	for _, b := range benchSet {
@@ -251,32 +77,7 @@ func main() {
 			fail("unknown benchmark %q (see slipbench -list)", b)
 		}
 	}
-	var sweepWorkers []int
-	if *scaleO != "" {
-		for _, f := range strings.Split(*scaleW, ",") {
-			w, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || w < 1 {
-				fail("-scaling-workers must list positive integers (got %q)", f)
-			}
-			sweepWorkers = append(sweepWorkers, w)
-		}
-		if len(sweepWorkers) == 0 {
-			fail("-scaling-workers must name at least one worker count")
-		}
-	}
-	var intraShards []int
-	if *intraO != "" {
-		for _, f := range strings.Split(*intraS, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				fail("-intra-sweep must list positive integers (got %q)", f)
-			}
-			intraShards = append(intraShards, n)
-		}
-		if len(intraShards) == 0 {
-			fail("-intra-sweep must name at least one shard count")
-		}
-	}
+	sampleSet := workloads.Names()
 	var sampleFactors []int
 	if *sampleO != "" {
 		for _, f := range strings.Split(*sampleF, ",") {
@@ -286,11 +87,9 @@ func main() {
 			}
 			sampleFactors = append(sampleFactors, k)
 		}
-		if len(sampleFactors) == 0 {
-			fail("-sampling-factors must name at least one factor")
-		}
 		if *sampleB != "" {
-			for _, b := range strings.Split(*sampleB, ",") {
+			sampleSet = strings.Split(*sampleB, ",")
+			for _, b := range sampleSet {
 				if _, ok := workloads.ByName(b); !ok {
 					fail("unknown sampling benchmark %q (see slipbench -list)", b)
 				}
@@ -298,209 +97,25 @@ func main() {
 		}
 	}
 
-	// Contention profiling spans every pass below; the profiles are written
-	// on the way out. The sampling rates follow the runtime/pprof guidance:
-	// cheap enough to leave on for a whole bench run, dense enough that a
-	// lock that serializes the pool is unmissable.
-	if *mutexPro != "" {
-		runtime.SetMutexProfileFraction(5)
-	}
-	if *blockPro != "" {
-		runtime.SetBlockProfileRate(100_000) // one sample per 100 us blocked
-	}
-	writeProfile := func(name, path string) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
+	check := func(err error) {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		if err := pprof.Lookup(name).WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s profile to %s\n", name, path)
 	}
-	defer func() {
-		writeProfile("mutex", *mutexPro)
-		writeProfile("block", *blockPro)
-	}()
-
-	// Single-thread hot-path throughput (the BenchmarkSimulatorThroughput
-	// configuration: soplex under SLIP+ABP).
-	wlSpec, ok := workloads.ByName("soplex")
-	if !ok {
-		fmt.Fprintln(os.Stderr, "soplex workload missing")
-		os.Exit(1)
-	}
-	sys := hier.New(hier.Config{Policy: hier.SLIPABP, Seed: 1})
-	src := wlSpec.Build(1)
-	start := time.Now()
-	for i := uint64(0); i < *single; i++ {
-		a, ok := src.Next()
-		if !ok { // workload generators are unbounded, but stay honest
-			src = wlSpec.Build(1)
-			a, _ = src.Next()
-		}
-		sys.Access(0, a)
-		// Direct-Access drivers must fold staged reuse evidence themselves
-		// (Run does it per batch): pages only stabilize at folds, and the
-		// staging counters are sized for batch-length intervals.
-		if i&4095 == 4095 {
-			sys.FoldPending()
-		}
-	}
-	sys.FoldPending()
-	elapsed := time.Since(start)
-
-	// Generator-only pass over the same stream: the trace-generation share
-	// of a run, i.e. the per-access cost the materialization cache removes
-	// from every replayed run.
-	gsrc := wlSpec.Build(1)
-	var sink uint64
-	genStart := time.Now()
-	for i := uint64(0); i < *single; i++ {
-		a, ok := gsrc.Next()
-		if !ok {
-			gsrc = wlSpec.Build(1)
-			a, _ = gsrc.Next()
-		}
-		sink += uint64(a.Addr)
-	}
-	genElapsed := time.Since(genStart)
-	_ = sink
-
-	res := result{
-		GOMAXPROCS:              runtime.GOMAXPROCS(0),
-		NumCPU:                  runtime.NumCPU(),
-		SingleThreadAccesses:    *single,
-		SingleThreadNsPerAccess: float64(elapsed.Nanoseconds()) / float64(*single),
-		SingleThreadAccessesSec: float64(*single) / elapsed.Seconds(),
-	}
-	genNs := float64(genElapsed.Nanoseconds()) / float64(*single)
-
-	// Matrix wall-clock, sequential vs pooled. Fresh suites per pass so the
-	// memo cache cannot leak work between them.
-	opts := experiments.Options{
-		Accesses:   *acc,
-		Warmup:     *warm,
-		WarmupSet:  true,
-		Seed:       7,
-		Benchmarks: benchSet,
-	}
-	pols := []hier.PolicyKind{hier.Baseline, hier.SLIPABP}
-	res.MatrixRuns = len(opts.Benchmarks) * len(pols)
-	res.AccessesPerRun = *acc
-	res.WarmupPerRun = *warm
-	res.MatrixBenchmarks = *benches
-	res.ParallelWorkers = *parallel
-
-	seqOpts := opts
-	seqOpts.Parallelism = 1
-	seq, _ := timeMatrix(seqOpts, pols)
-
-	parOpts := opts
-	parOpts.Parallelism = *parallel
-	par, _ := timeMatrix(parOpts, pols)
-
-	res.SequentialNs = seq.Nanoseconds()
-	res.ParallelNs = par.Nanoseconds()
-	if par > 0 {
-		res.Speedup = seq.Seconds() / par.Seconds()
-	}
-
 	writeJSON := func(path string, v any) {
 		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		check(err)
+		check(os.WriteFile(path, append(data, '\n'), 0o644))
+		fmt.Printf("wrote %s\n", path)
 	}
-	writeJSON(*out, res)
-	fmt.Printf("single-thread: %.1f ns/access (%.2fM accesses/s), trace gen %.1f ns/access (%.0f%% of a run)\n",
-		res.SingleThreadNsPerAccess, res.SingleThreadAccessesSec/1e6,
-		genNs, 100*genNs/res.SingleThreadNsPerAccess)
-	fmt.Printf("matrix (%d runs): sequential %v, parallel %v on %d workers — %.2fx\n",
-		res.MatrixRuns, seq.Round(time.Millisecond), par.Round(time.Millisecond),
-		*parallel, res.Speedup)
-	fmt.Printf("wrote %s\n", *out)
-
-	// The fig9 comparison set (baseline + the paper's evaluated policies),
-	// enumerated from the policy registry so the replay/scaling passes track
-	// whatever is registered with an EvalOrder.
-	rpols := append([]hier.PolicyKind{hier.Baseline}, experiments.EvalPolicies()...)
-	polNames := make([]string, len(rpols))
-	for i, p := range rpols {
-		polNames[i] = fmt.Sprint(p)
-	}
-
-	if *replayO != "" {
-		// Replay pass: the fig9 matrix (every benchmark x all five
-		// policies), cache off then cache on, at the same parallelism. The
-		// off pass is the regenerate-per-run behaviour; the on pass
-		// materializes each workload trace once and replays it for the
-		// other four policies.
-		rbset := workloads.Names()
-		rbNames := strings.Join(rbset, ",")
-		if *replayB != "" {
-			rbset = strings.Split(*replayB, ",")
-			for _, b := range rbset {
-				if _, ok := workloads.ByName(b); !ok {
-					fail("unknown replay benchmark %q (see slipbench -list)", b)
-				}
-			}
-			rbNames = *replayB
-		}
-		ropts := experiments.Options{
-			Accesses:    *acc,
-			Warmup:      *warm,
-			WarmupSet:   true,
-			Seed:        7,
-			Benchmarks:  rbset,
-			Parallelism: *parallel,
-		}
-		offOpts := ropts
-		offOpts.TraceCacheBytes = -1 // disable materialization
-		off, _ := timeMatrix(offOpts, rpols)
-		on, onSuite := timeMatrix(ropts, rpols)
-
-		rres := replayResult{
-			MatrixRuns:          len(rbset) * len(rpols),
-			Benchmarks:          rbNames,
-			Policies:            strings.Join(polNames, ","),
-			AccessesPerRun:      *acc,
-			WarmupPerRun:        *warm,
-			Parallelism:         *parallel,
-			CacheOffNs:          off.Nanoseconds(),
-			CacheOnNs:           on.Nanoseconds(),
-			TraceGenNsPerAccess: genNs,
-			SimNsPerAccess:      res.SingleThreadNsPerAccess,
-		}
-		if on > 0 {
-			rres.Speedup = off.Seconds() / on.Seconds()
-		}
-		if res.SingleThreadNsPerAccess > 0 {
-			rres.TraceGenShare = genNs / res.SingleThreadNsPerAccess
-		}
-		if tc := onSuite.TraceCache(); tc != nil {
-			st := tc.Stats()
-			rres.TraceCacheHits = st.Hits
-			rres.TraceCacheMisses = st.Misses
-			rres.TraceCacheBytes = st.Bytes
-		}
-		writeJSON(*replayO, rres)
-		fmt.Printf("replay matrix (%d runs): cache off %v, cache on %v — %.2fx (%d traces, %.1f MiB, %d hits)\n",
-			rres.MatrixRuns, off.Round(time.Millisecond), on.Round(time.Millisecond), rres.Speedup,
-			rres.TraceCacheMisses, float64(rres.TraceCacheBytes)/(1<<20), rres.TraceCacheHits)
-		fmt.Printf("wrote %s\n", *replayO)
+	opts := experiments.Options{
+		Accesses:    *acc,
+		Warmup:      *warm,
+		WarmupSet:   true,
+		Seed:        7,
+		Benchmarks:  benchSet,
+		Parallelism: *parallel,
 	}
 
 	if *policyO != "" {
@@ -508,28 +123,13 @@ func main() {
 		// paper's comparison set — over the matrix benchmarks, summarized as
 		// mean energy/EDP with savings vs baseline. This is the table
 		// EXPERIMENTS.md embeds and the CI policy-matrix job uploads.
-		pOpts := experiments.Options{
-			Accesses:    *acc,
-			Warmup:      *warm,
-			WarmupSet:   true,
-			Seed:        7,
-			Benchmarks:  benchSet,
-			Parallelism: *parallel,
-		}
-		cmp, err := experiments.ComparePolicies(context.Background(), pOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		writeJSON(*policyO, cmp)
+		cmp, err := experiments.ComparePolicies(context.Background(), opts)
+		check(err)
 		fmt.Printf("cross-policy comparison (%d policies x %d benchmarks):\n%s",
 			len(cmp.Rows), len(cmp.Benchmarks), cmp.Markdown())
-		fmt.Printf("wrote %s\n", *policyO)
+		writeJSON(*policyO, cmp)
 		if *policyMD != "" {
-			if err := os.WriteFile(*policyMD, []byte(cmp.Markdown()), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+			check(os.WriteFile(*policyMD, []byte(cmp.Markdown()), 0o644))
 			fmt.Printf("wrote %s\n", *policyMD)
 		}
 	}
@@ -537,198 +137,21 @@ func main() {
 	if *sampleO != "" {
 		// Set-sampling calibration: the fig9 matrix at full fidelity, then
 		// at each factor, with per-metric extrapolation error and speedup.
-		sbset := workloads.Names()
-		sbNames := strings.Join(sbset, ",")
-		if *sampleB != "" {
-			sbset = strings.Split(*sampleB, ",")
-			sbNames = *sampleB
-		}
-		sOpts := experiments.Options{
-			Accesses:    *acc,
-			Warmup:      *warm,
-			WarmupSet:   true,
-			Seed:        7,
-			Benchmarks:  sbset,
-			Parallelism: *parallel,
-		}
+		sOpts := opts
+		sOpts.Benchmarks = sampleSet
 		rep, err := experiments.CalibrateSetSampling(context.Background(), sOpts, sampleFactors)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		art := samplingArtifact{
-			SamplingReport: *rep,
-			GOMAXPROCS:     runtime.GOMAXPROCS(0),
-			NumCPU:         runtime.NumCPU(),
-		}
-		writeJSON(*sampleO, art)
+		check(err)
 		fmt.Printf("sampling calibration (%d runs over %s): full pass %.1fs\n",
-			rep.Runs, sbNames, rep.FullWallSeconds)
+			rep.Runs, strings.Join(sampleSet, ","), rep.FullWallSeconds)
 		for _, f := range rep.Factors {
 			fmt.Printf("  1/%-2d  %6.2fx speedup  miss-ratio err L2 %.2f%% / L3 %.2f%%  energy %.2f%%  EDP %.2f%% (mean abs)\n",
 				f.Factor, f.Speedup, f.L2MissRatio.MeanAbsPct, f.L3MissRatio.MeanAbsPct,
 				f.EnergyPJ.MeanAbsPct, f.EDP.MeanAbsPct)
 		}
-		fmt.Printf("wrote %s\n", *sampleO)
-	}
-
-	if *intraO != "" {
-		// Intra-run sharding sweep: one engine run (soplex under SLIP+ABP,
-		// warmup + measured window both sharded) per shard count, each on a
-		// fresh suite with an idle pool so the scheduler grants the full
-		// intra width. The first point is forced sequential and anchors the
-		// speedup column.
-		maxShards := 0
-		for _, s := range intraShards {
-			if s > maxShards {
-				maxShards = s
-			}
-		}
-		ires := intraResult{
-			Benchmark:      "soplex",
-			Policy:         fmt.Sprint(hier.SLIPABP),
-			AccessesPerRun: *acc,
-			WarmupPerRun:   *warm,
+		writeJSON(*sampleO, samplingArtifact{
+			SamplingReport: *rep,
 			GOMAXPROCS:     runtime.GOMAXPROCS(0),
 			NumCPU:         runtime.NumCPU(),
-			CPUBound:       runtime.NumCPU() < maxShards,
-		}
-		if ires.CPUBound {
-			fmt.Fprintf(os.Stderr,
-				"suitebench: warning: host has %d CPU(s) but the intra sweep asks for up to %d shards; "+
-					"points beyond %d measure coordination/merge overhead, not scaling\n",
-				ires.NumCPU, maxShards, ires.NumCPU)
-		}
-		var intraBase time.Duration
-		for _, s := range intraShards {
-			o := experiments.Options{
-				Accesses:         *acc,
-				Warmup:           *warm,
-				WarmupSet:        true,
-				Seed:             7,
-				Benchmarks:       benchSet,
-				Parallelism:      1,
-				IntraParallelism: s,
-			}
-			suite := experiments.NewSuite(o)
-			st := time.Now()
-			suite.RunS(spec.Single("soplex", hier.SLIPABP))
-			wall := time.Since(st)
-			pt := intraPoint{Shards: s, WallNs: wall.Nanoseconds()}
-			if intraBase == 0 {
-				intraBase = wall
-			}
-			if wall > 0 {
-				pt.Speedup = intraBase.Seconds() / wall.Seconds()
-			}
-			ires.Points = append(ires.Points, pt)
-			fmt.Printf("intra: %2d shards  %8v  %.2fx\n", s, wall.Round(time.Millisecond), pt.Speedup)
-		}
-		writeJSON(*intraO, ires)
-		fmt.Printf("wrote %s\n", *intraO)
+		})
 	}
-
-	if *scaleO == "" {
-		return
-	}
-
-	// Scaling pass, part 1: the benchmark x policy matrix swept over worker
-	// counts. Every point gets a fresh suite with fresh caches, so no work
-	// leaks between points; within one point both caches run at their
-	// defaults, which is what a real sweep sees.
-	sres := scalingResult{
-		Benchmarks:     *benches,
-		Policies:       strings.Join(polNames, ","),
-		MatrixRuns:     len(benchSet) * len(rpols),
-		AccessesPerRun: *acc,
-		WarmupPerRun:   *warm,
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-	}
-	maxWorkers := 0
-	for _, w := range sweepWorkers {
-		if w > maxWorkers {
-			maxWorkers = w
-		}
-	}
-	sres.CPUBound = runtime.NumCPU() < maxWorkers
-	if sres.CPUBound {
-		fmt.Fprintf(os.Stderr,
-			"suitebench: warning: host has %d CPU(s) but the scaling sweep asks for up to %d workers; "+
-				"speedups are CPU-bound and the sweep measures overhead, not engine scaling\n",
-			runtime.NumCPU(), maxWorkers)
-	}
-	sweepOpts := experiments.Options{
-		Accesses:   *acc,
-		Warmup:     *warm,
-		WarmupSet:  true,
-		Seed:       7,
-		Benchmarks: benchSet,
-	}
-	var base time.Duration
-	for _, w := range sweepWorkers {
-		o := sweepOpts
-		o.Parallelism = w
-		wall, _ := timeMatrix(o, rpols)
-		pt := scalingPoint{Workers: w, WallNs: wall.Nanoseconds()}
-		if base == 0 {
-			base = wall
-		}
-		if wall > 0 {
-			pt.Speedup = base.Seconds() / wall.Seconds()
-		}
-		sres.Sweep = append(sres.Sweep, pt)
-		fmt.Printf("scaling: %2d workers  %8v  %.2fx\n", w, wall.Round(time.Millisecond), pt.Speedup)
-	}
-
-	// Scaling pass, part 2: warm-state snapshot cache off vs on. The matrix
-	// is simulated once, then re-measured at a second, distinct window:
-	// every second-window run repeats its warmup identity but misses the
-	// memo cache, so with the warm cache off it re-simulates its whole
-	// warmup and with it on it starts from a snapshot clone. Both passes
-	// keep the trace cache on, isolating the warmup-simulation cost.
-	secondWindow := *acc/2 + 1
-	matrixSpecs := func(accesses uint64) []experiments.RunSpec {
-		var out []experiments.RunSpec
-		for _, wl := range benchSet {
-			for _, p := range rpols {
-				sp := spec.Single(wl, p)
-				sp.Accesses = accesses
-				out = append(out, sp)
-			}
-		}
-		return out
-	}
-	timeSecondWindow := func(opts experiments.Options) (time.Duration, *experiments.Suite) {
-		s := experiments.NewSuite(opts)
-		s.Prefetch(matrixSpecs(*acc))
-		start := time.Now()
-		s.Prefetch(matrixSpecs(secondWindow))
-		return time.Since(start), s
-	}
-	wOff := sweepOpts
-	wOff.Parallelism = *parallel
-	wOff.WarmCacheBytes = -1
-	warmOff, _ := timeSecondWindow(wOff)
-	wOn := sweepOpts
-	wOn.Parallelism = *parallel
-	warmOn, warmSuite := timeSecondWindow(wOn)
-
-	sres.WarmSecondWindowRuns = len(benchSet) * len(rpols)
-	sres.WarmOffSecondPassNs = warmOff.Nanoseconds()
-	sres.WarmOnSecondPassNs = warmOn.Nanoseconds()
-	if warmOn > 0 {
-		sres.WarmSpeedup = warmOff.Seconds() / warmOn.Seconds()
-	}
-	if wc := warmSuite.WarmCache(); wc != nil {
-		st := wc.Stats()
-		sres.WarmCacheHits = st.Hits
-		sres.WarmCacheMisses = st.Misses
-		sres.WarmCacheBytes = st.Bytes
-	}
-	writeJSON(*scaleO, sres)
-	fmt.Printf("warm cache (%d re-measured runs): off %v, on %v — %.2fx (%d snapshots, %.1f MiB, %d hits)\n",
-		sres.WarmSecondWindowRuns, warmOff.Round(time.Millisecond), warmOn.Round(time.Millisecond),
-		sres.WarmSpeedup, sres.WarmCacheMisses, float64(sres.WarmCacheBytes)/(1<<20), sres.WarmCacheHits)
-	fmt.Printf("wrote %s\n", *scaleO)
 }

@@ -105,8 +105,4 @@ func TestShardScheduler(t *testing.T) {
 	if got := s.shardsFor(); got != 8 {
 		t.Errorf("tail suite shardsFor = %d, want 8", got)
 	}
-	s.pending.Store(0)
-	if !s.Sharded() {
-		t.Error("Sharded() = false on an idle suite with IntraParallelism > 1")
-	}
 }

@@ -284,7 +284,8 @@ func BenchmarkShardedAccess(b *testing.B) {
 }
 
 // BenchmarkShardedRun measures end-to-end wall clock of RunSharded at
-// various shard counts on one trace — the number BENCH_intra.json reports.
+// various shard counts on one trace; perfbench reports the S=2 ratio of a
+// soplex run as hier.shard2_speedup.
 func BenchmarkShardedRun(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("S=%d", shards), func(b *testing.B) {
