@@ -29,46 +29,19 @@ func benchOpts() experiments.Options {
 }
 
 // BenchmarkSimulatorThroughput measures raw accesses/second through the
-// full SLIP system (the cost of Table 1's machinery per reference).
+// full SLIP system (the cost of Table 1's machinery per reference), with
+// accesses delivered in the 4096-access batches hier.System.Run uses.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, _ := workloads.ByName("soplex")
-	sys := hier.New(hier.Config{Policy: hier.SLIPABP, Seed: 1})
-	src := spec.Build(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a, ok := src.Next()
-		if !ok { // workload generators are unbounded, but stay honest
-			src = spec.Build(1)
-			a, _ = src.Next()
-		}
-		sys.Access(0, a)
-	}
-}
-
-// BenchmarkBatchedThroughput is BenchmarkSimulatorThroughput through the
-// batched delivery path hier.System.Run uses: accesses arrive in
-// NextBatch-sized chunks instead of one Next call each.
-func BenchmarkBatchedThroughput(b *testing.B) {
 	spec, _ := workloads.ByName("soplex")
 	sys := hier.New(hier.Config{Policy: hier.SLIPABP, Seed: 1})
 	src := spec.Build(1)
 	batch := make([]trace.Access, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
-	done := 0
-	for done < b.N {
-		want := b.N - done
-		if want > len(batch) {
-			want = len(batch)
-		}
-		k := trace.FillBatch(src, batch[:want])
-		if k == 0 {
-			src = spec.Build(1)
-			continue
-		}
-		for i := 0; i < k; i++ {
-			sys.Access(0, batch[i])
+	for done := 0; done < b.N; {
+		k := src.NextBatch(batch[:min(len(batch), b.N-done)])
+		for _, a := range batch[:k] {
+			sys.Access(0, a)
 		}
 		done += k
 	}

@@ -209,7 +209,7 @@ func listPolicies(w io.Writer) {
 
 // replay drives a tracegen file through the single-core system c
 // describes. There is no warmup: statistics cover the first c.Accesses
-// accesses of the file.
+// accesses of the file. A malformed record among them is an error.
 func replay(path string, c spec.Spec) (*hier.System, error) {
 	if c.Cores != 1 {
 		return nil, errors.New("-trace replay supports one core")
@@ -229,6 +229,9 @@ func replay(path string, c spec.Spec) (*hier.System, error) {
 	}
 	sys := hier.New(cfg)
 	sys.Run(trace.Limit(r, c.Accesses))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
 	return sys, nil
 }
 

@@ -60,6 +60,30 @@ func TestTraceReplayHonoursFlags(t *testing.T) {
 	}
 }
 
+// TestTraceReplayRejectsCorruptTrace cuts a trace file mid-record: the
+// replay must fail (slipsim exits 1) rather than report the records before
+// the cut as a normal run.
+func TestTraceReplayRejectsCorruptTrace(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "milc.trc")
+	writeTrace(t, path, "milc", 20000)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A varint byte with its continuation bit set cannot end a record.
+	if err := os.WriteFile(path, append(data[:len(data)/2], 0x80), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-trace", path, "-accesses", "20000"}, &out)
+	if err == nil || errors.Is(err, errUsage) {
+		t.Errorf("corrupt trace: err = %v, want a run error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("corrupt trace printed a report:\n%s", out.String())
+	}
+}
+
 func runOK(t *testing.T, args ...string) string {
 	t.Helper()
 	var out bytes.Buffer
@@ -85,8 +109,7 @@ func writeTrace(t *testing.T, path, workload string, n uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := trace.Limit(wl.Build(1), n)
-	for a, ok := src.Next(); ok; a, ok = src.Next() {
+	for _, a := range trace.Collect(wl.Build(1), int(n)) {
 		if err := w.Write(a); err != nil {
 			t.Fatal(err)
 		}

@@ -45,14 +45,17 @@ func main() {
 		os.Exit(1)
 	}
 	src := trace.Limit(spec.Build(*seed), *acc)
+	batch := make([]trace.Access, 4096)
 	for {
-		a, ok := src.Next()
-		if !ok {
-			break
+		k := src.NextBatch(batch)
+		for _, a := range batch[:k] {
+			if err := w.Write(a); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				os.Exit(1)
+			}
 		}
-		if err := w.Write(a); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if k < len(batch) {
+			break
 		}
 	}
 	if err := w.Flush(); err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -113,6 +114,21 @@ func TestFig9Shape(t *testing.T) {
 	// Adding ABP can only help (more candidate policies).
 	if res.AvgL2[hier.SLIPABP] < res.AvgL2[hier.SLIP] {
 		t.Error("ABP made L2 savings worse on average")
+	}
+	// Bands of ±max(2 points, 10% of the value) around the averages this
+	// deterministic suite produces (%, L2 and L3): a silent drift fails,
+	// while a small deliberate model change need not re-pin them.
+	for p, want := range map[hier.PolicyKind][2]float64{
+		hier.SLIPABP: {41.78, 6.92},
+		hier.SLIP:    {7.51, -6.29},
+		hier.NuRAPID: {-105.49, -126.42},
+		hier.LRUPEA:  {-90.75, -74.90},
+	} {
+		for i, got := range []float64{res.AvgL2[p], res.AvgL3[p]} {
+			if tol := max(2, math.Abs(want[i])/10); math.Abs(got-want[i]) > tol {
+				t.Errorf("%s L%d saving = %.2f%%, want %.2f ± %.2f", p, i+2, got, want[i], tol)
+			}
+		}
 	}
 }
 

@@ -76,17 +76,18 @@ func (s *Suite) Fig3() Fig3Result {
 	for _, n := range names {
 		hists[n] = reuse.NewHistogram(bounds)
 	}
+	batch := make([]trace.Access, 4096)
 	for {
-		a, ok := src.Next()
-		if !ok {
+		k := src.NextBatch(batch)
+		for _, a := range batch[:k] {
+			region := int(uint64(a.Addr)>>32) - 1
+			if name, known := names[region]; known {
+				hists[name].Observe(calc.Observe(a.Addr.Line()))
+			}
+		}
+		if k < len(batch) {
 			break
 		}
-		region := int(uint64(a.Addr)>>32) - 1
-		name, known := names[region]
-		if !known {
-			continue
-		}
-		hists[name].Observe(calc.Observe(a.Addr.Line()))
 	}
 	res := Fig3Result{Classes: make(map[string][4]float64)}
 	tb := stats.NewTable("Figure 3: soplex reuse-distance classes (exact stack distances)",

@@ -64,39 +64,21 @@ func (s *System) RunContext(ctx context.Context, progress func(done uint64), src
 		panic("hier: Run needs exactly one source per core")
 	}
 	// The trace is consumed in cancelCheckEvery-sized batches: one
-	// NextBatchWithCore call replaces a few thousand interface dispatches
-	// through the interleave/limiter/generator chain, and materialized
-	// traces (trace.Buffer replays) decode in a tight varint loop. The
-	// access sequence is exactly the scalar one — a short batch is, by the
-	// BatchSource contract, the point where NextWithCore would have
-	// returned ok=false — and the context poll and progress call happen at
-	// the same access counts as the scalar loop did, so results and
-	// cancellation points are bit-identical.
+	// NextBatch call replaces a few thousand interface dispatches through
+	// the interleave/limiter/generator chain, and materialized traces
+	// (trace.Buffer replays) decode in a tight varint loop. Single-core
+	// runs take the same loop: core 0's shiftAddr is the identity.
 	iv := trace.NewInterleave(srcs...)
 	done := ctx.Done()
-	multi := len(s.cores) > 1
 	buffers := runScratch.Get().(*runBuffers)
 	defer runScratch.Put(buffers)
-	batch := buffers.batch
-	var cores []int
-	if multi {
-		cores = buffers.cores
-	}
+	batch, cores := buffers.batch, buffers.cores
 	var n uint64
 	for {
-		var k int
-		if multi {
-			k = iv.NextBatchWithCore(batch, cores)
-			for i := 0; i < k; i++ {
-				a := batch[i]
-				a.Addr = shiftAddr(cores[i], a.Addr)
-				s.Access(cores[i], a)
-			}
-		} else {
-			k = iv.NextBatch(batch)
-			for i := 0; i < k; i++ {
-				s.Access(0, batch[i])
-			}
+		k := iv.NextBatch(batch, cores)
+		for i, a := range batch[:k] {
+			a.Addr = shiftAddr(cores[i], a.Addr)
+			s.Access(cores[i], a)
 		}
 		// Batch boundary: fold staged reuse-distance evidence in canonical
 		// order (see pending.go). Folding at fixed access counts — never at

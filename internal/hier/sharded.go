@@ -149,20 +149,13 @@ func (w *shardWorker) applyAggregate(agg [][]pendEntry) {
 
 // loop is the worker goroutine: process a batch, then apply the fold, in
 // lockstep with the coordinator's barriers.
-func (w *shardWorker) loop(wg *sync.WaitGroup, batch []trace.Access, coreIDs []int, multi bool, agg [][]pendEntry) {
+func (w *shardWorker) loop(wg *sync.WaitGroup, batch []trace.Access, coreIDs []int, agg [][]pendEntry) {
 	for cmd := range w.cmds {
 		switch cmd.op {
 		case opProcess:
-			if multi {
-				for i := 0; i < cmd.k; i++ {
-					a := batch[i]
-					a.Addr = shiftAddr(coreIDs[i], a.Addr)
-					w.rep.Access(coreIDs[i], a)
-				}
-			} else {
-				for i := 0; i < cmd.k; i++ {
-					w.rep.Access(0, batch[i])
-				}
+			for i, a := range batch[:cmd.k] {
+				a.Addr = shiftAddr(coreIDs[i], a.Addr)
+				w.rep.Access(coreIDs[i], a)
 			}
 			w.collectPending()
 			wg.Done()
@@ -212,14 +205,9 @@ func (s *System) RunShardedContext(ctx context.Context, shards int, progress fun
 
 	iv := trace.NewInterleave(srcs...)
 	done := ctx.Done()
-	multi := len(s.cores) > 1
 	buffers := runScratch.Get().(*runBuffers)
 	defer runScratch.Put(buffers)
-	batch := buffers.batch
-	var coreIDs []int
-	if multi {
-		coreIDs = buffers.cores
-	}
+	batch, coreIDs := buffers.batch, buffers.cores
 
 	numCores := len(s.cores)
 	agg := make([][]pendEntry, numCores)
@@ -231,7 +219,7 @@ func (s *System) RunShardedContext(ctx context.Context, shards int, progress fun
 			cmds: make(chan shardCmd, 1),
 			pend: make([][]pendEntry, numCores),
 		}
-		go workers[i].loop(&wg, batch, coreIDs, multi, agg)
+		go workers[i].loop(&wg, batch, coreIDs, agg)
 	}
 	stop := func() {
 		for _, w := range workers {
@@ -241,12 +229,7 @@ func (s *System) RunShardedContext(ctx context.Context, shards int, progress fun
 
 	var n uint64
 	for {
-		k := 0
-		if multi {
-			k = iv.NextBatchWithCore(batch, coreIDs)
-		} else {
-			k = iv.NextBatch(batch)
-		}
+		k := iv.NextBatch(batch, coreIDs)
 		// Barrier 1: every shard replays the batch (set-indexed work only
 		// for its own groups) and drains its staged evidence.
 		wg.Add(shards)

@@ -223,15 +223,7 @@ func TestShardedAccessZeroAllocs(t *testing.T) {
 	rep.shardMask = shardGroupMask(0, 4)
 
 	const batchLen = 4096
-	accs := make([]trace.Access, 0, 64*batchLen)
-	src := mixedSource(3)
-	for len(accs) < cap(accs) {
-		a, ok := src.Next()
-		if !ok {
-			break
-		}
-		accs = append(accs, a)
-	}
+	accs := trace.Collect(mixedSource(3), 64*batchLen)
 	idx := 0
 	replayBatch := func() {
 		for j := 0; j < batchLen; j++ {
@@ -262,12 +254,7 @@ func BenchmarkShardedAccess(b *testing.B) {
 	rep := s.clone()
 	rep.shardMask = shardGroupMask(0, 4)
 	const batchLen = 4096
-	accs := make([]trace.Access, 0, 64*batchLen)
-	src := mixedSource(3)
-	for len(accs) < cap(accs) {
-		a, _ := src.Next()
-		accs = append(accs, a)
-	}
+	accs := trace.Collect(mixedSource(3), 64*batchLen)
 	idx := 0
 	b.ReportAllocs()
 	b.ResetTimer()

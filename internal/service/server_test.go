@@ -314,6 +314,20 @@ func TestValidationAndNotFound(t *testing.T) {
 	}
 }
 
+// TestPostBodyCap: a body over maxRunBody is refused with 413 before it is
+// read in full; a request padded to exactly the cap is served.
+func TestPostBodyCap(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 1, QueueDepth: 2}, nil)
+	over := `{"workload":"` + strings.Repeat("m", 8*maxRunBody) + `","policy":"baseline"}`
+	if code, _, _ := postRun(t, ts, over); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of %d bytes = %d, want 413", len(over), code)
+	}
+	body := `{"workload":"milc","policy":"baseline"}`
+	if code, _, _ := postRun(t, ts, strings.Repeat(" ", maxRunBody-len(body))+body); code != http.StatusAccepted {
+		t.Errorf("POST of %d bytes = %d, want 202", maxRunBody, code)
+	}
+}
+
 // TestExperimentEndpoint renders a paper experiment over HTTP; fig1 is the
 // cheapest one that simulates.
 func TestExperimentEndpoint(t *testing.T) {

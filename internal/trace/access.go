@@ -27,11 +27,15 @@ type Access struct {
 	Gap uint32
 }
 
-// Source produces a stream of accesses. Synthetic generators are unbounded
-// and always return ok=true; file readers and limiters signal exhaustion
-// with ok=false.
+// Source produces a stream of accesses in bulk, so a consumer pays one
+// interface dispatch per batch rather than per access.
 type Source interface {
-	Next() (a Access, ok bool)
+	// NextBatch fills dst with the next accesses of the stream and returns
+	// how many were written. A short count (< len(dst)) ends the stream:
+	// every later call returns 0. The stream does not depend on how
+	// callers size their batches. Synthetic generators are unbounded and
+	// always fill dst; file readers and limiters end.
+	NextBatch(dst []Access) int
 }
 
 // Limit wraps a source and cuts the stream after n accesses.
@@ -42,23 +46,40 @@ type limiter struct {
 	left uint64
 }
 
-func (l *limiter) Next() (Access, bool) {
-	if l.left == 0 {
-		return Access{}, false
+// NextBatch implements Source: the limit applies to the batch as a whole,
+// so a limiter stays on its source's bulk path.
+func (l *limiter) NextBatch(dst []Access) int {
+	if l.left < uint64(len(dst)) {
+		dst = dst[:l.left]
 	}
-	l.left--
-	return l.s.Next()
+	k := l.s.NextBatch(dst)
+	l.left -= uint64(k)
+	return k
 }
 
-// Collect drains up to n accesses from s into a slice (handy in tests).
+// FillBatch is s.NextBatch(dst).
+//
+// Deprecated: call s.NextBatch directly.
+func FillBatch(s Source, dst []Access) int { return s.NextBatch(dst) }
+
+// Collect reads up to n accesses from s into a slice (handy in tests).
 func Collect(s Source, n int) []Access {
-	out := make([]Access, 0, n)
-	for len(out) < n {
-		a, ok := s.Next()
-		if !ok {
-			break
+	out := make([]Access, n)
+	return out[:s.NextBatch(out)]
+}
+
+// Drain advances src by up to n accesses, discarding them. It positions a
+// fresh source chain exactly where an equivalent chain stands after a run
+// consumed n accesses — the warm-state cache uses it to skip sources past a
+// warmup that a snapshot already embodies.
+func Drain(src Source, n uint64) {
+	var buf [512]Access
+	for n > 0 {
+		want := min(n, uint64(len(buf)))
+		k := src.NextBatch(buf[:want])
+		n -= uint64(k)
+		if k < int(want) {
+			return
 		}
-		out = append(out, a)
 	}
-	return out
 }

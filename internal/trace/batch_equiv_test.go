@@ -1,9 +1,14 @@
-// Batched/scalar equivalence: for every source the simulator consumes, the
-// NextBatch stream must be exactly the Next stream. The tests live in an
-// external test package so they can drive the real shipped workloads.
+// Batch equivalence: a Source yields the same stream whatever batch sizes
+// its callers use. Warmup (4096-access batches), Drain and Record (512) cut
+// one stream at different points and rely on it. The tests live in an
+// external package so they can drive the real shipped workloads.
 package trace_test
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -11,30 +16,23 @@ import (
 	"repro/internal/workloads"
 )
 
-// collectScalar pulls n accesses one Next call at a time.
-func collectScalar(s trace.Source, n int) []trace.Access {
-	out := make([]trace.Access, 0, n)
-	for len(out) < n {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		out = append(out, a)
-	}
-	return out
+func wl(name string, seed uint64) trace.Source {
+	spec, _ := workloads.ByName(name)
+	return spec.Build(seed)
 }
 
-// collectBatched pulls n accesses through FillBatch in the given chunk
-// size, honouring the short-count-is-EOF contract.
-func collectBatched(s trace.Source, n, chunk int) []trace.Access {
+func limited(name string, seed uint64, n int) func() trace.Source {
+	return func() trace.Source { return trace.Limit(wl(name, seed), uint64(n)) }
+}
+
+// chunked reads up to n accesses from s in NextBatch calls of the given
+// size, stopping at the first short count.
+func chunked(s trace.Source, n, chunk int) []trace.Access {
 	out := make([]trace.Access, 0, n)
 	buf := make([]trace.Access, chunk)
 	for len(out) < n {
-		want := n - len(out)
-		if want > chunk {
-			want = chunk
-		}
-		k := trace.FillBatch(s, buf[:want])
+		want := min(chunk, n-len(out))
+		k := s.NextBatch(buf[:want])
 		out = append(out, buf[:k]...)
 		if k < want {
 			break
@@ -43,186 +41,115 @@ func collectBatched(s trace.Source, n, chunk int) []trace.Access {
 	return out
 }
 
-// batchSizes deliberately straddles the sizes the consumers use: single
-// access, odd small chunks, and the hierarchy driver's 4096.
-var batchSizes = []int{1, 3, 64, 1000, 4096}
+// checkChunks requires build's source to yield want of n requested
+// accesses one at a time, and that same stream at chunk sizes 3 to 4096.
+// When of is non-nil, the stream must also be the first want accesses of
+// of's source: the one an encoding was written from.
+func checkChunks(t *testing.T, name string, build func() trace.Source, n, want int, of func() trace.Source) {
+	t.Helper()
+	ref := chunked(build(), n, 1)
+	if len(ref) != want {
+		t.Fatalf("%s: %d accesses at chunk 1, want %d", name, len(ref), want)
+	}
+	if of != nil && !slices.Equal(ref, trace.Collect(of(), want)) {
+		t.Errorf("%s: stream differs from the one it was built from", name)
+	}
+	for _, chunk := range []int{3, 64, 1000, 4096} {
+		if got := chunked(build(), n, chunk); !slices.Equal(got, ref) {
+			t.Errorf("%s: chunk %d stream differs from chunk 1", name, chunk)
+		}
+	}
+}
 
-// TestWorkloadBatchEquivalence checks every shipped benchmark generator:
-// its batched stream is bit-identical to its scalar stream at every batch
-// size.
+// TestWorkloadBatchEquivalence checks every shipped benchmark generator.
 func TestWorkloadBatchEquivalence(t *testing.T) {
-	const n = 20_000
 	for _, name := range workloads.Names() {
-		spec, _ := workloads.ByName(name)
-		want := collectScalar(spec.Build(11), n)
-		if len(want) != n {
-			t.Fatalf("%s: generator ended early (%d accesses)", name, len(want))
-		}
-		for _, bs := range batchSizes {
-			got := collectBatched(spec.Build(11), n, bs)
-			if len(got) != len(want) {
-				t.Fatalf("%s batch=%d: %d accesses, want %d", name, bs, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s batch=%d: access %d = %+v, want %+v", name, bs, i, got[i], want[i])
-				}
-			}
-		}
+		checkChunks(t, name, func() trace.Source { return wl(name, 11) }, 20_000, 20_000, nil)
 	}
 }
 
-// TestLimitBatchEquivalence checks the limiter's batch path, including
-// exhaustion exactly at and across batch boundaries.
+// TestLimitBatchEquivalence checks limits that end the stream at, just
+// before and just after the hierarchy's 4096-access batch boundary.
 func TestLimitBatchEquivalence(t *testing.T) {
-	spec, _ := workloads.ByName("soplex")
-	for _, limit := range []uint64{0, 1, 4095, 4096, 4097, 10_000} {
-		want := collectScalar(trace.Limit(spec.Build(3), limit), int(limit)+10)
-		if uint64(len(want)) != limit {
-			t.Fatalf("limit %d: scalar yielded %d", limit, len(want))
-		}
-		for _, bs := range batchSizes {
-			got := collectBatched(trace.Limit(spec.Build(3), limit), int(limit)+10, bs)
-			if len(got) != len(want) {
-				t.Fatalf("limit %d batch=%d: %d accesses, want %d", limit, bs, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("limit %d batch=%d: access %d differs", limit, bs, i)
-				}
-			}
-		}
+	for _, l := range []int{0, 1, 4095, 4096, 4097} {
+		checkChunks(t, fmt.Sprintf("limit %d", l), limited("soplex", 3, l), l+10, l, nil)
 	}
 }
 
-// TestPhasedBatchEquivalence drives Phased through both paths.
+// TestPhasedBatchEquivalence checks batches that straddle phase changes.
 func TestPhasedBatchEquivalence(t *testing.T) {
-	build := func() trace.Source {
-		spec, _ := workloads.ByName("milc")
-		spec2, _ := workloads.ByName("mcf")
-		return trace.NewPhased(
-			trace.Phase{Source: spec.Build(5), Len: 1000},
-			trace.Phase{Source: spec2.Build(6), Len: 700},
-		)
-	}
-	const n = 5000
-	want := collectScalar(build(), n)
-	for _, bs := range batchSizes {
-		got := collectBatched(build(), n, bs)
-		if len(got) != len(want) {
-			t.Fatalf("batch=%d: %d accesses, want %d", bs, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("batch=%d: access %d differs", bs, i)
-			}
-		}
-	}
+	checkChunks(t, "phased", func() trace.Source {
+		return trace.NewPhased(trace.Phase{Source: wl("milc", 5), Len: 1000}, trace.Phase{Source: wl("mcf", 6), Len: 700})
+	}, 5000, 5000, nil)
 }
 
-// boundedSource yields addr 0,64,128,... for n accesses then drains — a
-// finite source for exercising Interleave exhaustion mid-batch.
-type boundedSource struct {
-	i, n uint64
-}
-
-func (b *boundedSource) Next() (trace.Access, bool) {
-	if b.i >= b.n {
-		return trace.Access{}, false
-	}
-	a := trace.Access{Addr: mem.Addr(b.i * 64), Gap: uint32(b.i % 7)}
-	b.i++
-	return a, true
-}
-
-// TestInterleaveBatchEquivalence compares Next/NextWithCore against their
-// batched variants, for one source (the delegating fast path) and for a
-// round robin whose sources drain at different times.
-func TestInterleaveBatchEquivalence(t *testing.T) {
-	type tagged struct {
-		a trace.Access
-		c int
-	}
-	build := func(single bool) *trace.Interleave {
-		if single {
-			return trace.NewInterleave(&boundedSource{n: 9000})
-		}
-		return trace.NewInterleave(&boundedSource{n: 9000}, &boundedSource{n: 4000})
-	}
-	for _, single := range []bool{true, false} {
-		// Scalar reference, tags included.
-		var want []tagged
-		iv := build(single)
-		for {
-			a, c, ok := iv.NextWithCore()
-			if !ok {
-				break
-			}
-			want = append(want, tagged{a, c})
-		}
-
-		for _, bs := range batchSizes {
-			// Untagged batch path against the untagged projection.
-			got := collectBatched(build(single), len(want)+10, bs)
-			if len(got) != len(want) {
-				t.Fatalf("single=%v batch=%d: %d accesses, want %d", single, bs, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i].a {
-					t.Fatalf("single=%v batch=%d: access %d differs", single, bs, i)
-				}
-			}
-
-			// Tagged batch path.
-			iv := build(single)
-			dst := make([]trace.Access, bs)
-			cores := make([]int, bs)
-			var gotTagged []tagged
-			for {
-				k := iv.NextBatchWithCore(dst, cores)
-				for i := 0; i < k; i++ {
-					gotTagged = append(gotTagged, tagged{dst[i], cores[i]})
-				}
-				if k < bs {
-					break
-				}
-			}
-			if len(gotTagged) != len(want) {
-				t.Fatalf("single=%v batch=%d tagged: %d accesses, want %d", single, bs, len(gotTagged), len(want))
-			}
-			for i := range want {
-				if gotTagged[i] != want[i] {
-					t.Fatalf("single=%v batch=%d tagged: access %d = %+v, want %+v",
-						single, bs, i, gotTagged[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestReplayBatchEquivalence checks the materialized-buffer cursor: its
-// scalar and batched streams both reproduce the recorded source.
+// TestReplayBatchEquivalence checks both decoders of the record format —
+// the in-memory Replay and the disk Reader over a written file — against
+// the stream they were written from.
 func TestReplayBatchEquivalence(t *testing.T) {
-	spec, _ := workloads.ByName("sphinx3")
 	const n = 30_000
-	want := collectScalar(spec.Build(9), n)
-	buf := trace.Record(spec.Build(9), n)
-	if buf.Len() != n {
-		t.Fatalf("recorded %d accesses, want %d", buf.Len(), n)
+	sphinx3 := limited("sphinx3", 9, n)
+	buf := trace.Record(sphinx3(), n)
+	checkChunks(t, "replay", func() trace.Source { return buf.Replay() }, n+10, n, sphinx3)
+
+	path := filepath.Join(t.TempDir(), "sphinx3.trc")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	scalar := collectScalar(buf.Replay(), n+10)
-	if len(scalar) != n {
-		t.Fatalf("scalar replay yielded %d", len(scalar))
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, bs := range batchSizes {
-		got := collectBatched(buf.Replay(), n+10, bs)
-		if len(got) != n {
-			t.Fatalf("batch=%d: replay yielded %d", bs, len(got))
-		}
-		for i := range want {
-			if got[i] != want[i] || scalar[i] != want[i] {
-				t.Fatalf("batch=%d: access %d differs from recorded source", bs, i)
-			}
+	for _, a := range trace.Collect(sphinx3(), n) {
+		if err := w.Write(a); err != nil {
+			t.Fatal(err)
 		}
 	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkChunks(t, "reader", func() trace.Source {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { f.Close() })
+		r, err := trace.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}, n+10, n, sphinx3)
+}
+
+// coreTagged exposes an Interleave as a Source whose addresses carry the
+// issuing core in their top byte, so comparing streams compares tags too.
+type coreTagged struct{ iv *trace.Interleave }
+
+func (c coreTagged) NextBatch(dst []trace.Access) int {
+	cores := make([]int, len(dst))
+	for i := range cores {
+		cores[i] = 0xff // stale tags must be overwritten
+	}
+	k := c.iv.NextBatch(dst, cores)
+	for i := range dst[:k] {
+		dst[i].Addr |= mem.Addr(cores[i]) << 56
+	}
+	return k
+}
+
+// TestInterleaveBatchEquivalence checks the one-source bulk path, which
+// must tag every access core 0, and a round robin whose sources end at
+// different times.
+func TestInterleaveBatchEquivalence(t *testing.T) {
+	checkChunks(t, "interleave1", func() trace.Source {
+		return coreTagged{trace.NewInterleave(limited("milc", 1, 9000)())}
+	}, 9010, 9000, limited("milc", 1, 9000))
+	checkChunks(t, "interleave2", func() trace.Source {
+		return coreTagged{trace.NewInterleave(limited("milc", 1, 9000)(), limited("mcf", 2, 4000)())}
+	}, 13_010, 13_000, nil)
 }

@@ -24,23 +24,12 @@ type Buffer struct {
 func Record(src Source, max uint64) *Buffer {
 	b := &Buffer{}
 	var prev uint64
-	var scratch [2 * binary.MaxVarintLen64]byte
 	var chunk [512]Access
 	for b.n < max {
-		want := uint64(len(chunk))
-		if left := max - b.n; left < want {
-			want = left
-		}
-		k := FillBatch(src, chunk[:want])
+		want := min(max-b.n, uint64(len(chunk)))
+		k := src.NextBatch(chunk[:want])
 		for _, a := range chunk[:k] {
-			delta := int64(uint64(a.Addr) - prev)
-			w := binary.PutUvarint(scratch[:], zigzag(delta))
-			meta := uint64(a.Gap) << 1
-			if a.Store {
-				meta |= 1
-			}
-			w += binary.PutUvarint(scratch[w:], meta)
-			b.data = append(b.data, scratch[:w]...)
+			b.data = appendRecord(b.data, prev, a)
 			prev = uint64(a.Addr)
 		}
 		b.n += uint64(k)
@@ -63,16 +52,15 @@ func (b *Buffer) Size() int { return len(b.data) }
 // shared and never copied.
 func (b *Buffer) Replay() *Replay { return &Replay{data: b.data} }
 
-// Replay decodes a Buffer sequentially. It implements Source and
-// BatchSource; the batch path is the hot one — a tight varint loop with no
-// interface dispatch per access.
+// Replay decodes a Buffer sequentially. Its NextBatch is a tight varint
+// loop with no interface dispatch per access.
 type Replay struct {
 	data []byte
 	pos  int
 	prev uint64
 }
 
-// NextBatch implements BatchSource.
+// NextBatch implements Source.
 func (r *Replay) NextBatch(dst []Access) int {
 	data, pos, prev := r.data, r.pos, r.prev
 	k := 0
@@ -97,13 +85,4 @@ func (r *Replay) NextBatch(dst []Access) int {
 	}
 	r.pos, r.prev = pos, prev
 	return k
-}
-
-// Next implements Source.
-func (r *Replay) Next() (Access, bool) {
-	var one [1]Access
-	if r.NextBatch(one[:]) == 0 {
-		return Access{}, false
-	}
-	return one[0], true
 }

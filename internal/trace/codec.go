@@ -45,20 +45,22 @@ func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Write appends one access.
-func (w *Writer) Write(a Access) error {
-	var buf [binary.MaxVarintLen64]byte
-	delta := int64(uint64(a.Addr) - w.prev)
-	n := binary.PutUvarint(buf[:], zigzag(delta))
-	if _, err := w.w.Write(buf[:n]); err != nil {
-		return fmt.Errorf("trace: writing record: %w", err)
-	}
+// appendRecord appends a's record to b, delta-encoding its address
+// against prev, the previous record's address. Writer and Record both
+// encode through it, so the disk and in-memory formats cannot drift apart.
+func appendRecord(b []byte, prev uint64, a Access) []byte {
+	b = binary.AppendUvarint(b, zigzag(int64(uint64(a.Addr)-prev)))
 	meta := uint64(a.Gap) << 1
 	if a.Store {
 		meta |= 1
 	}
-	n = binary.PutUvarint(buf[:], meta)
-	if _, err := w.w.Write(buf[:n]); err != nil {
+	return binary.AppendUvarint(b, meta)
+}
+
+// Write appends one access.
+func (w *Writer) Write(a Access) error {
+	var rec [2 * binary.MaxVarintLen64]byte
+	if _, err := w.w.Write(appendRecord(rec[:0], w.prev, a)); err != nil {
 		return fmt.Errorf("trace: writing record: %w", err)
 	}
 	w.prev = uint64(a.Addr)
@@ -92,29 +94,33 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next implements Source; it returns ok=false at EOF or on error.
-func (r *Reader) Next() (Access, bool) {
+// NextBatch implements Source, decoding straight into dst. The stream ends
+// at EOF or at the first malformed record; Err tells the two apart.
+func (r *Reader) NextBatch(dst []Access) int {
 	if r.err != nil {
-		return Access{}, false
+		return 0
 	}
-	du, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		if !errors.Is(err, io.EOF) {
-			r.err = err
+	for i := range dst {
+		du, err := binary.ReadUvarint(r.r)
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				r.err = err
+			}
+			return i
 		}
-		return Access{}, false
+		meta, err := binary.ReadUvarint(r.r)
+		if err != nil {
+			r.err = ErrBadTrace
+			return i
+		}
+		r.prev += uint64(unzigzag(du))
+		dst[i] = Access{
+			Addr:  mem.Addr(r.prev),
+			Store: meta&1 == 1,
+			Gap:   uint32(meta >> 1),
+		}
 	}
-	meta, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		r.err = ErrBadTrace
-		return Access{}, false
-	}
-	r.prev += uint64(unzigzag(du))
-	return Access{
-		Addr:  mem.Addr(r.prev),
-		Store: meta&1 == 1,
-		Gap:   uint32(meta >> 1),
-	}, true
+	return len(dst)
 }
 
 // Err returns the first decoding error, or nil on clean EOF.

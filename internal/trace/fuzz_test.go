@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -78,17 +79,8 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, want := range in {
-			got, ok := r.Next()
-			if !ok {
-				t.Fatalf("reader: stream ended at %d of %d (err %v)", i, len(in), r.Err())
-			}
-			if got != want {
-				t.Fatalf("reader: access %d = %+v, want %+v", i, got, want)
-			}
-		}
-		if _, ok := r.Next(); ok {
-			t.Fatal("reader: extra access past the end")
+		if got := Collect(r, len(in)+1); !slices.Equal(got, in) {
+			t.Fatalf("reader: decoded %+v, want %+v", got, in)
 		}
 		if err := r.Err(); err != nil {
 			t.Fatalf("reader: dirty EOF: %v", err)
@@ -99,41 +91,26 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if mb.Len() != uint64(len(in)) {
 			t.Fatalf("buffer recorded %d accesses, want %d", mb.Len(), len(in))
 		}
-		rp := mb.Replay()
-		for i, want := range in {
-			got, ok := rp.Next()
-			if !ok {
-				t.Fatalf("replay: stream ended at %d of %d", i, len(in))
-			}
-			if got != want {
-				t.Fatalf("replay: access %d = %+v, want %+v", i, got, want)
-			}
-		}
-		if _, ok := rp.Next(); ok {
-			t.Fatal("replay: extra access past the end")
+		if got := Collect(mb.Replay(), len(in)+1); !slices.Equal(got, in) {
+			t.Fatalf("replay: decoded %+v, want %+v", got, in)
 		}
 	})
 }
 
 // sliceSource adapts a fixed slice to Source for recording.
-type sliceSource struct {
-	accs []Access
-	pos  int
-}
+type sliceSource struct{ accs []Access }
 
-func (s *sliceSource) Next() (Access, bool) {
-	if s.pos >= len(s.accs) {
-		return Access{}, false
-	}
-	a := s.accs[s.pos]
-	s.pos++
-	return a, true
+func (s *sliceSource) NextBatch(dst []Access) int {
+	k := copy(dst, s.accs)
+	s.accs = s.accs[k:]
+	return k
 }
 
 // TestReaderTruncationAtEveryOffset cuts an encoded stream at every byte
-// position and asserts the reader's contract: a cut at a record boundary is
-// a clean EOF (Err nil), any cut inside a record surfaces corruption
-// through Err.
+// position and asserts the reader's contract at chunk sizes 1, 3 and 4096
+// (slipsim's replay batch): every chunk size decodes the same records, a
+// cut at a record boundary is a clean EOF (Err nil), and any cut inside a
+// record surfaces corruption through Err.
 func TestReaderTruncationAtEveryOffset(t *testing.T) {
 	accs := []Access{
 		{Addr: 0xffffffffffffffff, Gap: 3, Store: true}, // max addr, big first delta
@@ -146,39 +123,44 @@ func TestReaderTruncationAtEveryOffset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	boundaries := map[int]int{len(traceMagic): 0} // byte offset -> records before it
-	for i, a := range accs {
+	ends := []int{len(traceMagic)} // ends[i]: byte offset after i records
+	for _, a := range accs {
 		if err := w.Write(a); err != nil {
 			t.Fatal(err)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatal(err)
 		}
-		boundaries[buf.Len()] = i + 1
+		ends = append(ends, buf.Len())
 	}
 	data := buf.Bytes()
 
 	for cut := len(traceMagic); cut <= len(data); cut++ {
-		r, err := NewReader(bytes.NewReader(data[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
+		whole, isBoundary := slices.BinarySearch(ends, cut)
+		if !isBoundary {
+			whole-- // the record the cut splits is lost
 		}
-		n := 0
-		for {
-			if _, ok := r.Next(); !ok {
-				break
+		for _, chunk := range []int{1, 3, 4096} {
+			r, err := NewReader(bytes.NewReader(data[:cut]))
+			if err != nil {
+				t.Fatalf("cut %d: %v", cut, err)
 			}
-			n++
-		}
-		if whole, isBoundary := boundaries[cut]; isBoundary {
-			if r.Err() != nil {
-				t.Errorf("cut %d at record boundary: unexpected error %v", cut, r.Err())
+			n, dst := 0, make([]Access, chunk)
+			for {
+				k := r.NextBatch(dst)
+				n += k
+				if k < chunk {
+					break
+				}
 			}
-			if n != whole {
-				t.Errorf("cut %d: decoded %d records, want %d", cut, n, whole)
+			switch {
+			case n != whole:
+				t.Errorf("cut %d chunk %d: decoded %d records, want %d", cut, chunk, n, whole)
+			case isBoundary && r.Err() != nil:
+				t.Errorf("cut %d chunk %d at record boundary: unexpected error %v", cut, chunk, r.Err())
+			case !isBoundary && r.Err() == nil:
+				t.Errorf("cut %d chunk %d inside a record: corruption not reported", cut, chunk)
 			}
-		} else if r.Err() == nil {
-			t.Errorf("cut %d inside a record: corruption not reported", cut)
 		}
 	}
 }

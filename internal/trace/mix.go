@@ -58,22 +58,26 @@ func NewMix(seed uint64, meanGap float64, items ...MixItem) *Mix {
 	return m
 }
 
-// Next implements Source; mixtures are unbounded.
-func (m *Mix) Next() (Access, bool) {
-	if m.left == 0 {
-		x := m.rng.Float64()
-		m.cur = len(m.items) - 1
-		for i, c := range m.cum {
-			if x < c {
-				m.cur = i
-				break
+// NextBatch implements Source. Mixtures are unbounded, so the batch always
+// fills.
+func (m *Mix) NextBatch(dst []Access) int {
+	for i := range dst {
+		if m.left == 0 {
+			x := m.rng.Float64()
+			m.cur = len(m.items) - 1
+			for j, c := range m.cum {
+				if x < c {
+					m.cur = j
+					break
+				}
 			}
+			m.left = m.items[m.cur].Burst
 		}
-		m.left = m.items[m.cur].Burst
+		m.left--
+		addr, store := m.items[m.cur].Region.Next(m.rng)
+		dst[i] = Access{Addr: addr, Store: store, Gap: m.gap()}
 	}
-	m.left--
-	addr, store := m.items[m.cur].Region.Next(m.rng)
-	return Access{Addr: addr, Store: store, Gap: m.gap()}, true
+	return len(dst)
 }
 
 // gap draws a geometric instruction gap with the configured mean.
@@ -117,21 +121,32 @@ func NewPhased(phases ...Phase) *Phased {
 	return &Phased{phases: phases}
 }
 
-// Next implements Source.
-func (p *Phased) Next() (Access, bool) {
-	ph := p.phases[p.idx]
-	if p.used >= ph.Len {
-		p.used = 0
-		p.idx = (p.idx + 1) % len(p.phases)
-		ph = p.phases[p.idx]
+// NextBatch implements Source, filling each phase's share of the batch
+// with one call to that phase's source. A phase source that ends ends the
+// phased stream.
+func (p *Phased) NextBatch(dst []Access) int {
+	n := 0
+	for n < len(dst) {
+		ph := p.phases[p.idx]
+		if p.used == ph.Len {
+			p.used = 0
+			p.idx = (p.idx + 1) % len(p.phases)
+			continue
+		}
+		want := int(min(uint64(len(dst)-n), ph.Len-p.used))
+		k := ph.Source.NextBatch(dst[n : n+want])
+		p.used += uint64(k)
+		n += k
+		if k < want {
+			break
+		}
 	}
-	p.used++
-	return ph.Source.Next()
+	return n
 }
 
 // Interleave merges per-core sources round-robin, the multiprogrammed-mix
-// driver for the Figure 16 experiments. It also reports which core issued
-// each access via the CoreOf callback.
+// driver for the Figure 16 experiments, and reports which core issued each
+// access.
 type Interleave struct {
 	srcs []Source
 	next int
@@ -145,28 +160,30 @@ func NewInterleave(srcs ...Source) *Interleave {
 	return &Interleave{srcs: srcs}
 }
 
-// Next implements Source. Exhausted sources are skipped; ok is false only
-// when every source is exhausted.
-func (iv *Interleave) Next() (Access, bool) {
-	for tries := 0; tries < len(iv.srcs); tries++ {
-		i := iv.next
-		iv.next = (iv.next + 1) % len(iv.srcs)
-		if a, ok := iv.srcs[i].Next(); ok {
-			return a, true
-		}
+// NextBatch fills dst with the merged stream and cores[i] with the index of
+// the source that produced dst[i]; cores must be at least as long as dst.
+// The count follows Source's contract. Exhausted sources are skipped, so
+// the merged stream ends only when every source has ended.
+func (iv *Interleave) NextBatch(dst []Access, cores []int) int {
+	cores = cores[:len(dst)]
+	if len(iv.srcs) == 1 {
+		k := iv.srcs[0].NextBatch(dst)
+		clear(cores[:k])
+		return k
 	}
-	return Access{}, false
-}
-
-// NextWithCore returns the next access and the index of the source that
-// produced it.
-func (iv *Interleave) NextWithCore() (Access, int, bool) {
-	for tries := 0; tries < len(iv.srcs); tries++ {
-		i := iv.next
-		iv.next = (iv.next + 1) % len(iv.srcs)
-		if a, ok := iv.srcs[i].Next(); ok {
-			return a, i, true
+next:
+	for i := range dst {
+		for range iv.srcs {
+			c := iv.next
+			if iv.next++; iv.next == len(iv.srcs) {
+				iv.next = 0
+			}
+			if iv.srcs[c].NextBatch(dst[i:i+1]) == 1 {
+				cores[i] = c
+				continue next
+			}
 		}
+		return i // every source has ended
 	}
-	return Access{}, -1, false
+	return len(dst)
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,11 +231,11 @@ func TestMixWeightsRespected(t *testing.T) {
 	)
 	fromA := 0
 	const n = 40000
-	for i := 0; i < n; i++ {
-		acc, ok := m.Next()
-		if !ok {
-			t.Fatal("mix must be unbounded")
-		}
+	accs := Collect(m, n)
+	if len(accs) != n {
+		t.Fatal("mix must be unbounded")
+	}
+	for _, acc := range accs {
 		if acc.Addr < 1<<30 {
 			fromA++
 		}
@@ -255,8 +257,7 @@ func TestMixWeightsRespectedWithUnequalBursts(t *testing.T) {
 	)
 	fromA := 0
 	const n = 200000
-	for i := 0; i < n; i++ {
-		acc, _ := m.Next()
+	for _, acc := range Collect(m, n) {
 		if acc.Addr < 1<<30 {
 			fromA++
 		}
@@ -277,8 +278,7 @@ func TestMixBurstsAreContiguous(t *testing.T) {
 	// should be about N/8 switches, not N/2.
 	prevA, switches := false, 0
 	const n = 8000
-	for i := 0; i < n; i++ {
-		acc, _ := m.Next()
+	for i, acc := range Collect(m, n) {
 		isA := acc.Addr < 1<<30
 		if i > 0 && isA != prevA {
 			switches++
@@ -295,8 +295,7 @@ func TestMixGapMean(t *testing.T) {
 	m := NewMix(11, 5, MixItem{Region: a, Weight: 1, Burst: 1})
 	sum := 0.0
 	const n = 20000
-	for i := 0; i < n; i++ {
-		acc, _ := m.Next()
+	for _, acc := range Collect(m, n) {
 		sum += float64(acc.Gap)
 	}
 	if mean := sum / n; math.Abs(mean-5) > 0.5 {
@@ -327,11 +326,11 @@ func TestPhasedCycles(t *testing.T) {
 	a := NewMix(1, 0, MixItem{Region: NewLoop(0, 64*mem.LineBytes, 0), Weight: 1, Burst: 1})
 	b := NewMix(2, 0, MixItem{Region: NewLoop(1<<30, 64*mem.LineBytes, 0), Weight: 1, Burst: 1})
 	p := NewPhased(Phase{Source: a, Len: 10}, Phase{Source: b, Len: 10})
-	for i := 0; i < 40; i++ {
-		acc, ok := p.Next()
-		if !ok {
-			t.Fatal("phased must not exhaust")
-		}
+	accs := Collect(p, 40)
+	if len(accs) != 40 {
+		t.Fatal("phased must not exhaust")
+	}
+	for i, acc := range accs {
 		inB := acc.Addr >= 1<<30
 		wantB := (i/10)%2 == 1
 		if inB != wantB {
@@ -347,7 +346,7 @@ func TestLimitAndCollect(t *testing.T) {
 	if len(got) != 5 {
 		t.Errorf("Limit(5) yielded %d accesses", len(got))
 	}
-	if _, ok := s.Next(); ok {
+	if len(Collect(s, 1)) != 0 {
 		t.Error("limiter did not exhaust")
 	}
 }
@@ -356,16 +355,10 @@ func TestInterleaveRoundRobinAndExhaustion(t *testing.T) {
 	a := Limit(NewMix(1, 0, MixItem{Region: NewLoop(0, 64*mem.LineBytes, 0), Weight: 1, Burst: 1}), 3)
 	b := Limit(NewMix(2, 0, MixItem{Region: NewLoop(1<<30, 64*mem.LineBytes, 0), Weight: 1, Burst: 1}), 6)
 	iv := NewInterleave(a, b)
-	var cores []int
-	for {
-		_, core, ok := iv.NextWithCore()
-		if !ok {
-			break
-		}
-		cores = append(cores, core)
-	}
-	if len(cores) != 9 {
-		t.Fatalf("interleave yielded %d accesses, want 9", len(cores))
+	cores := make([]int, 16)
+	k := iv.NextBatch(make([]Access, 16), cores)
+	if k != 9 {
+		t.Fatalf("interleave yielded %d accesses, want 9", k)
 	}
 	// First six alternate 0,1,...; once a is exhausted only 1 remains.
 	for i := 0; i < 6; i++ {
@@ -410,14 +403,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for i := 0; i < n; i++ {
-			got, ok := r.Next()
-			if !ok || got != in[i] {
-				return false
-			}
-		}
-		_, ok := r.Next()
-		return !ok && r.Err() == nil
+		return slices.Equal(Collect(r, n+1), in) && r.Err() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -443,11 +429,32 @@ func TestReaderTruncatedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Next(); ok {
+	if len(Collect(r, 1)) != 0 {
 		t.Error("truncated record decoded")
 	}
 	if r.Err() == nil {
 		t.Error("truncation not reported")
+	}
+}
+
+// TestReaderEndsAtCorruption: an overflowing varint ends the stream even
+// with a well-formed record behind it, and the stream stays ended.
+func TestReaderEndsAtCorruption(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf)
+	_ = w.Write(Access{Addr: 64})
+	_ = w.Flush()
+	buf.Write(bytes.Repeat([]byte{0xff}, binary.MaxVarintLen64))
+	buf.Write([]byte{0x02, 0x00})
+	r, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(Collect(r, 4)); n != 1 || r.Err() == nil {
+		t.Errorf("decoded %d accesses with err %v, want 1 and an overflow", n, r.Err())
+	}
+	if n := len(Collect(r, 4)); n != 0 {
+		t.Errorf("reader resumed after a corrupt record with %d accesses", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -32,14 +33,13 @@ func TestByName(t *testing.T) {
 
 func TestEveryBenchmarkProducesAccesses(t *testing.T) {
 	for _, spec := range All() {
-		src := spec.Build(3)
+		accs := trace.Collect(spec.Build(3), 20000)
+		if len(accs) != 20000 {
+			t.Fatalf("%s: source exhausted", spec.Name)
+		}
 		seen := map[mem.PageID]bool{}
 		stores := 0
-		for i := 0; i < 20000; i++ {
-			a, ok := src.Next()
-			if !ok {
-				t.Fatalf("%s: source exhausted", spec.Name)
-			}
+		for _, a := range accs {
 			seen[a.Addr.Page()] = true
 			if a.Store {
 				stores++
@@ -56,27 +56,15 @@ func TestEveryBenchmarkProducesAccesses(t *testing.T) {
 
 func TestBenchmarksDeterministic(t *testing.T) {
 	for _, spec := range All() {
-		a, b := spec.Build(5), spec.Build(5)
-		for i := 0; i < 2000; i++ {
-			x, _ := a.Next()
-			y, _ := b.Next()
-			if x != y {
-				t.Fatalf("%s: diverged at access %d", spec.Name, i)
-			}
+		if !slices.Equal(trace.Collect(spec.Build(5), 2000), trace.Collect(spec.Build(5), 2000)) {
+			t.Fatalf("%s: same seed, different streams", spec.Name)
 		}
 	}
 }
 
 func TestSeedsChangeStreams(t *testing.T) {
 	spec, _ := ByName("omnetpp")
-	a, b := spec.Build(1), spec.Build(2)
-	same := true
-	for i := 0; i < 500 && same; i++ {
-		x, _ := a.Next()
-		y, _ := b.Next()
-		same = x == y
-	}
-	if same {
+	if slices.Equal(trace.Collect(spec.Build(1), 500), trace.Collect(spec.Build(2), 500)) {
 		t.Error("different seeds produced identical streams")
 	}
 }
@@ -85,12 +73,10 @@ func TestSeedsChangeStreams(t *testing.T) {
 // every line reference is a first touch or a beyond-LLC reuse.
 func TestMilcIsStreamDominated(t *testing.T) {
 	spec, _ := ByName("milc")
-	src := spec.Build(7)
 	calc := reuse.NewCalculator(1 << 18)
 	h := reuse.NewHistogram([]uint64{mem.LinesIn(2 * mem.MB)})
 	var prev mem.LineAddr = ^mem.LineAddr(0)
-	for i := 0; i < 120_000; i++ {
-		a, _ := src.Next()
+	for _, a := range trace.Collect(spec.Build(7), 120_000) {
 		// Collapse the word-granular touches the L1 absorbs; only line
 		// transitions matter at LLC scale.
 		if l := a.Addr.Line(); l != prev {
@@ -107,11 +93,9 @@ func TestMilcIsStreamDominated(t *testing.T) {
 // solid body of reuses that fit the LLC.
 func TestSphinx3HasNearReuse(t *testing.T) {
 	spec, _ := ByName("sphinx3")
-	src := spec.Build(7)
 	calc := reuse.NewCalculator(1 << 18)
 	h := reuse.NewHistogram([]uint64{mem.LinesIn(2 * mem.MB)})
-	for i := 0; i < 200_000; i++ {
-		a, _ := src.Next()
+	for _, a := range trace.Collect(spec.Build(7), 200_000) {
 		if d := calc.Observe(a.Addr.Line()); d != reuse.Infinite {
 			h.Observe(d)
 		}
@@ -124,11 +108,9 @@ func TestSphinx3HasNearReuse(t *testing.T) {
 // TestMcfHasPhases: mcf's second phase shifts traffic to a new arena.
 func TestMcfHasPhases(t *testing.T) {
 	spec, _ := ByName("mcf")
-	src := spec.Build(7)
 	loopArena := mem.Addr(4 << 32) // arena(3)
 	inFirst, inSecond := 0, 0
-	for i := 0; i < 1_900_000; i++ {
-		a, _ := src.Next()
+	for i, a := range trace.Collect(spec.Build(7), 1_900_000) {
 		hit := a.Addr >= loopArena && a.Addr < loopArena+(1<<32)
 		if i < 1_200_000 {
 			if hit {
@@ -150,10 +132,8 @@ func TestMcfHasPhases(t *testing.T) {
 // 4GiB arena, keeping pages pattern-homogeneous.
 func TestArenasAreDisjoint(t *testing.T) {
 	for _, spec := range All() {
-		src := spec.Build(11)
 		arenas := map[uint64]bool{}
-		for i := 0; i < 50_000; i++ {
-			a, _ := src.Next()
+		for _, a := range trace.Collect(spec.Build(11), 50_000) {
 			arenas[uint64(a.Addr)>>32] = true
 		}
 		if len(arenas) < 2 {
@@ -165,11 +145,9 @@ func TestArenasAreDisjoint(t *testing.T) {
 // TestGapsMatchSpec: the instruction gaps average near the declared value.
 func TestGapsMatchSpec(t *testing.T) {
 	spec, _ := ByName("gcc")
-	src := spec.Build(13)
 	sum := 0.0
 	const n = 50_000
-	for i := 0; i < n; i++ {
-		a, _ := src.Next()
+	for _, a := range trace.Collect(spec.Build(13), n) {
 		sum += float64(a.Gap)
 	}
 	mean := sum / n
@@ -178,13 +156,12 @@ func TestGapsMatchSpec(t *testing.T) {
 	}
 }
 
-var sinkAccess trace.Access
-
 func BenchmarkGeneratorThroughput(b *testing.B) {
 	spec, _ := ByName("soplex")
 	src := spec.Build(1)
+	batch := make([]trace.Access, 4096)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkAccess, _ = src.Next()
+	for done := 0; done < b.N; {
+		done += src.NextBatch(batch[:min(len(batch), b.N-done)])
 	}
 }
