@@ -82,16 +82,11 @@ func main() {
 		traceMB  = flag.Int64("trace-cache-mb", 256, "trace materialization cache budget in MiB (0 disables)")
 		warmMB   = flag.Int64("warm-cache-mb", 256, "warm-state snapshot cache budget in MiB (0 disables)")
 		sampling = flag.Int("sampling", 0, "set-sampling factor K for every run: simulate 1/K of the cache sets and extrapolate (0/1 = full fidelity; valid: 2, 4, 8, 16)")
-		intraPar = flag.Int("intra-parallelism", 0, "intra-run shard count used when the worker pool is not saturated; results are bit-identical (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	)
 	flag.Parse()
 
 	if *parallel <= 0 {
 		fmt.Fprintf(os.Stderr, "slipbench: -parallel must be >= 1 (got %d)\n", *parallel)
-		os.Exit(2)
-	}
-	if *intraPar < 0 {
-		fmt.Fprintf(os.Stderr, "slipbench: -intra-parallelism must be >= 0 (got %d)\n", *intraPar)
 		os.Exit(2)
 	}
 	if *acc == 0 {
@@ -136,7 +131,7 @@ func main() {
 	opts := experiments.Options{
 		Accesses: *acc, Seed: *seed, Parallelism: *parallel, Out: os.Stdout,
 		TraceCacheBytes: mb(*traceMB), WarmCacheBytes: mb(*warmMB),
-		Sampling: *sampling, IntraParallelism: *intraPar,
+		Sampling: *sampling,
 	}
 	if *warmup >= 0 {
 		opts.Warmup = uint64(*warmup)

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	slipd [-addr :8080] [-workers N] [-intra-parallelism N] [-queue N] [-store N]
+//	slipd [-addr :8080] [-workers N] [-queue N] [-store N]
 //	      [-store-dir /var/lib/slipd] [-store-disk-mb 1024] [-store-fsync]
 //	      [-accesses N] [-warmup N] [-seed N]
 //	      [-job-timeout 5m] [-drain-timeout 30s]
@@ -46,9 +46,8 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", runtime.GOMAXPROCS(0), "simulation worker pool size")
-		intraPar = flag.Int("intra-parallelism", 0, "intra-run shard count for jobs running alone (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 		queue    = flag.Int("queue", 64, "job queue depth (full queue answers 429)")
-		storeCap = flag.Int("store", 256, "LRU result store capacity")
+		storeCap = flag.Int("store", 256, "LRU result store capacity, also the number of finished jobs kept for polling")
 		storeDir = flag.String("store-dir", "", "durable result store directory (empty = memory only)")
 		storeMB  = flag.Int64("store-disk-mb", 1024, "durable store byte budget in MiB (0 = unlimited)")
 		storeFS  = flag.Bool("store-fsync", false, "fsync durable store writes before commit")
@@ -69,9 +68,6 @@ func main() {
 	}
 	if *workers <= 0 {
 		fail("-workers must be >= 1 (got %d)", *workers)
-	}
-	if *intraPar < 0 {
-		fail("-intra-parallelism must be >= 0 (got %d)", *intraPar)
 	}
 	if *queue <= 0 {
 		fail("-queue must be >= 1 (got %d)", *queue)
@@ -104,14 +100,13 @@ func main() {
 
 	logger := log.New(os.Stderr, "slipd: ", log.LstdFlags)
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		StoreCap:         *storeCap,
-		DefaultAccesses:  *acc,
-		DefaultSeed:      *seed,
-		JobTimeout:       *jobTO,
-		IntraParallelism: *intraPar,
-		Log:              logger,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		StoreCap:        *storeCap,
+		DefaultAccesses: *acc,
+		DefaultSeed:     *seed,
+		JobTimeout:      *jobTO,
+		Log:             logger,
 	}
 	if *warmup >= 0 {
 		w := uint64(*warmup)

@@ -7,7 +7,7 @@
 //	slipsim -workload soplex -policy slip+abp [-accesses N] [-warmup N]
 //	        [-seed N] [-cores 2 -workload2 mcf] [-rrip] [-binbits 4]
 //	        [-tech 22nm] [-topology h-tree] [-cpuprofile cpu.out]
-//	        [-sampling 8] [-intra-parallelism 4]
+//	        [-sampling 8]
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
 //	slipsim -trace file.trc -policy baseline     # replay a tracegen file
@@ -83,7 +83,6 @@ func run(args []string, stdout io.Writer) error {
 		sampling = fs.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		listPol  = fs.Bool("list-policies", false, "list the registered policies with their metadata and exit")
-		intraPar = fs.Int("intra-parallelism", 0, "intra-run shard count: split the run over N set-sharded replicas with a bit-identical merge (0 = min(GOMAXPROCS, 8), 1 = sequential)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -169,10 +168,9 @@ func run(args []string, stdout io.Writer) error {
 		// One run in a one-off process hits neither the trace cache nor the
 		// warm cache, so both stay off.
 		suite := experiments.NewSuite(experiments.Options{
-			Parallelism:      1,
-			IntraParallelism: *intraPar,
-			TraceCacheBytes:  -1,
-			WarmCacheBytes:   -1,
+			Parallelism:     1,
+			TraceCacheBytes: -1,
+			WarmCacheBytes:  -1,
 		})
 		sys, err = suite.RunSpecContext(context.Background(), c)
 	}

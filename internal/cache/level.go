@@ -38,9 +38,9 @@ type Line struct {
 // NumGroups is the number of line-address groups every per-group structure
 // in a level is indexed by. Group membership is set&63, which equals
 // line&63 whenever the level has at least 64 sets — the invariant behind
-// both the 1/K set-sampling mask and the intra-run shard partition: state
-// indexed by group is touched only by accesses to that group, so disjoint
-// group subsets can be simulated independently and grafted back together.
+// the 1/K set-sampling mask: state indexed by group is touched only by
+// accesses to that group, so a sampled group evolves exactly as it would
+// in the full run.
 const NumGroups = 64
 
 // GroupOf returns the line-address group of a set index.
@@ -110,27 +110,6 @@ func (s *Stats) Reset() {
 	s.MetadataPJ.Reset()
 }
 
-// Merge folds another Stats into this one, counter by counter. Energies
-// are fixed-point integers, so the fold is exact: summing the per-shard
-// deltas of an intra-run sharded replay reproduces precisely the totals a
-// sequential run would have accumulated.
-func (s *Stats) Merge(o *Stats) {
-	s.Accesses.Add(o.Accesses.Value())
-	s.Hits.Add(o.Hits.Value())
-	s.Misses.Add(o.Misses.Value())
-	s.Fills.Add(o.Fills.Value())
-	s.Bypasses.Add(o.Bypasses.Value())
-	s.Movements.Add(o.Movements.Value())
-	s.Evictions.Add(o.Evictions.Value())
-	s.Writebacks.Add(o.Writebacks.Value())
-	for i := range s.HitsPerSublevel {
-		s.HitsPerSublevel[i] += o.HitsPerSublevel[i]
-	}
-	s.AccessPJ.Add(o.AccessPJ)
-	s.MovementPJ.Add(o.MovementPJ)
-	s.MetadataPJ.Add(o.MetadataPJ)
-}
-
 // Level is one set-associative, energy-asymmetric cache level.
 type Level struct {
 	cfg     Config
@@ -152,9 +131,8 @@ type Level struct {
 	// T holds one access counter per line-address group, driving the
 	// Section 4.1 timestamps group-locally. A group's counter advances only
 	// on that group's traffic, so it is identical whether the group ran in
-	// a sequential replay, under a 1/K sampling mask (the group either
-	// receives its full stream or none of it), or inside an intra-run
-	// shard — the property that makes timestamps exactly mergeable.
+	// a full replay or under a 1/K sampling mask (the group either
+	// receives its full stream or none of it).
 	T [NumGroups]uint64
 
 	Stats Stats
@@ -199,9 +177,8 @@ func New(cfg Config) *Level {
 	// ticks count group-local accesses (T[g]) and its distances are
 	// rescaled x64 back to whole-level lines in Access. A group sees 1/64
 	// of the level's traffic over 1/64 of its lines regardless of how many
-	// groups are masked off or sharded away, so the estimate's resolution
-	// (granule x 64 = 4C/64 whole-level lines per tick) is invariant under
-	// both set sampling and intra-run sharding.
+	// groups are masked off, so the estimate's resolution (granule x 64 =
+	// 4C/64 whole-level lines per tick) is invariant under set sampling.
 	estLines := uint64(numSets*ways) / NumGroups
 	if estLines == 0 {
 		estLines = 1
@@ -515,27 +492,6 @@ func (l *Level) Invalidate(a mem.LineAddr) (Line, bool) {
 		return out, true
 	}
 	return Line{}, false
-}
-
-// AdoptGroup grafts line-address group g — every set ≡ g (mod NumGroups):
-// lines, tags, valid masks, the group's access counter, replacement state
-// and movement-queue lane — from src, which must share this level's
-// geometry. Because all of that state is touched only by group-g traffic,
-// adopting each group from the shard that owned it reconstructs exactly
-// the level a sequential replay would have produced. Stats are global, not
-// per-group, and are merged separately (Stats.Merge).
-func (l *Level) AdoptGroup(src *Level, g int) {
-	if l.numSets != src.numSets || l.ways != src.ways {
-		panic("cache: AdoptGroup across mismatched geometries")
-	}
-	for set := g; set < l.numSets; set += NumGroups {
-		copy(l.sets[set], src.sets[set])
-		copy(l.tags[set*l.ways:(set+1)*l.ways], src.tags[set*l.ways:(set+1)*l.ways])
-		l.valid[set] = src.valid[set]
-	}
-	l.T[g] = src.T[g]
-	l.repl.Adopt(src.repl, g)
-	l.mq.AdoptLane(src.mq, g)
 }
 
 // ForEachLine visits every valid line (for end-of-run statistics such as

@@ -88,11 +88,10 @@ func (q *MovementQueue) Stalls() uint64 { return q.stalls }
 func (q *MovementQueue) Peak() int { return q.peak }
 
 // MQBank splits the movement queue into NumGroups independent lanes, one
-// per line-address group, each driven by its own group's access counter.
-// Accesses to different groups never share a lane, so group-disjoint
-// shards of one run touch disjoint lanes and a merged run reassembles the
-// bank by grafting each lane — in-flight entries and counters together —
-// from the shard that owned it, with no arithmetic on the counters.
+// per line-address group, each driven by its own group's access counter
+// (Level.T). Accesses to different groups never share a lane, so a lane's
+// occupancy and stalls depend only on its own group's stream: under set
+// sampling a sampled group's lane behaves exactly as in the full run.
 // Aggregate views (Lookups/Stalls/Peak) sum or max over the lanes, so
 // level-wide reporting reads the same as the single-queue model.
 type MQBank struct {
@@ -119,9 +118,6 @@ func (b *MQBank) Enqueue(g int, now uint64) (stalled bool) { return b.lanes[g].E
 
 // Occupancy returns group g's live entry count at its access-time now.
 func (b *MQBank) Occupancy(g int, now uint64) int { return b.lanes[g].Occupancy(now) }
-
-// Lane exposes one lane (tests and the shard merge).
-func (b *MQBank) Lane(g int) *MovementQueue { return b.lanes[g] }
 
 // Lookups returns the total probes across all lanes.
 func (b *MQBank) Lookups() uint64 {
@@ -151,8 +147,3 @@ func (b *MQBank) Peak() int {
 	}
 	return p
 }
-
-// AdoptLane replaces lane g with a deep copy of src's lane g, counters and
-// in-flight entries included — the merge primitive for a shard that owned
-// group g.
-func (b *MQBank) AdoptLane(src *MQBank, g int) { b.lanes[g] = src.lanes[g].Clone() }

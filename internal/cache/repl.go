@@ -22,19 +22,14 @@ type Repl interface {
 	// Clone returns an independent deep copy of the policy state, used when
 	// snapshotting a level for warm-state reuse.
 	Clone() Repl
-	// Adopt grafts line-address group g — the per-set rows of every set
-	// ≡ g (mod NumGroups) plus any per-group clocks — from src, which must
-	// be the same policy type over the same geometry. It is the merge
-	// primitive of the intra-run sharded executor.
-	Adopt(src Repl, g int)
 }
 
 // lru is the true-LRU policy the paper evaluates with: a per-line clock
 // stamp; the victim is the least recently touched way in the mask. The
-// clock is kept per line-address group: Victim only ever compares stamps
-// within one set, and one set's stamps all come from its own group's
-// monotone clock, so victim choices are identical to a single global
-// clock — while group-disjoint access streams touch disjoint state.
+// clock is kept per line-address group, like the level's other per-group
+// state: Victim only ever compares stamps within one set, and one set's
+// stamps all come from its own group's monotone clock, so victim choices
+// are identical to a single global clock.
 type lru struct {
 	stamp [][]uint64
 	clock [NumGroups]uint64
@@ -64,15 +59,6 @@ func (l *lru) OnFill(set, way int) {
 	g := GroupOf(set)
 	l.clock[g]++
 	l.stamp[set][way] = l.clock[g]
-}
-
-// Adopt implements Repl.
-func (l *lru) Adopt(src Repl, g int) {
-	o := src.(*lru)
-	for set := g; set < len(l.stamp); set += NumGroups {
-		copy(l.stamp[set], o.stamp[set])
-	}
-	l.clock[g] = o.clock[g]
 }
 
 // Victim implements Repl.
@@ -123,15 +109,6 @@ func NewRRIP(sets, ways int, mbits uint) Repl {
 
 // Name implements Repl.
 func (r *rrip) Name() string { return "rrip" }
-
-// Adopt implements Repl. RRIP state is purely per-line, so grafting the
-// group's set rows is the whole job.
-func (r *rrip) Adopt(src Repl, g int) {
-	o := src.(*rrip)
-	for set := g; set < len(r.rrpv); set += NumGroups {
-		copy(r.rrpv[set], o.rrpv[set])
-	}
-}
 
 // OnHit implements Repl: hit promotion to RRPV 0.
 func (r *rrip) OnHit(set, way int) { r.rrpv[set][way] = 0 }

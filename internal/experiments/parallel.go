@@ -54,11 +54,6 @@ func (s *Suite) PrefetchContext(ctx context.Context, specs []RunSpec) error {
 	for _, sp := range specs {
 		s.mustResolve(sp)
 	}
-	// Publish the batch to the intra-run shard scheduler: while at least
-	// Parallelism specs are pending, each run stays sequential (run-level
-	// fan-out saturates the pool); once the tail narrows, remaining runs
-	// shard internally. See Suite.shardsFor.
-	s.pending.Add(int64(len(specs)))
 	n := s.opts.Parallelism
 	if n > len(specs) {
 		n = len(specs)
@@ -76,24 +71,18 @@ func (s *Suite) PrefetchContext(ctx context.Context, specs []RunSpec) error {
 				if ctx.Err() == nil {
 					_, _ = s.RunSpecContext(ctx, sp)
 				}
-				s.pending.Add(-1)
 			}
 		}()
 	}
-	dispatched := 0
 dispatch:
 	for _, sp := range specs {
 		select {
 		case ch <- sp:
-			dispatched++
 		case <-ctx.Done():
 			break dispatch
 		}
 	}
 	close(ch)
-	// Workers decrement every dispatched spec (simulated or drained);
-	// abandoned ones come off the pending count here.
-	s.pending.Add(int64(dispatched - len(specs)))
 	wg.Wait()
 	return ctx.Err()
 }

@@ -20,7 +20,6 @@ import (
 	"io"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hier"
 	"repro/internal/spec"
@@ -52,14 +51,6 @@ type Options struct {
 	// (default: runtime.GOMAXPROCS(0)). It only affects how many distinct
 	// simulations run concurrently, never the result of any of them.
 	Parallelism int
-	// IntraParallelism bounds the shard count of the intra-run parallel
-	// executor (default: min(GOMAXPROCS, 8); 1 disables). When the suite
-	// has fewer pending distinct runs than Parallelism — the tail of a
-	// sweep, or a single interactive run — each simulation is split over
-	// up to this many set-sharded replicas whose merged result is
-	// bit-identical to the sequential run, so like Parallelism it only
-	// affects wall clock, never results or memo keys.
-	IntraParallelism int
 	// TraceCacheBytes bounds the trace materialization cache: each
 	// workload's access stream is recorded once (compact varint encoding)
 	// and replayed for every policy that consumes it, which is most of the
@@ -114,9 +105,6 @@ func (o *Options) normalize() {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.IntraParallelism <= 0 {
-		o.IntraParallelism = min(runtime.GOMAXPROCS(0), 8)
-	}
 	if o.TraceCache == nil && o.TraceCacheBytes >= 0 {
 		o.TraceCache = NewTraceCache(o.TraceCacheBytes)
 	}
@@ -148,13 +136,6 @@ type Suite struct {
 
 	mu   sync.Mutex
 	runs map[string]*runEntry
-
-	// pending counts specs dispatched to the Prefetch worker pool and not
-	// yet completed. It drives the intra-run shard scheduler (shardsFor)
-	// and nothing else: an approximate value (duplicates collapsed by the
-	// memo count twice, direct RunS calls not at all) is harmless because
-	// the shard count never affects results.
-	pending atomic.Int64
 }
 
 // NewSuite builds a suite with the given options.
@@ -327,22 +308,6 @@ func (s *Suite) source(name string, seed, total uint64) trace.Source {
 	return buf.Replay()
 }
 
-// shardsFor picks the intra-run shard count for the simulation starting
-// now. When the Prefetch pool is saturated — at least Parallelism distinct
-// runs pending — run-level fan-out already occupies every worker, so each
-// run stays sequential (one goroutine, no merge overhead). Once the
-// pending tail is narrower than the pool (or the run came in directly,
-// outside any pool), the spare width goes to intra-run sharding. The
-// choice is re-evaluated per run and affects only scheduling: sharded and
-// sequential executions are bit-identical (hier.RunShardedContext), so a
-// run that straddles the transition is still deterministic.
-func (s *Suite) shardsFor() int {
-	if s.pending.Load() >= int64(s.opts.Parallelism) {
-		return 1
-	}
-	return s.opts.IntraParallelism
-}
-
 // simulate drives one canonical spec: per-core trace sources (core 0 runs
 // the workload with the spec seed, core i runs MixWith — or the workload
 // again — with seed+i), warmup, statistics reset, then the measured
@@ -370,7 +335,6 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		return out
 	}
 	var sys *hier.System
-	shards := s.shardsFor()
 	switch wc := s.opts.WarmCache; {
 	case warm > 0 && wc != nil:
 		// Warm-state path: fetch (or build, under the cache's singleflight)
@@ -380,7 +344,7 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		snap, err := wc.Get(ctx, warmCacheKey(c), func(ctx context.Context) (*hier.Snapshot, error) {
 			ran = true
 			ws := hier.New(cfg)
-			if err := ws.RunShardedContext(ctx, shards, s.progressFor(key, 0), limit(warm)...); err != nil {
+			if err := ws.RunContext(ctx, s.progressFor(key, 0), limit(warm)...); err != nil {
 				return nil, err
 			}
 			ws.ResetStats()
@@ -401,14 +365,14 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		}
 	case warm > 0:
 		sys = hier.New(cfg)
-		if err := sys.RunShardedContext(ctx, shards, s.progressFor(key, 0), limit(warm)...); err != nil {
+		if err := sys.RunContext(ctx, s.progressFor(key, 0), limit(warm)...); err != nil {
 			return nil, err
 		}
 		sys.ResetStats()
 	default:
 		sys = hier.New(cfg)
 	}
-	if err := sys.RunShardedContext(ctx, shards, s.progressFor(key, uint64(len(srcs))*warm), limit(c.Accesses)...); err != nil {
+	if err := sys.RunContext(ctx, s.progressFor(key, uint64(len(srcs))*warm), limit(c.Accesses)...); err != nil {
 		return nil, err
 	}
 	return sys, nil

@@ -81,9 +81,9 @@ func (s *System) RunContext(ctx context.Context, progress func(done uint64), src
 			s.Access(cores[i], a)
 		}
 		// Batch boundary: fold staged reuse-distance evidence in canonical
-		// order (see pending.go). Folding at fixed access counts — never at
-		// data-dependent points — is what keeps the fold schedule identical
-		// across sequential and sharded executions.
+		// order (see pending.go). The fold runs at fixed access counts,
+		// never at data-dependent points; the digest goldens pin that
+		// cadence.
 		s.FoldPending()
 		n += uint64(k)
 		if k < len(batch) {
@@ -105,6 +105,13 @@ func (s *System) RunContext(ctx context.Context, progress func(done uint64), src
 	}
 }
 
+// RunShardedContext is RunContext; the shard count is ignored.
+//
+// Deprecated: every run is sequential. Call RunContext.
+func (s *System) RunShardedContext(ctx context.Context, _ int, progress func(done uint64), srcs ...trace.Source) error {
+	return s.RunContext(ctx, progress, srcs...)
+}
+
 // Access pushes one reference from core coreID through the hierarchy.
 func (s *System) Access(coreID int, a trace.Access) {
 	cn := s.cores[coreID]
@@ -114,23 +121,15 @@ func (s *System) Access(coreID int, a trace.Access) {
 	var pte *mmu.PTE
 	if cn.mmu != nil {
 		// The TLB and page-sampling machinery are page-grain, not
-		// set-indexed, so under set sampling (and intra-run sharding) they
-		// still see the full access stream: thinning them would distort TLB
-		// miss rates, sampling-page selection and stabilization cadence
-		// nonlinearly (short page streaks vanish under thinning), a bias
-		// that grows with run length. Translating every access keeps the
-		// whole per-page state machine exactly on its full-fidelity
-		// trajectory; only the set-indexed work below (tags, policy,
-		// energy) is partitioned.
+		// set-indexed, so under set sampling they still see the full
+		// access stream: thinning them would distort TLB miss rates,
+		// sampling-page selection and stabilization cadence nonlinearly
+		// (short page streaks vanish under thinning), a bias that grows
+		// with run length. Translating every access keeps the whole
+		// per-page state machine exactly on its full-fidelity trajectory;
+		// only the set-indexed work below (tags, policy, energy) is
+		// thinned.
 		pte = s.translate(cn, a.Addr.Page())
-	}
-	if s.shardMask != 0 && s.shardMask&(1<<(uint64(line)&63)) == 0 {
-		// Intra-run sharding: another replica owns this line-address group.
-		// Return before the sampling accounting below so even the
-		// Sampled/Skipped counters partition by owner and merge by
-		// summation. The group is in the line address's low bits, so
-		// coreShift relocation never changes it.
-		return
 	}
 	if s.sampleMask != 0 {
 		// Set-sampled fast path: accesses outside the sampled line-address
@@ -162,17 +161,16 @@ func (s *System) Access(coreID int, a trace.Access) {
 // set-indexed like any other line, so it passes through the same sampled-
 // group filter as demand traffic — metadata counters and energy then thin
 // by ~1/K alongside everything else and the uniform xK extrapolation in
-// the Scaled* accessors stays consistent. The same reasoning routes each
-// profile line's traffic to the intra-run shard that owns its group.
+// the Scaled* accessors stays consistent.
 func (s *System) translate(cn *coreNode, page mem.PageID) *mmu.PTE {
 	res := cn.mmu.Translate(page)
 	if res.FetchProfile {
-		if ml := mmu.ProfileAddr(page).Line(); s.sampledLine(ml) && s.ownedLine(ml) {
+		if ml := mmu.ProfileAddr(page).Line(); s.sampledLine(ml) {
 			s.metaFetch(cn, ml)
 		}
 	}
 	if res.WritebackValid {
-		if ml := mmu.ProfileAddr(res.WritebackProfile).Line(); s.sampledLine(ml) && s.ownedLine(ml) {
+		if ml := mmu.ProfileAddr(res.WritebackProfile).Line(); s.sampledLine(ml) {
 			s.metaWriteback(ml)
 		}
 	}
@@ -188,17 +186,10 @@ func (s *System) sampledLine(line mem.LineAddr) bool {
 	return s.sampleMask == 0 || s.sampleMask&(1<<(uint64(line)&63)) != 0
 }
 
-// ownedLine reports whether this replica owns the line's group during an
-// intra-run sharded execution (always true when unsharded).
-func (s *System) ownedLine(line mem.LineAddr) bool {
-	return s.shardMask == 0 || s.shardMask&(1<<(uint64(line)&63)) != 0
-}
-
 // recomputePolicy runs the EOU for both levels on a page that just turned
-// stable (step Í of Figure 7) and stores the 3-bit codes in the PTE. Page-
-// grain work: it runs identically on every shard replica (the EOU reads
-// only the folded distributions, which agree across replicas between
-// folds), so EOUOps and policyStalls merge by taking shard 0's values.
+// stable (step Í of Figure 7) and stores the 3-bit codes in the PTE. The
+// EOU reads only folded distributions, so evidence staged in the current
+// batch does not count until the next batch boundary.
 func (s *System) recomputePolicy(cn *coreNode, pte *mmu.PTE) {
 	sl2, _ := s.eouL2.Optimize(&pte.L2Dist)
 	sl3, _ := s.eouL3.Optimize(&pte.L3Dist)
@@ -250,12 +241,9 @@ func latencyOf(l *cache.Level, uniform bool, way int) int {
 
 // stageEvidence buffers one reuse-distance observation for a sampling page
 // (which=0 feeds L2Dist, which=1 feeds L3Dist) instead of applying it
-// inline. The distributions' saturating halving makes Dist.Add
-// order-sensitive, and intra-run shards observe a batch's evidence in
-// whatever interleaving their group partition induces — so all evidence
-// within one replay batch is staged here and folded in a canonical order
-// at the batch boundary (foldPending), which every replica reproduces
-// identically.
+// inline. All evidence within one replay batch is staged here and folded
+// in a canonical order at the batch boundary (FoldPending), the order the
+// digest goldens pin.
 func (s *System) stageEvidence(cn *coreNode, pte *mmu.PTE, page mem.PageID, which, bin int) {
 	if !pte.PendDirty {
 		pte.PendDirty = true

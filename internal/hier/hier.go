@@ -162,18 +162,13 @@ type coreNode struct {
 
 	// Timing. Cycles are derived, never accumulated: instruction time is
 	// Instrs x BaseCPI exactly, and the two integer stall counters hold the
-	// rest. Keeping the primitives integral makes timing order-invariant —
-	// the sharded merge can sum per-shard stall counts and reproduce the
-	// sequential run's cycles bit for bit, where an accumulated float would
-	// drift with summation order.
+	// rest, so ScaledCycles can extrapolate the stalls of a set-sampled
+	// run without touching the exact instruction time.
 	Instrs uint64
 	// demandStalls is exposed memory latency (max(0, lat - OverlapCycles)
-	// per access); it accrues only on accesses this replica owns, so the
-	// merge sums it across shards.
+	// per simulated access).
 	demandStalls uint64
 	// policyStalls counts the one-cycle TLB blocks for EOU recomputations.
-	// The page-grain machinery runs identically on every shard, so the
-	// merge takes shard 0's value rather than summing.
 	policyStalls uint64
 
 	// pendPages lists pages with staged reuse-distance evidence
@@ -218,9 +213,7 @@ type System struct {
 	L3DemandMisses, L3MetaAccesses, L3MetaMisses uint64
 
 	// EOUOps counts optimizer invocations (two per policy recomputation);
-	// energy is derived as EOUOps x energy.EOUOpPJ. An integer count merges
-	// exactly across shards (replicated: every shard runs the page-grain
-	// machinery in full, so the merge takes shard 0's value).
+	// energy is derived as EOUOps x energy.EOUOpPJ.
 	EOUOps uint64
 
 	// Set sampling (Config.SampleK > 1): sampleMask selects the simulated
@@ -228,14 +221,6 @@ type System struct {
 	// rescaling here — cache.Level keeps per-group timestamps and already
 	// reports distances at whole-level scale.
 	sampleMask uint64
-
-	// shardMask selects the line-address groups this replica owns during an
-	// intra-run sharded execution (zero = owns everything, the ordinary
-	// case). Accesses outside the mask short-circuit after the page-grain
-	// translate, before any set-indexed work, exactly like the set-sampling
-	// fast path — which is what makes the union of S disjoint shard replays
-	// reproduce the sequential run state for state partitioned by group.
-	shardMask uint64
 
 	// SampledAccesses/SkippedAccesses split the driven accesses between the
 	// simulated sample and the short-circuited remainder (both zero when

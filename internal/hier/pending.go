@@ -6,13 +6,12 @@ package hier
 // instead of applying Dist.Add inline (see stageEvidence). This file folds
 // the staged counts into the real distributions in a canonical order —
 // cores ascending, pages ascending, L2 vector before L3, bins low to high —
-// so that the fold result is a pure function of the *set* of observations
-// in the batch, never of the interleaving that produced them. That is the
-// property the intra-run sharded executor leans on: S shards observe one
-// batch's evidence partitioned by line-address group, exchange their staged
-// counts at the batch barrier, and every replica applies this same
-// canonical fold, keeping all replicas' page distributions bit-identical
-// to each other and to the sequential run.
+// so the fold result is a pure function of the *set* of observations in
+// the batch, never of the interleaving that produced them. The
+// distributions' saturating halving makes Dist.Add order-sensitive, so
+// this order and the fixed batch cadence are part of the simulated
+// semantics: the digest goldens pin both, and folding each observation
+// immediately instead would change them.
 
 import (
 	"slices"
@@ -64,7 +63,7 @@ func (s *System) FoldPending() {
 // PendDirty bit gates appends), so the order is total and the fold
 // deterministic. slices.Sort is allocation-free, which keeps the whole
 // access + fold path at zero allocations per access once its scratch
-// buffers are warm (asserted by TestShardedAccessZeroAllocs).
+// buffers are warm (asserted by TestAccessZeroAllocs).
 func sortPages(pages []mem.PageID) {
 	slices.Sort(pages)
 }

@@ -24,16 +24,13 @@ func digestHash(s *System) string {
 
 // TestSamplingOffGoldenIdentity pins sampling-off runs to recorded state
 // digests, guarding against silent behavioral drift. The pins were
-// re-recorded when the intra-run sharding work landed: that change
-// deliberately revised the sequential semantics once — per-group level
-// timestamps and replacement/policy clocks (group-local reuse distances
-// and victim clocks, same resolution as before), per-group LRU-PEA RNG
-// streams, batch-deferred canonical folding of page reuse evidence, and
-// integer-derived timing/energy primitives — so that the sequential path
-// IS the one-shard instance of the sharded executor, with bit identity
-// across shard counts proven by TestShardedBitIdentity rather than by
-// comparison to the pre-sharding binary. Since that re-pin, any digest
-// change again means unintended drift.
+// re-recorded once, when the sequential semantics were deliberately
+// revised: per-group level timestamps and replacement/policy clocks
+// (group-local reuse distances and victim clocks, same resolution as
+// before), per-group LRU-PEA RNG streams, batch-deferred canonical
+// folding of page reuse evidence, and integer-derived timing/energy
+// primitives. Since that re-pin, any digest change means unintended
+// drift.
 func TestSamplingOffGoldenIdentity(t *testing.T) {
 	const warm, measured = 120_000, 120_000
 	golden := map[string]string{

@@ -81,7 +81,6 @@ func (s *System) clone() *System {
 		EOUOps: s.EOUOps,
 
 		sampleMask:      s.sampleMask,
-		shardMask:       s.shardMask,
 		SampledAccesses: s.SampledAccesses,
 		SkippedAccesses: s.SkippedAccesses,
 	}

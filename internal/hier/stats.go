@@ -40,10 +40,8 @@ func (s *System) ResetStats() {
 // Instrs returns the instructions retired by core i.
 func (s *System) Instrs(i int) uint64 { return s.cores[i].Instrs }
 
-// Cycles returns core i's cycle count under the stall-based timing model.
-// Cycles are derived from integer primitives (instructions x base CPI plus
-// total stall cycles), so the value is identical no matter how the stalls
-// were accumulated — sequentially or summed across intra-run shards.
+// Cycles returns core i's cycle count under the stall-based timing model:
+// instructions x base CPI plus total stall cycles.
 func (s *System) Cycles(i int) float64 {
 	c := s.cores[i]
 	return float64(c.Instrs)*s.cfg.Core.BaseCPI + float64(c.stalls())

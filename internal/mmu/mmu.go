@@ -52,11 +52,9 @@ type PTE struct {
 	// Pend stages reuse-distance observations not yet folded into the
 	// distributions: Pend[0] bins feed L2Dist, Pend[1] bins feed L3Dist.
 	// The hierarchy buffers observations here during one replay batch and
-	// folds them in a canonical order at the batch boundary, because the
-	// distributions' saturating halving makes Dist.Add order-sensitive:
-	// intra-run shards observe a batch's evidence in different
-	// interleavings but fold identical aggregates, so every shard's
-	// replicated page state stays bit-identical. Counts cannot overflow
+	// folds them in a canonical order at the batch boundary; the
+	// distributions' saturating halving makes Dist.Add order-sensitive,
+	// and the digest goldens pin that fold order. Counts cannot overflow
 	// uint16 — a batch is at most 4096 accesses, each adding at most two
 	// observations. Pend is empty between runs.
 	Pend [2][core.NumBins]uint16

@@ -36,10 +36,3 @@ func (s *SLIP) Clone() Driver {
 		InsertClasses: s.InsertClasses,
 	}
 }
-
-// Adopt implements Driver: SLIP keeps no per-group mutable state — lines
-// and their sidecar metadata live in the cache (grafted by the level
-// merge), the lookup tables are lazily rebuilt pure functions of the
-// geometry, and InsertClasses are global event counters the shard merge
-// sums separately.
-func (*SLIP) Adopt(Driver, int) {}

@@ -26,8 +26,7 @@ func init() {
 // Reuses counters supply the frequency term. The clock is per line-address
 // group: victim scoring only ever compares stamps within one set, whose
 // stamps all come from its own group's monotone clock, so choices are
-// identical to a single global clock while group-disjoint streams touch
-// disjoint state (the property the intra-run shard merge grafts by).
+// identical to a single global clock.
 type LWRP struct {
 	// stamps[set*ways+way] is the clock value of that way's last touch.
 	// Sized by geometry, not keyed to a Level instance: snapshot clones
@@ -35,7 +34,6 @@ type LWRP struct {
 	// stamps must carry over for bit-identical victim choices.
 	stamps []uint64
 	clock  [cache.NumGroups]uint64
-	ways   int
 }
 
 // NewLWRP returns the driver; stamps are sized from the first Level it is
@@ -57,7 +55,6 @@ func (p *LWRP) ensure(l *cache.Level) {
 	if n := l.NumSets() * l.NumWays(); len(p.stamps) != n {
 		p.stamps = make([]uint64, n)
 	}
-	p.ways = l.NumWays()
 }
 
 // OnHit implements Driver: refresh the line's recency stamp.
@@ -115,23 +112,5 @@ func (p *LWRP) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.Met
 // Clone implements Driver: stamps and clocks are deep-copied so the clone
 // scores victims identically.
 func (p *LWRP) Clone() Driver {
-	return &LWRP{stamps: append([]uint64(nil), p.stamps...), clock: p.clock, ways: p.ways}
-}
-
-// Adopt implements Driver: graft group g's stamp rows and clock. A
-// receiver that was never driven (empty stamp array) sizes itself from
-// src, so merges into a fresh system work.
-func (p *LWRP) Adopt(src Driver, g int) {
-	o := src.(*LWRP)
-	if len(p.stamps) != len(o.stamps) {
-		p.stamps = make([]uint64, len(o.stamps))
-	}
-	if o.ways > 0 {
-		p.ways = o.ways
-		sets := len(p.stamps) / p.ways
-		for set := g; set < sets; set += cache.NumGroups {
-			copy(p.stamps[set*p.ways:(set+1)*p.ways], o.stamps[set*p.ways:(set+1)*p.ways])
-		}
-	}
-	p.clock[g] = o.clock[g]
+	return &LWRP{stamps: append([]uint64(nil), p.stamps...), clock: p.clock}
 }

@@ -41,16 +41,6 @@ type Driver interface {
 	// Clone returns an independent deep copy of the driver's mutable state
 	// (RNG cursors, class counters), used when snapshotting a hierarchy.
 	Clone() Driver
-	// Adopt grafts line-address group g's state — per-set stamps, per-group
-	// clocks, RNG cursors, reuse windows — from src, a driver of the same
-	// type and geometry that simulated group g's accesses. It is the policy
-	// half of the intra-run sharded merge: because every driver keys its
-	// mutable state by set (hence group) or by group directly, adopting
-	// each group from the shard that owned it reconstructs exactly the
-	// state of a sequential run. Global event counters (e.g. SLIP's
-	// insertion classes) are not group state; the merge sums those
-	// separately. Stateless drivers no-op.
-	Adopt(src Driver, g int)
 }
 
 // finishEviction charges the writeback read for a dirty line leaving the
@@ -116,9 +106,6 @@ func (*Baseline) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.M
 	return Outcome{Evicted: ev}
 }
 
-// Adopt implements Driver (the baseline is stateless).
-func (*Baseline) Adopt(Driver, int) {}
-
 // NuRAPID models Chishti et al.'s distance-associativity policy with
 // d-groups equal to the SLIP sublevels (Section 5's fair-comparison
 // configuration): lines are inserted into the nearest d-group, demoted one
@@ -163,9 +150,6 @@ func (n *NuRAPID) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.
 	return insertWithDemotion(l, a, dirty, meta, 0, l.ChunkMask(1, numSub-1))
 }
 
-// Adopt implements Driver (NuRAPID keeps all state in the cache lines).
-func (*NuRAPID) Adopt(Driver, int) {}
-
 // insertWithDemotion fills sublevel first, demoting the displaced line into
 // the demoteTo way mask in a single movement; the line displaced *there*
 // leaves the level. An empty mask evicts the victim directly.
@@ -196,8 +180,7 @@ func insertWithDemotion(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.M
 // preferentially chosen among demoted lines. The bank-selection RNG is
 // kept per line-address group, so each group's insertion draws form an
 // independent deterministic sequence: a group sees the same draws whether
-// it ran sequentially, under a sampling mask, or inside an intra-run
-// shard.
+// it ran in full or under a sampling mask.
 type LRUPEA struct {
 	rngs [cache.NumGroups]*trace.RNG
 }
@@ -262,10 +245,4 @@ func (p *LRUPEA) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.M
 		demoteMask = l.SublevelMask(sub + 1)
 	}
 	return insertWithDemotion(l, a, dirty, meta, sub, demoteMask)
-}
-
-// Adopt implements Driver: graft group g's RNG cursor.
-func (p *LRUPEA) Adopt(src Driver, g int) {
-	rng := *src.(*LRUPEA).rngs[g]
-	p.rngs[g] = &rng
 }

@@ -32,9 +32,9 @@ func init() {
 // group's share of the capacity. Distances and thresholds both scale by
 // 1/64, so the bypass decision approximates the whole-level criterion
 // while each group's evidence is a pure function of its own stream —
-// which is what lets set sampling and intra-run sharding drive any subset
-// of groups and still make, line for line, the decisions a full
-// sequential run would make on those groups.
+// which is what lets set sampling drive any subset of groups and still
+// make, line for line, the decisions a full run would make on those
+// groups.
 type ReuseBypass struct {
 	// lines is one group's share of the level capacity, latched on first
 	// use (a pure function of the level geometry, so snapshot clones
@@ -113,15 +113,4 @@ func (r *ReuseBypass) Clone() Driver {
 		}
 	}
 	return cp
-}
-
-// Adopt implements Driver: graft group g's tracker (and the capacity
-// share, for receivers never driven themselves).
-func (r *ReuseBypass) Adopt(src Driver, g int) {
-	o := src.(*ReuseBypass)
-	if o.wins[g] == nil {
-		return
-	}
-	r.lines = o.lines
-	r.wins[g] = o.wins[g].Clone()
 }

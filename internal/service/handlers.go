@@ -22,6 +22,11 @@ import (
 //	GET  /healthz               liveness (always 200 while the process serves)
 //	GET  /readyz                readiness (503 while draining)
 //	GET  /metrics               Prometheus text format
+//
+// GET /v1/runs/{id} answers for queued and running jobs and for the newest
+// Config.StoreCap finished ones; an older id answers 404, and its result
+// stays reachable by key through POST /v1/runs or GET /v1/results/{key}
+// while the store holds it.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/runs", s.handlePostRun)

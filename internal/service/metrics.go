@@ -26,7 +26,6 @@ type Metrics struct {
 	cacheMisses uint64
 
 	sampledRuns uint64
-	shardRuns   uint64
 
 	accessesTotal uint64
 	busySeconds   float64
@@ -96,21 +95,6 @@ func (m *Metrics) SampledRun() {
 	m.mu.Lock()
 	m.sampledRuns++
 	m.mu.Unlock()
-}
-
-// ShardRun counts a completed job executed by the intra-run sharded
-// executor (shard count > 1).
-func (m *Metrics) ShardRun() {
-	m.mu.Lock()
-	m.shardRuns++
-	m.mu.Unlock()
-}
-
-// ShardRuns returns the sharded-run counter (tests assert on it).
-func (m *Metrics) ShardRuns() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shardRuns
 }
 
 // AddAccesses accumulates simulated accesses (from progress callbacks).
@@ -242,7 +226,6 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	gauge("slip_castore_entries", "Disk entries currently indexed.", intg(g.CASEntries))
 
 	counter("slip_sampled_runs_total", "Completed set-sampled (sampling > 1) runs.", float64(m.sampledRuns))
-	counter("slip_shard_runs_total", "Completed runs executed by the intra-run sharded executor.", float64(m.shardRuns))
 
 	counter("slipd_sim_accesses_total", "Memory accesses simulated across all jobs.", float64(m.accessesTotal))
 	perSec := 0.0

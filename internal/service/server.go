@@ -24,7 +24,9 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds waiting jobs; a full queue answers 429 (default 64).
 	QueueDepth int
-	// StoreCap bounds the LRU result store (default 256).
+	// StoreCap bounds the LRU result store (default 256). It also bounds
+	// the finished jobs kept for GET /v1/runs/{id}: past StoreCap, the
+	// oldest finished job is forgotten.
 	StoreCap int
 	// DefaultAccesses/DefaultWarmup/DefaultSeed fill unset request fields
 	// (defaults 2M / same-as-accesses / 42).
@@ -34,11 +36,9 @@ type Config struct {
 	// JobTimeout is the per-job deadline; an expired job reports state
 	// cancelled (default 5m). Requests may shorten it, never extend it.
 	JobTimeout time.Duration
-	// IntraParallelism bounds the intra-run shard count for jobs running
-	// alone on the daemon (default min(GOMAXPROCS, 8); 1 disables). A job
-	// sharing the pool with other running jobs stays sequential — the
-	// run-level fan-out already uses the CPUs. Sharded and sequential
-	// executions are bit-identical, so the knob only moves wall clock.
+	// IntraParallelism is ignored: every job runs on one goroutine.
+	//
+	// Deprecated: nothing reads it.
 	IntraParallelism int
 	// TraceCacheBytes bounds the trace materialization cache shared by
 	// every job and the experiment endpoints: each distinct workload
@@ -82,9 +82,6 @@ func (c *Config) fill() {
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
-	}
-	if c.IntraParallelism <= 0 {
-		c.IntraParallelism = min(runtime.GOMAXPROCS(0), 8)
 	}
 	if c.Log == nil {
 		c.Log = log.New(io.Discard, "", 0)
@@ -149,6 +146,9 @@ type Server struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
 	pending map[string]*Job // result key -> queued/running job (dedupe)
+	// finished lists the ids of finished jobs still in jobs, oldest
+	// first; finishJob trims it, and jobs with it, to cfg.StoreCap.
+	finished []string
 
 	// testHookJobStart, when set, runs at the top of every job on the
 	// worker goroutine — tests use it to hold a worker busy
@@ -179,17 +179,16 @@ func New(cfg Config) *Server {
 		store:   NewStoreWithDisk(cfg.StoreCap, cfg.DiskStore),
 		metrics: NewMetrics(),
 		expSuite: experiments.NewSuite(experiments.Options{
-			Accesses:         cfg.DefaultAccesses,
-			Warmup:           warmup,
-			WarmupSet:        true,
-			Seed:             cfg.DefaultSeed,
-			Parallelism:      cfg.Workers,
-			IntraParallelism: cfg.IntraParallelism,
-			Out:              expOut,
-			TraceCacheBytes:  cfg.TraceCacheBytes,
-			TraceCache:       traceCache,
-			WarmCacheBytes:   cfg.WarmCacheBytes,
-			WarmCache:        warmCache,
+			Accesses:        cfg.DefaultAccesses,
+			Warmup:          warmup,
+			WarmupSet:       true,
+			Seed:            cfg.DefaultSeed,
+			Parallelism:     cfg.Workers,
+			Out:             expOut,
+			TraceCacheBytes: cfg.TraceCacheBytes,
+			TraceCache:      traceCache,
+			WarmCacheBytes:  cfg.WarmCacheBytes,
+			WarmCache:       warmCache,
 		}),
 		expOut:     expOut,
 		traceCache: traceCache,
@@ -376,28 +375,17 @@ func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.jobDeadline(j))
 	defer cancel()
 
-	// Intra-run sharding is granted only to a job running alone: when
-	// other jobs hold workers, run-level fan-out already occupies the
-	// CPUs. The choice never affects the result (sharded and sequential
-	// runs are bit-identical), only how this job's wall clock is spent.
-	intra := s.cfg.IntraParallelism
-	if s.running.Load() > 1 {
-		intra = 1
-	}
-	j.sharded = intra > 1
-
 	var lastReported uint64
 	suite := experiments.NewSuite(experiments.Options{
-		Accesses:         j.Spec.Accesses,
-		Warmup:           *j.Spec.Warmup,
-		WarmupSet:        true,
-		Seed:             j.Spec.Seed,
-		Parallelism:      1,
-		IntraParallelism: intra,
-		TraceCacheBytes:  s.cfg.TraceCacheBytes,
-		TraceCache:       s.traceCache,
-		WarmCacheBytes:   s.cfg.WarmCacheBytes,
-		WarmCache:        s.warmCache,
+		Accesses:        j.Spec.Accesses,
+		Warmup:          *j.Spec.Warmup,
+		WarmupSet:       true,
+		Seed:            j.Spec.Seed,
+		Parallelism:     1,
+		TraceCacheBytes: s.cfg.TraceCacheBytes,
+		TraceCache:      s.traceCache,
+		WarmCacheBytes:  s.cfg.WarmCacheBytes,
+		WarmCache:       s.warmCache,
 		Progress: func(_ string, done uint64) {
 			j.progress.Store(done)
 			// One worker goroutine drives the whole job, so the delta
@@ -417,7 +405,8 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finishJob records a terminal state, publishes the result, and updates
-// metrics.
+// metrics. It keeps only the newest cfg.StoreCap finished jobs, so the job
+// table stays bounded however long the daemon serves.
 func (s *Server) finishJob(j *Job, res *RunResult, err error) {
 	s.mu.Lock()
 	j.Finished = time.Now()
@@ -433,15 +422,17 @@ func (s *Server) finishJob(j *Job, res *RunResult, err error) {
 		j.Error = err.Error()
 	}
 	delete(s.pending, j.Key)
+	s.finished = append(s.finished, j.ID)
+	if len(s.finished) > s.cfg.StoreCap {
+		delete(s.jobs, s.finished[0])
+		s.finished = s.finished[1:]
+	}
 	s.mu.Unlock()
 
 	if err == nil {
 		s.store.Put(j.Key, res)
 		if j.Spec.Sampling > 1 {
 			s.metrics.SampledRun()
-		}
-		if j.sharded {
-			s.metrics.ShardRun()
 		}
 	}
 	s.metrics.JobFinished(j.State, j.Finished.Sub(j.Started).Seconds())

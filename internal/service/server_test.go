@@ -349,43 +349,41 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 }
 
-// TestShardedJobMetric drives a job through a daemon configured with
-// intra-run sharding and asserts the slip_shard_runs_total counter fires,
-// and that the sharded result is identical to a sequential daemon's. The
-// explicit IntraParallelism makes the test independent of host CPU count.
-func TestShardedJobMetric(t *testing.T) {
-	srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 8, IntraParallelism: 4}, nil)
-
-	body := `{"workload":"milc","policy":"slip+abp","accesses":20000,"warmup":20000,"seed":7}`
-	_, v, _ := postRun(t, ts, body)
-	done := pollJob(t, ts, v.ID)
-	if done.State != StateCompleted {
-		t.Fatalf("sharded job finished %s (%s), want completed", done.State, done.Error)
+// TestFinishedJobsBounded: the job table keeps only the newest StoreCap
+// finished jobs, so a long-serving daemon's memory stays bounded. The
+// newest id still answers; the oldest has been forgotten.
+func TestFinishedJobsBounded(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 8, StoreCap: 4}, nil)
+	var ids []string
+	for seed := 1; seed <= 40; seed++ {
+		body := fmt.Sprintf(`{"workload":"milc","policy":"baseline","accesses":1000,"warmup":0,"seed":%d}`, seed)
+		code, v, _ := postRun(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST seed %d = %d, want 202", seed, code)
+		}
+		if done := pollJob(t, ts, v.ID); done.State != StateCompleted {
+			t.Fatalf("seed %d finished %s (%s), want completed", seed, done.State, done.Error)
+		}
+		ids = append(ids, v.ID)
 	}
-	if got := srv.Metrics().ShardRuns(); got != 1 {
-		t.Errorf("ShardRuns = %d, want 1", got)
+	srv.mu.Lock()
+	n := len(srv.jobs)
+	srv.mu.Unlock()
+	if n > 4 {
+		t.Errorf("job table holds %d jobs after 40 finished, want <= StoreCap 4", n)
 	}
-	metrics := getBody(t, ts, "/metrics")
-	if !strings.Contains(metrics, "slip_shard_runs_total 1") {
-		t.Errorf("/metrics missing slip_shard_runs_total 1:\n%s", metrics)
+	status := func(id string) int {
+		resp, err := http.Get(ts.URL + "/v1/runs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
 	}
-
-	seqSrv, seqTS := testServer(t, Config{Workers: 1, QueueDepth: 8, IntraParallelism: 1}, nil)
-	_, sv, _ := postRun(t, seqTS, body)
-	seqDone := pollJob(t, seqTS, sv.ID)
-	if seqDone.State != StateCompleted {
-		t.Fatalf("sequential job finished %s (%s), want completed", seqDone.State, seqDone.Error)
+	if got := status(ids[len(ids)-1]); got != http.StatusOK {
+		t.Errorf("newest job GET = %d, want 200", got)
 	}
-	if got := seqSrv.Metrics().ShardRuns(); got != 0 {
-		t.Errorf("sequential daemon ShardRuns = %d, want 0", got)
-	}
-	// Compare the architectural outputs; SimSeconds (wall clock) and the
-	// Spec's pointer fields legitimately differ between servers.
-	a, b := done.Result, seqDone.Result
-	if a.FullSystemPJ != b.FullSystemPJ || a.Cycles != b.Cycles || a.Instrs != b.Instrs ||
-		a.L2Misses != b.L2Misses || a.L3Misses != b.L3Misses || a.DRAMTraffic != b.DRAMTraffic ||
-		a.L1HitRate != b.L1HitRate || a.L2HitRate != b.L2HitRate || a.L3HitRate != b.L3HitRate ||
-		a.EOUPJ != b.EOUPJ {
-		t.Errorf("sharded daemon result differs from sequential:\n%+v\nvs\n%+v", a, b)
+	if got := status(ids[0]); got != http.StatusNotFound {
+		t.Errorf("oldest job GET = %d, want 404", got)
 	}
 }

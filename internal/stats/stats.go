@@ -37,18 +37,13 @@ const energyUnitsPerPJ = 1 << 16
 // Energy accumulates picojoules. Keeping energy in a dedicated type avoids
 // accidentally mixing counts and energies in the accounting code. The
 // accumulator is a fixed-point integer (1/65536 pJ units), so sums are
-// exact and order-invariant: energies accumulated by independent shards of
-// one run merge into precisely the total a sequential run would compute,
-// regardless of accumulation order.
+// exact and independent of accumulation order.
 type Energy struct {
 	units uint64
 }
 
 // AddPJ adds pj picojoules (rounded to the nearest 1/65536 pJ unit).
 func (e *Energy) AddPJ(pj float64) { e.units += uint64(pj*energyUnitsPerPJ + 0.5) }
-
-// Add folds another accumulator into this one, exactly.
-func (e *Energy) Add(o Energy) { e.units += o.units }
 
 // PJ returns the accumulated energy in picojoules.
 func (e *Energy) PJ() float64 { return float64(e.units) / energyUnitsPerPJ }
