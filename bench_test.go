@@ -358,8 +358,8 @@ func BenchmarkWarmCacheMatrix(b *testing.B) {
 				opts := experiments.Options{
 					Warmup: 120_000, WarmupSet: true, Seed: 7, Parallelism: 2,
 				}
-				if !on {
-					opts.WarmCacheBytes = -1
+				if on {
+					opts.WarmCache = experiments.NewWarmCache(0)
 				}
 				s := experiments.NewSuite(opts)
 				matrix(s, 60_000)

@@ -6,7 +6,7 @@
 //
 //	slipbench [-exp all|fig1,fig3,table2,htree,fig9,...] [-accesses N]
 //	          [-seed N] [-benchmarks a,b,c] [-parallel N]
-//	          [-trace-cache-mb 256] [-warm-cache-mb 256] [-sampling 8]
+//	          [-trace-cache-mb 256] [-sampling 8]
 //	slipbench -exp tech22 -dump-spec     # print the experiments' specs as JSON
 //	slipbench -spec runs.json            # simulate a spec list from a file
 //
@@ -80,7 +80,6 @@ func main() {
 		dumpSpec = flag.Bool("dump-spec", false, "print the selected experiments' canonical run specs as JSON and exit")
 		specIn   = flag.String("spec", "", "simulate a JSON spec list from this file instead of -exp ('-' for stdin)")
 		traceMB  = flag.Int64("trace-cache-mb", 256, "trace materialization cache budget in MiB (0 disables)")
-		warmMB   = flag.Int64("warm-cache-mb", 256, "warm-state snapshot cache budget in MiB (0 disables)")
 		sampling = flag.Int("sampling", 0, "set-sampling factor K for every run: simulate 1/K of the cache sets and extrapolate (0/1 = full fidelity; valid: 2, 4, 8, 16)")
 	)
 	flag.Parse()
@@ -112,15 +111,13 @@ func main() {
 		return
 	}
 
-	if *traceMB < 0 || *warmMB < 0 {
-		fmt.Fprintln(os.Stderr, "slipbench: cache budgets must be >= 0 MiB (0 disables)")
+	if *traceMB < 0 {
+		fmt.Fprintln(os.Stderr, "slipbench: -trace-cache-mb must be >= 0 (0 disables)")
 		os.Exit(2)
 	}
-	mb := func(v int64) int64 { // 0 MiB means off; Options uses -1 for off
-		if v == 0 {
-			return -1
-		}
-		return v << 20
+	traceBytes := *traceMB << 20
+	if *traceMB == 0 {
+		traceBytes = -1 // Options uses -1 for off
 	}
 	switch *sampling {
 	case 0, 1, 2, 4, 8, 16:
@@ -130,8 +127,7 @@ func main() {
 	}
 	opts := experiments.Options{
 		Accesses: *acc, Seed: *seed, Parallelism: *parallel, Out: os.Stdout,
-		TraceCacheBytes: mb(*traceMB), WarmCacheBytes: mb(*warmMB),
-		Sampling: *sampling,
+		TraceCacheBytes: traceBytes, Sampling: *sampling,
 	}
 	if *warmup >= 0 {
 		opts.Warmup = uint64(*warmup)
@@ -166,7 +162,7 @@ func main() {
 			len(specs), *parallel, time.Since(start).Round(time.Millisecond))
 		for _, sp := range specs {
 			sys := suite.RunS(sp)
-			fmt.Printf("%-40s %s  %.1f uJ\n", sp.Label(), suite.KeyFor(sp), sys.FullSystemPJ()/1e6)
+			fmt.Printf("%-40s %s  %.1f uJ\n", sp.Label(), suite.KeyFor(sp), sys.ScaledFullSystemPJ()/1e6)
 		}
 		return
 	}

@@ -165,12 +165,11 @@ func run(args []string, stdout io.Writer) error {
 	if *traceIn != "" {
 		sys, err = replay(*traceIn, c)
 	} else {
-		// One run in a one-off process hits neither the trace cache nor the
-		// warm cache, so both stay off.
+		// One run in a one-off process never hits the trace cache, so it
+		// stays off.
 		suite := experiments.NewSuite(experiments.Options{
 			Parallelism:     1,
 			TraceCacheBytes: -1,
-			WarmCacheBytes:  -1,
 		})
 		sys, err = suite.RunSpecContext(context.Background(), c)
 	}

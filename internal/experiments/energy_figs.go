@@ -102,7 +102,7 @@ func (s *Suite) Fig10() Fig10Result {
 		base := s.Run(name, hier.Baseline)
 		var row []float64
 		for _, p := range pols {
-			sv := stats.Savings(base.FullSystemPJ(), s.Run(name, p).FullSystemPJ())
+			sv := stats.Savings(base.ScaledFullSystemPJ(), s.Run(name, p).ScaledFullSystemPJ())
 			res.Rows[p][name] = sv
 			row = append(row, sv)
 		}

@@ -164,7 +164,7 @@ func (s *Suite) HTree() HTreeResult {
 		o3 := 100 * (ht.L3TotalPJ()/base.L3TotalPJ() - 1)
 		l2Over = append(l2Over, o2)
 		l3Over = append(l3Over, o3)
-		speed = append(speed, 100*(base.MaxCycles()/ht.MaxCycles()-1))
+		speed = append(speed, 100*(base.ScaledMaxCycles()/ht.ScaledMaxCycles()-1))
 		tb.AddRowF(name, "%.1f%%", o2, o3)
 	}
 	res := HTreeResult{

@@ -38,8 +38,8 @@ func TestOptionsNormalize(t *testing.T) {
 			if o.TraceCache == nil || o.TraceCache.Budget() != DefaultTraceCacheBytes {
 				t.Error("TraceCache not built with the default budget")
 			}
-			if o.WarmCache == nil || o.WarmCache.Budget() != DefaultWarmCacheBytes {
-				t.Error("WarmCache not built with the default budget")
+			if o.WarmCache != nil {
+				t.Error("WarmCache built without being handed one")
 			}
 			if o.Out != io.Discard {
 				t.Error("Out not defaulted to io.Discard")
@@ -60,25 +60,22 @@ func TestOptionsNormalize(t *testing.T) {
 				t.Errorf("Parallelism = %d, want 3", o.Parallelism)
 			}
 		}},
-		{"negative budgets disable both caches", Options{TraceCacheBytes: -1, WarmCacheBytes: -1}, func(t *testing.T, o Options) {
+		{"negative budgets disable both caches", Options{TraceCacheBytes: -1}, func(t *testing.T, o Options) {
 			if o.TraceCache != nil {
 				t.Error("TraceCache built despite negative budget")
 			}
 			if o.WarmCache != nil {
-				t.Error("WarmCache built despite negative budget")
+				t.Error("WarmCache built without being handed one")
 			}
 		}},
-		{"positive budgets size private caches", Options{TraceCacheBytes: 4 << 20, WarmCacheBytes: 8 << 20}, func(t *testing.T, o Options) {
+		{"positive budgets size private caches", Options{TraceCacheBytes: 4 << 20}, func(t *testing.T, o Options) {
 			if o.TraceCache == nil || o.TraceCache.Budget() != 4<<20 {
 				t.Error("TraceCacheBytes not honoured")
-			}
-			if o.WarmCache == nil || o.WarmCache.Budget() != 8<<20 {
-				t.Error("WarmCacheBytes not honoured")
 			}
 		}},
 		{"shared caches win over budgets", Options{
 			TraceCache: sharedTC, TraceCacheBytes: -1,
-			WarmCache: sharedWC, WarmCacheBytes: -1,
+			WarmCache: sharedWC,
 		}, func(t *testing.T, o Options) {
 			if o.TraceCache != sharedTC {
 				t.Error("shared TraceCache replaced")
@@ -116,7 +113,7 @@ func TestOptionsNormalize(t *testing.T) {
 
 	// NewSuite must resolve through the same path.
 	s := NewSuite(Options{})
-	if s.Options().TraceCache == nil || s.Options().WarmCache == nil {
+	if s.Options().TraceCache == nil {
 		t.Error("NewSuite did not normalize its Options")
 	}
 }

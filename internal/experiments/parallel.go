@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/hier"
@@ -28,7 +27,7 @@ type RunSpec = spec.Spec
 func (s *Suite) RunSpecContext(ctx context.Context, sp RunSpec) (*hier.System, error) {
 	c := s.mustResolve(sp)
 	key := c.MustHash()
-	return s.getOrRun(ctx, key, func(ctx context.Context) (*hier.System, error) {
+	return s.runs.Get(ctx, key, func(ctx context.Context) (*hier.System, error) {
 		return s.simulate(ctx, key, c)
 	})
 }
@@ -208,20 +207,6 @@ func (s *Suite) SpecsForAll(exps []string) []RunSpec {
 	return specs
 }
 
-// Keys reports the memoized run keys, sorted — a test/debug aid. Slots
-// whose only flight was cancelled hold no system and are not reported.
-func (s *Suite) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.runs))
-	for k, e := range s.runs {
-		e.mu.Lock()
-		done := e.sys != nil
-		e.mu.Unlock()
-		if done {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys
-}
+// Keys reports the memoized run keys, sorted — a test/debug aid. Runs
+// still simulating, or whose only flight was cancelled, are not reported.
+func (s *Suite) Keys() []string { return s.runs.Keys() }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/hier"
 	"repro/internal/spec"
+	"repro/internal/stats"
 )
 
 // TestSamplingKeysSplit proves a sampled run can never collide with its
@@ -71,7 +72,7 @@ func TestOptionsSamplingStamp(t *testing.T) {
 }
 
 // TestSampledRunThroughSuite runs one sampled spec end to end through the
-// memoized engine (trace cache + warm cache active) and sanity-checks the
+// memoized engine (trace cache active) and sanity-checks the
 // extrapolated system against its full-fidelity twin.
 func TestSampledRunThroughSuite(t *testing.T) {
 	s := NewSuite(Options{Accesses: 200_000, Warmup: 100_000, WarmupSet: true, Seed: 7})
@@ -102,6 +103,41 @@ func TestSampledRunThroughSuite(t *testing.T) {
 	}
 	if e := relErr(float64(samp.ScaledL3Misses(true)), float64(full.L3Misses(true))); e > 0.25 {
 		t.Errorf("scaled L3 misses off by %.1f%% from full fidelity", 100*e)
+	}
+}
+
+// TestSampledFiguresExtrapolate: on a sampled suite, Figs. 10 and 13 and
+// the H-tree speedup compare extrapolated totals. Raw totals would add
+// exact core energy and base-CPI cycles to memory energy and stalls from
+// only 1/K of the sets.
+func TestSampledFiguresExtrapolate(t *testing.T) {
+	s := NewSuite(Options{Accesses: 60_000, Warmup: 60_000, Seed: 7, Sampling: 8,
+		Benchmarks: []string{"soplex", "milc"}})
+	fig10, fig13, htree := s.Fig10(), s.Fig13(), s.HTree()
+	speedup := func(base, sys *hier.System) float64 {
+		return 100 * (base.ScaledMaxCycles()/sys.ScaledMaxCycles() - 1)
+	}
+	var htreeSpeed []float64
+	for _, name := range s.Options().Benchmarks {
+		base := s.Run(name, hier.Baseline)
+		if base.SampleK() != 8 {
+			t.Fatalf("%s ran at K=%d, want 8", name, base.SampleK())
+		}
+		for _, p := range []hier.PolicyKind{hier.SLIP, hier.SLIPABP} {
+			want := stats.Savings(base.ScaledFullSystemPJ(), s.Run(name, p).ScaledFullSystemPJ())
+			if got := fig10.Rows[p][name]; got != want {
+				t.Errorf("Fig. 10 %s %v = %.4f%%, want %.4f%% from extrapolated energy", name, p, got, want)
+			}
+		}
+		for _, p := range evalPolicies {
+			if got, want := fig13.Rows[p][name], speedup(base, s.Run(name, p)); got != want {
+				t.Errorf("Fig. 13 %s %v = %.4f%%, want %.4f%% from extrapolated cycles", name, p, got, want)
+			}
+		}
+		htreeSpeed = append(htreeSpeed, speedup(base, s.RunS(htreeSpec(name))))
+	}
+	if want := stats.Mean(htreeSpeed); htree.SpeedupPct != want {
+		t.Errorf("H-tree speedup = %.4f%%, want %.4f%% from extrapolated cycles", htree.SpeedupPct, want)
 	}
 }
 

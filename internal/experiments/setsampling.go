@@ -130,10 +130,8 @@ func (e *SamplingErrorStat) finish(n int) {
 // the extrapolation error of per-level miss ratios, full-system energy and
 // EDP. All passes share one trace materialization cache, pre-warmed before
 // any pass is timed, so the comparison measures simulation cost, not trace
-// generation; the warm-state cache is disabled because no two matrix runs
-// share a warmup identity.
+// generation.
 func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*SamplingReport, error) {
-	opts.WarmCache, opts.WarmCacheBytes = nil, -1
 	if opts.TraceCache == nil && opts.TraceCacheBytes == 0 {
 		// Size the shared budget to keep every pre-warmed stream resident
 		// for the whole calibration: an evicted trace would be regenerated
@@ -169,10 +167,9 @@ func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*Sa
 	// same buffers).
 	warmer := NewSuite(opts)
 	for _, wl := range opts.Benchmarks {
-		_ = warmer.source(wl, opts.Seed, opts.Warmup+opts.Accesses)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+		if _, err := warmer.source(ctx, wl, opts.Seed, opts.Warmup+opts.Accesses); err != nil {
+			return nil, err
+		}
 	}
 
 	pass := func(k int) ([]sampleRunMetrics, float64, error) {

@@ -19,9 +19,9 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/hier"
+	"repro/internal/lru"
 	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -63,16 +63,14 @@ type Options struct {
 	// letting several suites (the slipd per-job suites) share one
 	// materialization pool. TraceCacheBytes is ignored in that case.
 	TraceCache *TraceCache
-	// WarmCacheBytes bounds the warm-state snapshot cache: the post-warmup
-	// hierarchy state of each distinct warmup identity (spec minus the
-	// measured window) is snapshotted once and cloned for every later run
-	// that shares it, skipping the warmup simulation entirely. Zero selects
-	// DefaultWarmCacheBytes; a negative value disables warm-state caching.
-	// Snapshot-seeded runs are bit-identical to straight-through ones.
-	WarmCacheBytes int64
-	// WarmCache, when non-nil, is used instead of a suite-private cache,
-	// letting several suites share one snapshot pool (the slipd per-job
-	// suites). WarmCacheBytes is ignored in that case.
+	// WarmCache, when non-nil, memoizes the post-warmup hierarchy state of
+	// each distinct warmup identity (spec minus the measured window): it is
+	// snapshotted once and cloned for every later run that shares it,
+	// skipping the warmup simulation entirely. Nil, the default, runs every
+	// warmup: within one suite's matrix no two runs share a warmup
+	// identity, so only slipd's per-job suites, whose requests do repeat
+	// one, are handed its shared cache. Snapshot-seeded runs are
+	// bit-identical to straight-through ones.
 	WarmCache *WarmCache
 	// Out receives the printed tables (nil discards).
 	Out io.Writer
@@ -85,7 +83,7 @@ type Options struct {
 }
 
 // normalize applies every default in one place — sizing, seed, benchmark
-// set, worker-pool width, cache budgets, output sink — so each entry point
+// set, worker-pool width, trace cache, output sink — so each entry point
 // (NewSuite, the CLI tools, slipd's per-job suites) resolves an Options the
 // same way. It is idempotent: normalizing an already-normalized Options
 // changes nothing.
@@ -108,24 +106,9 @@ func (o *Options) normalize() {
 	if o.TraceCache == nil && o.TraceCacheBytes >= 0 {
 		o.TraceCache = NewTraceCache(o.TraceCacheBytes)
 	}
-	if o.WarmCache == nil && o.WarmCacheBytes >= 0 {
-		o.WarmCache = NewWarmCache(o.WarmCacheBytes)
-	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
-}
-
-// runEntry is one memo slot with singleflight semantics: whichever
-// goroutine arrives first simulates (claiming flight); any others
-// requesting the same key block on the flight channel until the system is
-// ready. Unlike a sync.Once, a flight that is cancelled mid-simulation
-// leaves the slot empty, so a waiter with a live context simply claims a
-// fresh flight — one caller's cancellation never poisons the cache.
-type runEntry struct {
-	mu     sync.Mutex
-	sys    *hier.System  // non-nil once a flight completed
-	flight chan struct{} // non-nil while a simulation is in progress
 }
 
 // Suite memoizes runs across experiments. All methods are safe for
@@ -133,15 +116,13 @@ type runEntry struct {
 // point of view (callers must not drive it further).
 type Suite struct {
 	opts Options
-
-	mu   sync.Mutex
-	runs map[string]*runEntry
+	runs *lru.Cache[*hier.System] // the memo, keyed by KeyFor; never evicts
 }
 
 // NewSuite builds a suite with the given options.
 func NewSuite(opts Options) *Suite {
 	opts.normalize()
-	return &Suite{opts: opts, runs: make(map[string]*runEntry)}
+	return &Suite{opts: opts, runs: lru.New[*hier.System](0, nil)}
 }
 
 // Options returns the filled options.
@@ -150,18 +131,6 @@ func (s *Suite) Options() Options { return s.opts }
 // printf writes to the configured output.
 func (s *Suite) printf(format string, args ...any) {
 	fmt.Fprintf(s.opts.Out, format, args...)
-}
-
-// entry returns the memo slot for key, creating it under the lock.
-func (s *Suite) entry(key string) *runEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.runs[key]
-	if !ok {
-		e = &runEntry{}
-		s.runs[key] = e
-	}
-	return e
 }
 
 // ResolveSpec stamps the suite's sizing (accesses, warmup, seed) into any
@@ -203,48 +172,6 @@ func (s *Suite) KeyFor(sp RunSpec) string {
 	return s.mustResolve(sp).MustHash()
 }
 
-// getOrRun returns the memoized system for key, simulating via sim when
-// the slot is empty. Concurrent callers for one key collapse onto a single
-// flight; a cancelled flight leaves the slot empty for the next live
-// caller to retry. The only error is ctx.Err().
-func (s *Suite) getOrRun(ctx context.Context, key string, sim func(context.Context) (*hier.System, error)) (*hier.System, error) {
-	e := s.entry(key)
-	for {
-		e.mu.Lock()
-		if e.sys != nil {
-			e.mu.Unlock()
-			return e.sys, nil
-		}
-		if err := ctx.Err(); err != nil {
-			e.mu.Unlock()
-			return nil, err
-		}
-		if e.flight == nil {
-			fl := make(chan struct{})
-			e.flight = fl
-			e.mu.Unlock()
-			sys, err := sim(ctx)
-			e.mu.Lock()
-			if err == nil {
-				e.sys = sys
-			}
-			e.flight = nil
-			e.mu.Unlock()
-			close(fl)
-			return sys, err
-		}
-		fl := e.flight
-		e.mu.Unlock()
-		select {
-		case <-fl:
-			// Flight finished: either sys is set, or it was cancelled and
-			// the loop claims a fresh one.
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-}
-
 // progressFor adapts the Options.Progress hook to one keyed run; base
 // offsets the measured phase past the warmup so the reported count is
 // cumulative and monotonic across phases. Nil when no hook is set, which
@@ -282,30 +209,34 @@ func (s *Suite) RunS(sp RunSpec) *hier.System {
 // disabled), so tools and the daemon can report its statistics.
 func (s *Suite) TraceCache() *TraceCache { return s.opts.TraceCache }
 
-// WarmCache exposes the suite's warm-state snapshot cache (nil when
-// disabled), so tools and the daemon can report its statistics.
+// WarmCache exposes the warm-state snapshot cache the suite was handed
+// (nil when it has none; Stats on nil reports zeros).
 func (s *Suite) WarmCache() *WarmCache { return s.opts.WarmCache }
 
 // source builds core i's access stream: a replay of the materialized trace
 // when the cache is enabled, a live generator otherwise. One Replay is
 // consumed across both run phases (warmup then measured) exactly like a
-// live generator would be, so total covers both.
+// live generator would be, so total covers both. Waiting on another run's
+// recording of the same stream ends with ctx; the only error is ctx.Err().
 //
 // A stream that could never be retained — every record takes at least two
 // encoded bytes, so 2*total over the byte budget is a certain eviction —
 // is not materialized at all: recording it would buy no reuse, cost a
 // giant allocation, and (unlike the simulation itself) run outside the
 // context's cancellation checks.
-func (s *Suite) source(name string, seed, total uint64) trace.Source {
+func (s *Suite) source(ctx context.Context, name string, seed, total uint64) (trace.Source, error) {
 	wl, _ := workloads.ByName(name) // canonical specs name valid workloads
 	tc := s.opts.TraceCache
 	if tc == nil || total == 0 || total > uint64(tc.Budget())/2 {
-		return wl.Build(seed)
+		return wl.Build(seed), nil
 	}
-	buf := tc.Get(traceCacheKey(name, seed, total), func() *trace.Buffer {
-		return trace.Record(wl.Build(seed), total)
+	buf, err := tc.Get(ctx, traceCacheKey(name, seed, total), func(context.Context) (*trace.Buffer, error) {
+		return trace.Record(wl.Build(seed), total), nil
 	})
-	return buf.Replay()
+	if err != nil {
+		return nil, err
+	}
+	return buf.Replay(), nil
 }
 
 // simulate drives one canonical spec: per-core trace sources (core 0 runs
@@ -325,7 +256,9 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 		if i > 0 && c.MixWith != "" {
 			name = c.MixWith
 		}
-		srcs[i] = s.source(name, c.Seed+uint64(i), warm+c.Accesses)
+		if srcs[i], err = s.source(ctx, name, c.Seed+uint64(i), warm+c.Accesses); err != nil {
+			return nil, err
+		}
 	}
 	limit := func(n uint64) []trace.Source {
 		out := make([]trace.Source, len(srcs))

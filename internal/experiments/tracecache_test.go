@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -169,10 +170,10 @@ func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
 func TestTraceCacheSingleflight(t *testing.T) {
 	tc := NewTraceCache(0)
 	var gens atomic.Uint64
-	gen := func() *trace.Buffer {
+	gen := func(context.Context) (*trace.Buffer, error) {
 		gens.Add(1)
 		wl, _ := workloads.ByName("soplex")
-		return trace.Record(wl.Build(3), 10_000)
+		return trace.Record(wl.Build(3), 10_000), nil
 	}
 
 	const callers = 16
@@ -182,7 +183,11 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			bufs[i] = tc.Get("t1:soplex:3:10000", gen)
+			b, err := tc.Get(context.Background(), traceCacheKey("soplex", 3, 10_000), gen)
+			if err != nil {
+				t.Errorf("caller %d: Get: %v", i, err)
+			}
+			bufs[i] = b
 		}(i)
 	}
 	wg.Wait()
@@ -194,13 +199,16 @@ func TestTraceCacheSingleflight(t *testing.T) {
 		if b != bufs[0] {
 			t.Errorf("caller %d got a different buffer", i)
 		}
-		if b.Len() != 10_000 {
-			t.Errorf("caller %d: buffer holds %d accesses, want 10000", i, b.Len())
+		if b == nil || b.Len() != 10_000 {
+			t.Errorf("caller %d: buffer %v, want 10000 accesses", i, b)
 		}
 	}
 	st := tc.Stats()
 	if st.Misses != 1 || st.Hits != callers-1 {
 		t.Errorf("stats hits=%d misses=%d, want hits=%d misses=1", st.Hits, st.Misses, callers-1)
+	}
+	if st.Entries != 1 || st.Bytes != int64(bufs[0].Size()) {
+		t.Errorf("retained %d entries / %d bytes, want 1 / %d", st.Entries, st.Bytes, bufs[0].Size())
 	}
 }
 
@@ -218,22 +226,5 @@ func TestTraceCacheSkipsUnretainableStreams(t *testing.T) {
 	}
 	if st := s.TraceCache().Stats(); st.Misses != 0 || st.Hits != 0 {
 		t.Errorf("unretainable stream touched the cache: %+v", st)
-	}
-}
-
-// TestTraceCacheOversizeNotRetained checks a trace larger than the whole
-// budget is still handed to its caller but never pinned in the cache.
-func TestTraceCacheOversizeNotRetained(t *testing.T) {
-	tc := NewTraceCache(1) // one byte: nothing real fits
-	wl, _ := workloads.ByName("milc")
-	buf := tc.Get("t1:milc:7:5000", func() *trace.Buffer {
-		return trace.Record(wl.Build(7), 5000)
-	})
-	if buf.Len() != 5000 {
-		t.Fatalf("oversize buffer not returned: %d accesses", buf.Len())
-	}
-	st := tc.Stats()
-	if st.Bytes != 0 || st.Entries != 0 {
-		t.Errorf("oversize trace retained: %d bytes, %d entries", st.Bytes, st.Entries)
 	}
 }

@@ -111,7 +111,7 @@ func (s *Suite) Fig13() Fig13Result {
 		base := s.Run(name, hier.Baseline)
 		var row []float64
 		for _, p := range evalPolicies {
-			sp := 100 * (base.MaxCycles()/s.Run(name, p).MaxCycles() - 1)
+			sp := 100 * (base.ScaledMaxCycles()/s.Run(name, p).ScaledMaxCycles() - 1)
 			res.Rows[p][name] = sp
 			row = append(row, sp)
 		}

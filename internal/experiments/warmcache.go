@@ -1,19 +1,17 @@
 package experiments
 
 import (
-	"container/list"
-	"context"
 	"strings"
-	"sync"
 
 	"repro/internal/hier"
+	"repro/internal/lru"
 	"repro/internal/spec"
 )
 
-// DefaultWarmCacheBytes is the byte budget a zero Options.WarmCacheBytes
-// selects. A default-configuration snapshot (L1+L2+L3 arrays plus the MMU
-// page table) retains a few MB, so this holds the full benchmark x policy
-// matrix of warm states with headroom.
+// DefaultWarmCacheBytes is the byte budget NewWarmCache(0) selects. A
+// default-configuration snapshot (L1+L2+L3 arrays plus the MMU page table)
+// retains a few MB, so this holds the full benchmark x policy matrix of
+// warm states with headroom.
 const DefaultWarmCacheBytes = 256 << 20
 
 // WarmCache memoizes post-warmup hierarchy snapshots: every run whose
@@ -22,32 +20,17 @@ const DefaultWarmCacheBytes = 256 << 20
 // window) matches a cached entry skips its warmup simulation entirely and
 // starts from an independent clone of the snapshot. Snapshot+clone runs are
 // bit-identical to straight-through runs (proven by the hier digest tests),
-// so the cache is purely a wall-clock optimization.
+// so the cache is purely a wall-clock optimization. Entries are sized by
+// their estimated snapshot bytes.
 //
-// Warmup simulation is singleflight-deduped: concurrent Gets for one key
-// run one warmup; the rest block until the snapshot is ready. Unlike
-// TraceCache generation, a warmup runs under the caller's context, so a
-// cancelled or failed flight deletes its entry instead of poisoning it —
-// the next live caller simply claims a fresh flight. Retained bytes are
-// bounded by an LRU over completed snapshots; a snapshot larger than the
-// whole budget is returned to its caller but never retained.
-type WarmCache struct {
-	mu        sync.Mutex
-	budget    int64
-	bytes     int64
-	hits      uint64
-	misses    uint64
-	evictions uint64
-	entries   map[string]*warmEntry
-	order     *list.List // retained entries, front = most recent
-}
+// It pays only where one warmup identity recurs, as in slipd's requests
+// that differ only in their measured window. Within one cold matrix every
+// run is a distinct identity, so a Suite runs without a warm cache unless
+// Options.WarmCache hands it one.
+type WarmCache = lru.Cache[*hier.Snapshot]
 
-type warmEntry struct {
-	key   string
-	ready chan struct{}  // closed when the flight completes (snap set or entry deleted)
-	snap  *hier.Snapshot // non-nil once warmup succeeded
-	elem  *list.Element  // non-nil while retained by the LRU
-}
+// WarmCacheStats is a point-in-time snapshot of warm cache activity.
+type WarmCacheStats = lru.Stats
 
 // NewWarmCache builds a cache bounded by budgetBytes (<= 0 selects
 // DefaultWarmCacheBytes).
@@ -55,116 +38,7 @@ func NewWarmCache(budgetBytes int64) *WarmCache {
 	if budgetBytes <= 0 {
 		budgetBytes = DefaultWarmCacheBytes
 	}
-	return &WarmCache{
-		budget:  budgetBytes,
-		entries: make(map[string]*warmEntry),
-		order:   list.New(),
-	}
-}
-
-// Budget returns the cache's byte budget.
-func (c *WarmCache) Budget() int64 { return c.budget }
-
-// Get returns the snapshot for key, running gen (the warmup simulation)
-// on first request. Concurrent callers for one key share a single gen call;
-// callers served by a present or in-flight snapshot count as hits, each gen
-// call counts as a miss. gen must be deterministic for the key. When gen
-// fails — typically ctx cancellation — its error is returned to every
-// caller of the flight, the entry is removed, and later callers retry.
-func (c *WarmCache) Get(ctx context.Context, key string, gen func(context.Context) (*hier.Snapshot, error)) (*hier.Snapshot, error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			if e.snap != nil {
-				if e.elem != nil {
-					c.order.MoveToFront(e.elem)
-				}
-				snap := e.snap
-				c.mu.Unlock()
-				return snap, nil
-			}
-			ready := e.ready
-			c.mu.Unlock()
-			select {
-			case <-ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-			if e.snap != nil { // written before ready closed, never mutated after
-				return e.snap, nil
-			}
-			continue // the flight failed; claim or join a fresh one
-		}
-		if err := ctx.Err(); err != nil {
-			c.mu.Unlock()
-			return nil, err
-		}
-		e := &warmEntry{key: key, ready: make(chan struct{})}
-		c.entries[key] = e
-		c.misses++
-		c.mu.Unlock()
-
-		snap, err := gen(ctx) // outside the lock: distinct keys warm concurrently
-
-		c.mu.Lock()
-		if err != nil {
-			delete(c.entries, key)
-			c.mu.Unlock()
-			close(e.ready)
-			return nil, err
-		}
-		e.snap = snap
-		if size := int64(snap.SizeBytes()); size <= c.budget {
-			e.elem = c.order.PushFront(e)
-			c.bytes += size
-			c.evict()
-		} else {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-		close(e.ready)
-		return snap, nil
-	}
-}
-
-// evict drops least-recently-used snapshots until the budget holds.
-// Callers must hold c.mu.
-func (c *WarmCache) evict() {
-	for c.bytes > c.budget {
-		back := c.order.Back()
-		if back == nil {
-			return
-		}
-		e := back.Value.(*warmEntry)
-		c.order.Remove(back)
-		e.elem = nil
-		delete(c.entries, e.key)
-		c.bytes -= int64(e.snap.SizeBytes())
-		c.evictions++
-	}
-}
-
-// WarmCacheStats is a point-in-time snapshot of cache activity.
-type WarmCacheStats struct {
-	Hits      uint64 // Gets served by a present or in-flight snapshot
-	Misses    uint64 // Gets that ran the warmup
-	Evictions uint64 // entries dropped by the LRU
-	Bytes     int64  // estimated snapshot bytes currently retained
-	Entries   int    // snapshots currently retained
-}
-
-// Stats snapshots the counters.
-func (c *WarmCache) Stats() WarmCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return WarmCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   c.order.Len(),
-	}
+	return lru.New(budgetBytes, func(s *hier.Snapshot) int64 { return int64(s.SizeBytes()) })
 }
 
 // warmCacheKey names the warmup-determining projection of a canonical spec:

@@ -17,7 +17,13 @@ import (
 func coldOpts() Options {
 	o := identityOpts()
 	o.TraceCacheBytes = -1
-	o.WarmCacheBytes = -1
+	return o
+}
+
+// warmOpts returns the identity sizing with a fresh warm cache.
+func warmOpts() Options {
+	o := identityOpts()
+	o.WarmCache = NewWarmCache(0)
 	return o
 }
 
@@ -32,7 +38,7 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 		t.Run(fmt.Sprint(p), func(t *testing.T) {
 			t.Parallel()
 			cold := NewSuite(coldOpts())
-			warm := NewSuite(identityOpts())
+			warm := NewSuite(warmOpts())
 			want := digest(cold.Run("soplex", p))
 			if got := digest(warm.Run("soplex", p)); got != want {
 				t.Errorf("warm-cache miss-path run diverged:\n--- cold ---\n%s--- warm ---\n%s", want, got)
@@ -63,6 +69,15 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 			if st.Misses != 1 {
 				t.Errorf("hit-path run re-ran the warmup: %d misses", st.Misses)
 			}
+
+			// The one retained snapshot is budgeted at its estimated size.
+			snap, ok := warm.WarmCache().Peek(warmCacheKey(warm.mustResolve(spec.Single("soplex", p))))
+			if !ok {
+				t.Fatal("warm snapshot not retained")
+			}
+			if st.Entries != 1 || st.Bytes != int64(snap.SizeBytes()) {
+				t.Errorf("retained %d bytes in %d entries, want the snapshot's %d-byte estimate", st.Bytes, st.Entries, snap.SizeBytes())
+			}
 		})
 	}
 }
@@ -72,7 +87,7 @@ func TestWarmCacheBitIdentity(t *testing.T) {
 func TestWarmCacheBitIdentityMix(t *testing.T) {
 	mix := workloads.Mix{A: "soplex", B: "mcf"}
 	cold := NewSuite(coldOpts())
-	warm := NewSuite(identityOpts())
+	warm := NewSuite(warmOpts())
 	want := digest(cold.RunMix(mix, hier.SLIPABP))
 	if got := digest(warm.RunMix(mix, hier.SLIPABP)); got != want {
 		t.Errorf("mix warm run diverged:\n--- cold ---\n%s--- warm ---\n%s", want, got)
@@ -251,97 +266,10 @@ func TestWarmCacheSingleflight(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 7 {
 		t.Errorf("stats = %+v, want 1 miss / 7 hits", st)
 	}
-}
-
-// TestWarmCacheFailedFlightNotPoisoned: a cancelled warmup must leave the
-// slot empty so the next live caller retries and succeeds.
-func TestWarmCacheFailedFlightNotPoisoned(t *testing.T) {
-	c := NewWarmCache(0)
-	sp := mustCanonical(t, spec.Single("soplex", hier.Baseline))
-	key := warmCacheKey(sp)
-	// A context cancelled before the call never claims a flight at all.
-	cancelled, cause := context.WithCancel(context.Background())
-	cause()
-	ran := false
-	if _, err := c.Get(cancelled, key, func(ctx context.Context) (*hier.Snapshot, error) {
-		ran = true
-		return nil, ctx.Err()
-	}); err == nil {
-		t.Fatal("pre-cancelled Get returned no error")
-	}
-	if ran {
-		t.Fatal("pre-cancelled Get ran the warmup")
-	}
-	// A flight cancelled mid-warmup reports the error and vacates the slot.
-	mid, stop := context.WithCancel(context.Background())
-	if _, err := c.Get(mid, key, func(ctx context.Context) (*hier.Snapshot, error) {
-		stop()
-		return nil, ctx.Err()
-	}); err == nil {
-		t.Fatal("cancelled flight returned no error")
-	}
-	snap, err := c.Get(context.Background(), key, func(context.Context) (*hier.Snapshot, error) {
-		cfg, _ := sp.Build()
-		return hier.New(cfg).Snapshot(), nil
-	})
-	if err != nil || snap == nil {
-		t.Fatalf("retry after cancelled flight failed: %v", err)
-	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 (failed flight + successful retry)", st.Misses)
-	}
-}
-
-// TestWarmCacheBudgetEviction: retained bytes must respect the budget, LRU
-// order, and an over-budget snapshot is returned but never retained.
-func TestWarmCacheBudgetEviction(t *testing.T) {
-	cfg, _ := mustCanonical(t, spec.Single("soplex", hier.Baseline)).Build()
-	snap := hier.New(cfg).Snapshot()
-	one := int64(snap.SizeBytes())
-
-	c := NewWarmCache(2*one + one/2) // room for two snapshots
-	get := func(key string) {
-		t.Helper()
-		if _, err := c.Get(context.Background(), key, func(context.Context) (*hier.Snapshot, error) {
-			return hier.New(cfg).Snapshot(), nil
-		}); err != nil {
-			t.Fatalf("Get(%s): %v", key, err)
+	for snap := range snaps {
+		if st.Entries != 1 || st.Bytes != int64(snap.SizeBytes()) {
+			t.Errorf("retained %d entries / %d bytes, want 1 / %d", st.Entries, st.Bytes, snap.SizeBytes())
 		}
-	}
-	get("a")
-	get("b")
-	get("c") // evicts a
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Errorf("after third insert: %+v, want 2 entries / 1 eviction", st)
-	}
-	if st.Bytes > c.Budget() {
-		t.Errorf("retained %d bytes over budget %d", st.Bytes, c.Budget())
-	}
-	get("a") // must re-run warmup: it was evicted
-	if st := c.Stats(); st.Misses != 4 {
-		t.Errorf("misses = %d, want 4 (a evicted and rebuilt)", st.Misses)
-	}
-
-	tiny := NewWarmCache(1) // nothing fits
-	get2 := func() *hier.Snapshot {
-		s, err := tiny.Get(context.Background(), "big", func(context.Context) (*hier.Snapshot, error) {
-			return hier.New(cfg).Snapshot(), nil
-		})
-		if err != nil {
-			t.Fatalf("oversize Get: %v", err)
-		}
-		return s
-	}
-	if get2() == nil {
-		t.Fatal("oversize snapshot not returned")
-	}
-	if st := tiny.Stats(); st.Entries != 0 || st.Bytes != 0 {
-		t.Errorf("oversize snapshot retained: %+v", st)
-	}
-	get2()
-	if st := tiny.Stats(); st.Misses != 2 {
-		t.Errorf("oversize entries must not be cached: %+v", st)
 	}
 }
 
@@ -376,10 +304,11 @@ func FuzzSnapshotWarmSplit(f *testing.F) {
 
 		cold := NewSuite(Options{
 			Accesses: c.Accesses, Warmup: w, WarmupSet: true, Seed: c.Seed,
-			TraceCacheBytes: -1, WarmCacheBytes: -1,
+			TraceCacheBytes: -1,
 		})
 		warm := NewSuite(Options{
 			Accesses: c.Accesses, Warmup: w, WarmupSet: true, Seed: c.Seed,
+			WarmCache: NewWarmCache(0),
 		})
 		ref, err := cold.RunSpecContext(context.Background(), c)
 		if err != nil {

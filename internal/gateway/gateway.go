@@ -29,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/lru"
 	"repro/internal/service"
 )
 
@@ -126,7 +127,11 @@ type Gateway struct {
 	cfg     Config
 	client  *http.Client
 	metrics *Metrics
-	routes  *routeTable
+	// routes maps job id -> backend address, learned from POST responses
+	// so GET /v1/runs/{id} lands on the backend that owns the job. Ids
+	// evicted (or minted before a gateway restart) fall back to the scan
+	// path in handleGetRun.
+	routes *lru.Cache[string]
 
 	mu       sync.Mutex
 	backends map[string]*backend
@@ -159,7 +164,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:      cfg,
 		client:   cfg.Client,
 		metrics:  newMetrics(),
-		routes:   newRouteTable(cfg.RouteTableCap),
+		routes:   lru.New[string](int64(cfg.RouteTableCap), nil),
 		backends: make(map[string]*backend),
 		ctx:      ctx,
 		cancel:   cancel,

@@ -492,19 +492,23 @@ func TestBadRequestsRejectedAtTheEdge(t *testing.T) {
 	}
 }
 
-// TestRouteTableBound: the id route LRU stays within its cap.
+// TestRouteTableBound: the id route LRU stays within Config.RouteTableCap.
 func TestRouteTableBound(t *testing.T) {
-	rt := newRouteTable(4)
+	g, err := New(Config{Backends: []string{"http://x:1"}, RouteTableCap: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Shutdown()
 	for i := 0; i < 20; i++ {
-		rt.put(fmt.Sprintf("id%d", i), "a")
+		g.routes.Put(fmt.Sprintf("id%d", i), "a")
 	}
-	if rt.len() != 4 {
-		t.Fatalf("route table len = %d, want cap 4", rt.len())
+	if n := g.routes.Stats().Entries; n != 4 {
+		t.Fatalf("route table len = %d, want cap 4", n)
 	}
-	if _, ok := rt.get("id0"); ok {
+	if _, ok := g.routes.Peek("id0"); ok {
 		t.Fatal("evicted route still present")
 	}
-	if addr, ok := rt.get("id19"); !ok || addr != "a" {
+	if addr, ok := g.routes.Peek("id19"); !ok || addr != "a" {
 		t.Fatal("fresh route lost")
 	}
 }

@@ -13,8 +13,13 @@ import (
 )
 
 // coreShift places each core's private address space in a disjoint region
-// (below the metadata region at 0xf000_0000_0000).
+// (below the metadata region at mmu.ProfileBase).
 const coreShift = 44
+
+// MaxCores is the most cores the address map holds: core c's region
+// starts at c<<coreShift, so from core MaxCores on, a region would overlap
+// the metadata region.
+const MaxCores = int(mmu.ProfileBase >> coreShift)
 
 // shiftAddr relocates a core-local address into the core's region.
 func shiftAddr(coreID int, a mem.Addr) mem.Addr {

@@ -272,12 +272,15 @@ func (m *MMU) InTLB(p mem.PageID) bool {
 	return false
 }
 
+// ProfileBase is the base of the reserved physical region where page
+// profiles live; data addresses must stay below it.
+const ProfileBase = mem.Addr(0xf000_0000_0000)
+
 // ProfileAddr maps a page's 32-bit distribution record to the reserved
 // physical region where profiles live, so metadata traffic flows through
 // the cache hierarchy like any other access: 16 page profiles share one
 // cache line, which is why most metadata requests hit in the L3
 // (Section 6, Figure 12 discussion).
 func ProfileAddr(p mem.PageID) mem.Addr {
-	const profileBase = mem.Addr(0xf000_0000_0000)
-	return profileBase + mem.Addr(uint64(p)*4)
+	return ProfileBase + mem.Addr(uint64(p)*4)
 }

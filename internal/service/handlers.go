@@ -102,7 +102,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.CacheMiss()
 
-	j, err := s.submit(req, c, key)
+	view, err := s.submit(req, c, key)
 	switch {
 	case errors.Is(err, errDraining):
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
@@ -119,9 +119,6 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	view := j.view()
-	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, view)
 }
 
@@ -259,30 +256,16 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the Prometheus registry with live gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	ts := s.TraceCacheStats()
-	ws := s.WarmCacheStats()
-	cs := s.store.DiskStats()
 	s.metrics.WriteTo(w, Gauges{
-		QueueDepth:     s.queue.Depth,
-		QueueCap:       s.queue.Cap,
-		JobsQueued:     s.queuedCount,
-		JobsRunning:    func() int { return int(s.running.Load()) },
-		StoreLen:       s.store.Len,
-		StoreEvicted:   s.store.Evictions,
-		StoreCapacity:  func() int { return s.cfg.StoreCap },
-		TraceHits:      func() uint64 { return ts.Hits },
-		TraceMisses:    func() uint64 { return ts.Misses },
-		TraceBytes:     func() int64 { return ts.Bytes },
-		TraceEvictions: func() uint64 { return ts.Evictions },
-		WarmHits:       func() uint64 { return ws.Hits },
-		WarmMisses:     func() uint64 { return ws.Misses },
-		WarmBytes:      func() int64 { return ws.Bytes },
-		WarmEvictions:  func() uint64 { return ws.Evictions },
-		CASHits:        func() uint64 { return cs.Hits },
-		CASMisses:      func() uint64 { return cs.Misses },
-		CASBytes:       func() int64 { return cs.Bytes },
-		CASErrors:      func() uint64 { return cs.Errors },
-		CASEvictions:   func() uint64 { return cs.Evictions },
-		CASEntries:     func() int { return cs.Entries },
+		QueueDepth:    s.queue.Depth(),
+		QueueCap:      s.queue.Cap(),
+		JobsQueued:    s.queuedCount(),
+		JobsRunning:   int(s.running.Load()),
+		StoreLen:      s.store.Len(),
+		StoreEvicted:  s.store.Evictions(),
+		StoreCapacity: s.cfg.StoreCap,
+		Trace:         s.TraceCacheStats(),
+		Warm:          s.WarmCacheStats(),
+		CAS:           s.store.DiskStats(),
 	})
 }

@@ -5,6 +5,9 @@ import (
 	"io"
 	"sort"
 	"sync"
+
+	"repro/internal/castore"
+	"repro/internal/experiments"
 )
 
 // runLatencyBuckets are the per-run latency histogram bounds in seconds,
@@ -112,36 +115,20 @@ func (m *Metrics) CacheHits() uint64 {
 }
 
 // Gauges are point-in-time values owned elsewhere (queue depth, running
-// jobs, store size); the server wires them in before serving /metrics.
+// jobs, store size, cache counters); the server snapshots them before
+// serving /metrics. A disabled cache reports zero stats, so /metrics keeps
+// a stable shape.
 type Gauges struct {
-	QueueDepth    func() int
-	QueueCap      func() int
-	JobsQueued    func() int
-	JobsRunning   func() int
-	StoreLen      func() int
-	StoreEvicted  func() uint64
-	StoreCapacity func() int
-	// Trace materialization cache counters (experiments.TraceCache); nil
-	// funcs render as zero so /metrics keeps a stable shape when the
-	// cache is disabled.
-	TraceHits      func() uint64
-	TraceMisses    func() uint64
-	TraceBytes     func() int64
-	TraceEvictions func() uint64
-	// Warm-state snapshot cache counters (experiments.WarmCache), rendered
-	// with the same nil-as-zero convention.
-	WarmHits      func() uint64
-	WarmMisses    func() uint64
-	WarmBytes     func() int64
-	WarmEvictions func() uint64
-	// Durable content-addressed result store counters (castore.Store),
-	// same nil-as-zero convention when the daemon runs memory-only.
-	CASHits      func() uint64
-	CASMisses    func() uint64
-	CASBytes     func() int64
-	CASErrors    func() uint64
-	CASEvictions func() uint64
-	CASEntries   func() int
+	QueueDepth    int
+	QueueCap      int
+	JobsQueued    int
+	JobsRunning   int
+	StoreLen      int
+	StoreEvicted  uint64
+	StoreCapacity int
+	Trace         experiments.TraceCacheStats // trace materialization cache
+	Warm          experiments.WarmCacheStats  // warm-state snapshot cache
+	CAS           castore.Stats               // durable result store
 }
 
 // WriteTo renders the registry in Prometheus text exposition format.
@@ -156,10 +143,10 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %g\n", name, help, name, name, v)
 	}
 
-	gauge("slipd_queue_depth", "Jobs waiting in the admission queue.", float64(g.QueueDepth()))
-	gauge("slipd_queue_capacity", "Admission queue capacity.", float64(g.QueueCap()))
-	gauge("slipd_jobs_queued", "Jobs in state queued.", float64(g.JobsQueued()))
-	gauge("slipd_jobs_running", "Jobs in state running.", float64(g.JobsRunning()))
+	gauge("slipd_queue_depth", "Jobs waiting in the admission queue.", float64(g.QueueDepth))
+	gauge("slipd_queue_capacity", "Admission queue capacity.", float64(g.QueueCap))
+	gauge("slipd_jobs_queued", "Jobs in state queued.", float64(g.JobsQueued))
+	gauge("slipd_jobs_running", "Jobs in state running.", float64(g.JobsRunning))
 
 	counter("slipd_jobs_submitted_total", "Jobs admitted to the queue.", float64(m.jobsSubmitted))
 	fmt.Fprintf(w, "# HELP slipd_jobs_total Jobs finished, by terminal state.\n# TYPE slipd_jobs_total counter\n")
@@ -179,51 +166,33 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 		ratio = float64(m.cacheHits) / float64(t)
 	}
 	gauge("slipd_result_cache_hit_ratio", "Result-store hit fraction over all POSTs.", ratio)
-	gauge("slipd_result_cache_size", "Results currently cached.", float64(g.StoreLen()))
-	gauge("slipd_result_cache_capacity", "Result store capacity.", float64(g.StoreCapacity()))
-	counter("slipd_result_cache_evictions_total", "Results evicted by the LRU.", float64(g.StoreEvicted()))
+	gauge("slipd_result_cache_size", "Results currently cached.", float64(g.StoreLen))
+	gauge("slipd_result_cache_capacity", "Result store capacity.", float64(g.StoreCapacity))
+	counter("slipd_result_cache_evictions_total", "Results evicted by the LRU.", float64(g.StoreEvicted))
 
 	// Trace materialization cache: one trace generated (miss) can serve
 	// many runs (hits); bytes is the retained encoded footprint.
-	u64 := func(f func() uint64) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	i64 := func(f func() int64) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	gauge("slip_trace_cache_hits", "Runs served by an already-materialized (or in-flight) trace.", u64(g.TraceHits))
-	gauge("slip_trace_cache_misses", "Runs that had to generate and record their trace.", u64(g.TraceMisses))
-	gauge("slip_trace_cache_bytes", "Encoded trace bytes currently retained.", i64(g.TraceBytes))
-	gauge("slip_trace_cache_evictions", "Traces evicted by the LRU byte budget.", u64(g.TraceEvictions))
+	gauge("slip_trace_cache_hits", "Runs served by an already-materialized (or in-flight) trace.", float64(g.Trace.Hits))
+	gauge("slip_trace_cache_misses", "Runs that had to generate and record their trace.", float64(g.Trace.Misses))
+	gauge("slip_trace_cache_bytes", "Encoded trace bytes currently retained.", float64(g.Trace.Bytes))
+	gauge("slip_trace_cache_evictions", "Traces evicted by the LRU byte budget.", float64(g.Trace.Evictions))
 
 	// Warm-state snapshot cache: one warmup simulated (miss) seeds every
 	// later run sharing its warmup identity (hits).
-	gauge("slip_warm_cache_hits", "Runs seeded from a cached (or in-flight) warm snapshot.", u64(g.WarmHits))
-	gauge("slip_warm_cache_misses", "Runs that had to simulate their warmup.", u64(g.WarmMisses))
-	gauge("slip_warm_cache_bytes", "Estimated snapshot bytes currently retained.", i64(g.WarmBytes))
-	gauge("slip_warm_cache_evictions", "Snapshots evicted by the LRU byte budget.", u64(g.WarmEvictions))
+	gauge("slip_warm_cache_hits", "Runs seeded from a cached (or in-flight) warm snapshot.", float64(g.Warm.Hits))
+	gauge("slip_warm_cache_misses", "Runs that had to simulate their warmup.", float64(g.Warm.Misses))
+	gauge("slip_warm_cache_bytes", "Estimated snapshot bytes currently retained.", float64(g.Warm.Bytes))
+	gauge("slip_warm_cache_evictions", "Snapshots evicted by the LRU byte budget.", float64(g.Warm.Evictions))
 
 	// Durable content-addressed store: disk hits answer POSTs and key
 	// fetches without re-simulation across restarts; errors count corrupt
 	// or unwritable entries detected and dropped.
-	gauge("slip_castore_hits", "Result reads served from a verified disk entry.", u64(g.CASHits))
-	gauge("slip_castore_misses", "Result reads with no valid disk entry.", u64(g.CASMisses))
-	gauge("slip_castore_bytes", "Entry bytes currently indexed on disk.", i64(g.CASBytes))
-	gauge("slip_castore_errors", "Corrupt/truncated entries dropped plus failed writes.", u64(g.CASErrors))
-	gauge("slip_castore_evictions", "Disk entries evicted by the byte budget.", u64(g.CASEvictions))
-	intg := func(f func() int) float64 {
-		if f == nil {
-			return 0
-		}
-		return float64(f())
-	}
-	gauge("slip_castore_entries", "Disk entries currently indexed.", intg(g.CASEntries))
+	gauge("slip_castore_hits", "Result reads served from a verified disk entry.", float64(g.CAS.Hits))
+	gauge("slip_castore_misses", "Result reads with no valid disk entry.", float64(g.CAS.Misses))
+	gauge("slip_castore_bytes", "Entry bytes currently indexed on disk.", float64(g.CAS.Bytes))
+	gauge("slip_castore_errors", "Corrupt/truncated entries dropped plus failed writes.", float64(g.CAS.Errors))
+	gauge("slip_castore_evictions", "Disk entries evicted by the byte budget.", float64(g.CAS.Evictions))
+	gauge("slip_castore_entries", "Disk entries currently indexed.", float64(g.CAS.Entries))
 
 	counter("slip_sampled_runs_total", "Completed set-sampled (sampling > 1) runs.", float64(m.sampledRuns))
 

@@ -46,8 +46,8 @@ type Config struct {
 	// results). Zero selects experiments.DefaultTraceCacheBytes; negative
 	// disables materialization.
 	TraceCacheBytes int64
-	// WarmCacheBytes bounds the warm-state snapshot cache shared the same
-	// way: the post-warmup hierarchy state of each warmup identity is
+	// WarmCacheBytes bounds the warm-state snapshot cache shared by every
+	// job: the post-warmup hierarchy state of each warmup identity is
 	// simulated once and cloned by every later run sharing it
 	// (bit-identical results). Zero selects
 	// experiments.DefaultWarmCacheBytes; negative disables warm-state
@@ -119,7 +119,9 @@ type Server struct {
 	metrics *Metrics
 
 	// expSuite serves /v1/experiments with the server's default sizing;
-	// its memo cache is bounded by the finite experiment matrix.
+	// its memo cache is bounded by the finite experiment matrix. It shares
+	// the trace cache but not the warm cache: its runs all measure one
+	// window, so no two of them share a warmup identity.
 	// expRenderMu serializes renders; expOut redirects table output per
 	// request.
 	expSuite    *experiments.Suite
@@ -131,9 +133,9 @@ type Server struct {
 	// generates each trace once. Nil when disabled by config.
 	traceCache *experiments.TraceCache
 
-	// warmCache is shared the same way: jobs differing only in their
-	// measured window reuse one warm snapshot instead of re-simulating the
-	// warmup. Nil when disabled by config.
+	// warmCache is shared by the per-job suites: jobs differing only in
+	// their measured window reuse one warm snapshot instead of
+	// re-simulating the warmup. Nil when disabled by config.
 	warmCache *experiments.WarmCache
 
 	baseCtx context.Context
@@ -187,8 +189,6 @@ func New(cfg Config) *Server {
 			Out:             expOut,
 			TraceCacheBytes: cfg.TraceCacheBytes,
 			TraceCache:      traceCache,
-			WarmCacheBytes:  cfg.WarmCacheBytes,
-			WarmCache:       warmCache,
 		}),
 		expOut:     expOut,
 		traceCache: traceCache,
@@ -209,21 +209,11 @@ func (s *Server) Store() *Store { return s.store }
 
 // TraceCacheStats snapshots the shared trace materialization cache; all
 // zeros when the cache is disabled.
-func (s *Server) TraceCacheStats() experiments.TraceCacheStats {
-	if s.traceCache == nil {
-		return experiments.TraceCacheStats{}
-	}
-	return s.traceCache.Stats()
-}
+func (s *Server) TraceCacheStats() experiments.TraceCacheStats { return s.traceCache.Stats() }
 
 // WarmCacheStats snapshots the shared warm-state snapshot cache; all zeros
 // when the cache is disabled.
-func (s *Server) WarmCacheStats() experiments.WarmCacheStats {
-	if s.warmCache == nil {
-		return experiments.WarmCacheStats{}
-	}
-	return s.warmCache.Stats()
-}
+func (s *Server) WarmCacheStats() experiments.WarmCacheStats { return s.warmCache.Stats() }
 
 // Start launches the worker pool.
 func (s *Server) Start() {
@@ -276,19 +266,22 @@ func newJobID() string {
 }
 
 // submit admits a request that missed the result store. It returns the
-// job to poll — either a freshly queued one or an existing job for the
-// same key (service-level singleflight) — or an admission error.
+// view of the job to poll — either a freshly queued one or an existing job
+// for the same key (service-level singleflight) — or an admission error.
+// The view is taken under the lock that admits the job, before any worker
+// can see it, so a fresh job always reports queued.
 var errQueueFull = errors.New("queue full")
 var errDraining = errors.New("server draining")
 
-func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, error) {
+func (s *Server) submit(req RunRequest, c spec.Spec, key string) (JobView, error) {
 	if s.draining.Load() {
-		return nil, errDraining
+		return JobView{}, errDraining
 	}
 	s.mu.Lock()
 	if j, ok := s.pending[key]; ok {
+		view := j.view()
 		s.mu.Unlock()
-		return j, nil
+		return view, nil
 	}
 	j := &Job{
 		ID:      newJobID(),
@@ -301,6 +294,7 @@ func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, error) {
 	}
 	s.jobs[j.ID] = j
 	s.pending[key] = j
+	view := j.view()
 	s.mu.Unlock()
 
 	if !s.queue.TryEnqueue(j) {
@@ -309,12 +303,12 @@ func (s *Server) submit(req RunRequest, c spec.Spec, key string) (*Job, error) {
 		delete(s.pending, key)
 		s.mu.Unlock()
 		if s.draining.Load() {
-			return nil, errDraining
+			return JobView{}, errDraining
 		}
-		return nil, errQueueFull
+		return JobView{}, errQueueFull
 	}
 	s.metrics.JobSubmitted()
-	return j, nil
+	return view, nil
 }
 
 // job looks up a job by id.
@@ -384,7 +378,6 @@ func (s *Server) runJob(j *Job) {
 		Parallelism:     1,
 		TraceCacheBytes: s.cfg.TraceCacheBytes,
 		TraceCache:      s.traceCache,
-		WarmCacheBytes:  s.cfg.WarmCacheBytes,
 		WarmCache:       s.warmCache,
 		Progress: func(_ string, done uint64) {
 			j.progress.Store(done)

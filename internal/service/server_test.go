@@ -293,6 +293,7 @@ func TestValidationAndNotFound(t *testing.T) {
 		`{"workload":"nonesuch","policy":"baseline"}`,
 		`{"workload":"milc","policy":"nonesuch"}`,
 		`{"workload":"milc","policy":"baseline","bogus_field":1}`,
+		`{"workload":"milc","policy":"baseline","cores":16}`,
 	} {
 		if code, _, _ := postRun(t, ts, body); code != http.StatusBadRequest {
 			t.Errorf("POST %s = %d, want 400", body, code)

@@ -147,6 +147,10 @@ func (s Spec) Validate() error {
 	if s.Cores < 0 {
 		return fmt.Errorf("spec: cores must be >= 1 (got %d)", s.Cores)
 	}
+	if s.Cores > hier.MaxCores {
+		return fmt.Errorf("spec: cores must be <= %d (got %d): the address map has room for %d per-core regions below the page-profile region",
+			hier.MaxCores, s.Cores, hier.MaxCores)
+	}
 	if s.BinBits > 8 {
 		return fmt.Errorf("spec: bin_bits must be <= 8 (got %d; counters are uint8)", s.BinBits)
 	}

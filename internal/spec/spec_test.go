@@ -37,6 +37,8 @@ func TestValidate(t *testing.T) {
 		{"unknown mix workload", Spec{Workload: "milc", MixWith: "nonesuch", Policy: "baseline"}, "nonesuch"},
 		{"mix on one core", Spec{Workload: "milc", MixWith: "sphinx3", Policy: "baseline", Cores: 1}, "cores >= 2"},
 		{"negative cores", Spec{Workload: "milc", Policy: "baseline", Cores: -2}, "cores"},
+		{"most cores the address map holds", Spec{Workload: "milc", Policy: "baseline", Cores: 15}, ""},
+		{"core region over the profile region", Spec{Workload: "milc", Policy: "baseline", Cores: 16}, "cores must be <= 15"},
 		{"bin bits too wide", Spec{Workload: "milc", Policy: "slip", BinBits: 9}, "bin_bits"},
 		{"unknown tech", Spec{Workload: "milc", Policy: "baseline", Tech: "7nm"}, "22nm"},
 		{"unknown topology", Spec{Workload: "milc", Policy: "baseline", Topology: "mesh"}, "way-interleaved"},
