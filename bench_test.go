@@ -29,22 +29,16 @@ func benchOpts() experiments.Options {
 }
 
 // BenchmarkSimulatorThroughput measures raw accesses/second through the
-// full SLIP system (the cost of Table 1's machinery per reference), with
-// accesses delivered in the 4096-access batches hier.System.Run uses.
+// full SLIP system (the cost of Table 1's machinery per reference). It
+// drives hier.System.Run, the production loop, so the per-batch evidence
+// fold and the EOU run exactly as they do in every simulation.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, _ := workloads.ByName("soplex")
 	sys := hier.New(hier.Config{Policy: hier.SLIPABP, Seed: 1})
 	src := spec.Build(1)
-	batch := make([]trace.Access, 4096)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		k := src.NextBatch(batch[:min(len(batch), b.N-done)])
-		for _, a := range batch[:k] {
-			sys.Access(0, a)
-		}
-		done += k
-	}
+	sys.Run(trace.Limit(src, uint64(b.N)))
 }
 
 // BenchmarkTraceReplay measures decoding the materialized trace encoding —

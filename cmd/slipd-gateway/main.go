@@ -1,12 +1,11 @@
 // Command slipd-gateway fronts a fleet of slipd backends with
 // consistent-hash sharding: POST /v1/runs routes by the canonical spec
 // hash (rendezvous/highest-random-weight), so the same spec always lands
-// on the backend whose memo, warm-state, trace and durable result caches
-// already hold it — routing is cache affinity. Backends are
-// health-checked on /readyz, ejected and restored with thresholds,
-// drainable live via the admin API, and idempotent requests fail over to
-// the next-preferred backend with bounded backoff. See the "Running a
-// slipd cluster" section of README.md.
+// on the backend whose warm-state and durable result caches already hold
+// it — routing is cache affinity. Backends are health-checked on /readyz,
+// ejected and restored with thresholds, drainable live via the admin API,
+// and idempotent requests fail over to the next-preferred backend with
+// bounded backoff. See the "Running a slipd cluster" section of README.md.
 //
 // Usage:
 //

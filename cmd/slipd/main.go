@@ -56,7 +56,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "default random seed")
 		jobTO    = flag.Duration("job-timeout", 5*time.Minute, "per-job deadline; expired jobs report cancelled")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
-		traceMB  = flag.Int64("trace-cache-mb", 256, "trace materialization cache budget in MiB (0 disables)")
+		traceMB  = flag.Int64("trace-cache-mb", 256, "trace cache budget in MiB of the /v1/experiments suite; jobs record no traces (0 disables)")
 		warmMB   = flag.Int64("warm-cache-mb", 256, "warm-state snapshot cache budget in MiB (0 disables)")
 		pprofFl  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 	)

@@ -46,6 +46,9 @@ const NumGroups = 64
 // GroupOf returns the line-address group of a set index.
 func GroupOf(set int) int { return set & (NumGroups - 1) }
 
+// movementQueueEntries is the movement queue's depth (DESIGN.md §2, row 4).
+const movementQueueEntries = 16
+
 // Config describes one cache level.
 type Config struct {
 	// Params carries capacity-independent energy/latency constants.
@@ -59,8 +62,6 @@ type Config struct {
 	// UseRRIP selects SRRIP replacement instead of true LRU (the Section 7
 	// extension).
 	UseRRIP bool
-	// MovementQueueCap overrides the 16-entry default when positive.
-	MovementQueueCap int
 }
 
 // Stats aggregates the per-level accounting every experiment reads.
@@ -168,11 +169,7 @@ func New(cfg Config) *Level {
 	} else {
 		l.repl = NewLRU(numSets, ways)
 	}
-	mqCap := cfg.MovementQueueCap
-	if mqCap <= 0 {
-		mqCap = 16
-	}
-	l.mq = NewMQBank(mqCap, 4)
+	l.mq = NewMQBank(movementQueueEntries, 4)
 	// The estimator is sized for one group's share of the capacity: its
 	// ticks count group-local accesses (T[g]) and its distances are
 	// rescaled x64 back to whole-level lines in Access. A group sees 1/64

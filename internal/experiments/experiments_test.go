@@ -52,6 +52,23 @@ func TestFig1Shape(t *testing.T) {
 	}
 }
 
+// TestFig1RendersAgree renders Figure 1 twice on one suite. Rendering only
+// reads the memoized baseline runs, so the second render must print the
+// first one's rows: counting the resident L3 lines must not write them
+// into the runs' histograms.
+func TestFig1RendersAgree(t *testing.T) {
+	s := NewSuite(Options{Accesses: 100_000, Warmup: 100_000, Seed: 7})
+	first, second := s.Fig1(), s.Fig1()
+	for name, row := range first.Rows {
+		if second.Rows[name] != row {
+			t.Errorf("%s: second render %v, first %v", name, second.Rows[name], row)
+		}
+	}
+	if second.Average != first.Average {
+		t.Errorf("average: second render %v, first %v", second.Average, first.Average)
+	}
+}
+
 func TestFig3Classes(t *testing.T) {
 	// Figure 3 needs a horizon long enough to span several of soplex's
 	// long rotate segments (each up to two walks of ~32K lines).

@@ -29,9 +29,7 @@ func (s *Suite) Fig1() Fig1Result {
 	var sum [4]float64
 	set := workloads.Fig1Set()
 	for _, name := range set {
-		sys := s.Run(name, hier.Baseline)
-		sys.FinalizeNR()
-		fr := sys.NRFractions()
+		fr := s.Run(name, hier.Baseline).NRFractions()
 		res.Rows[name] = fr
 		for i := range sum {
 			sum[i] += fr[i]

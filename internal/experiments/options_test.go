@@ -10,9 +10,9 @@ import (
 
 // TestOptionsNormalize pins the one-place defaulting contract: every entry
 // point resolves Options through normalize, so these rows are the behaviour
-// of the CLI tools, the suite and the daemon alike.
+// of the CLI tools, the suite and the daemon alike. The trace cache is
+// built by NewSuite, so its rows read the suite's.
 func TestOptionsNormalize(t *testing.T) {
-	sharedTC := NewTraceCache(1 << 20)
 	sharedWC := NewWarmCache(1 << 20)
 	cases := []struct {
 		name  string
@@ -35,7 +35,7 @@ func TestOptionsNormalize(t *testing.T) {
 			if o.Parallelism != runtime.GOMAXPROCS(0) {
 				t.Errorf("Parallelism = %d, want GOMAXPROCS", o.Parallelism)
 			}
-			if o.TraceCache == nil || o.TraceCache.Budget() != DefaultTraceCacheBytes {
+			if tc := NewSuite(o).TraceCache(); tc == nil || tc.Budget() != DefaultTraceCacheBytes {
 				t.Error("TraceCache not built with the default budget")
 			}
 			if o.WarmCache != nil {
@@ -61,7 +61,7 @@ func TestOptionsNormalize(t *testing.T) {
 			}
 		}},
 		{"negative budgets disable both caches", Options{TraceCacheBytes: -1}, func(t *testing.T, o Options) {
-			if o.TraceCache != nil {
+			if NewSuite(o).TraceCache() != nil {
 				t.Error("TraceCache built despite negative budget")
 			}
 			if o.WarmCache != nil {
@@ -69,17 +69,15 @@ func TestOptionsNormalize(t *testing.T) {
 			}
 		}},
 		{"positive budgets size private caches", Options{TraceCacheBytes: 4 << 20}, func(t *testing.T, o Options) {
-			if o.TraceCache == nil || o.TraceCache.Budget() != 4<<20 {
+			if tc := NewSuite(o).TraceCache(); tc == nil || tc.Budget() != 4<<20 {
 				t.Error("TraceCacheBytes not honoured")
 			}
 		}},
+		// A slipd job's suite: no trace cache, the daemon's warm cache.
 		{"shared caches win over budgets", Options{
-			TraceCache: sharedTC, TraceCacheBytes: -1,
-			WarmCache: sharedWC,
+			TraceCacheBytes: -1,
+			WarmCache:       sharedWC,
 		}, func(t *testing.T, o Options) {
-			if o.TraceCache != sharedTC {
-				t.Error("shared TraceCache replaced")
-			}
 			if o.WarmCache != sharedWC {
 				t.Error("shared WarmCache replaced")
 			}
@@ -103,7 +101,7 @@ func TestOptionsNormalize(t *testing.T) {
 			// observable (cache identity included).
 			again := o
 			again.normalize()
-			if again.TraceCache != o.TraceCache || again.WarmCache != o.WarmCache ||
+			if again.WarmCache != o.WarmCache ||
 				again.Accesses != o.Accesses || again.Warmup != o.Warmup ||
 				again.Parallelism != o.Parallelism {
 				t.Error("normalize is not idempotent")
@@ -112,8 +110,7 @@ func TestOptionsNormalize(t *testing.T) {
 	}
 
 	// NewSuite must resolve through the same path.
-	s := NewSuite(Options{})
-	if s.Options().TraceCache == nil {
+	if o := NewSuite(Options{}).Options(); o.Accesses != 2_000_000 || o.Out != io.Discard {
 		t.Error("NewSuite did not normalize its Options")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/hier"
+	"repro/internal/lru"
 	"repro/internal/spec"
 )
 
@@ -132,7 +133,7 @@ func (e *SamplingErrorStat) finish(n int) {
 // any pass is timed, so the comparison measures simulation cost, not trace
 // generation.
 func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*SamplingReport, error) {
-	if opts.TraceCache == nil && opts.TraceCacheBytes == 0 {
+	if opts.TraceCacheBytes == 0 {
 		// Size the shared budget to keep every pre-warmed stream resident
 		// for the whole calibration: an evicted trace would be regenerated
 		// silently inside a timed pass, polluting the speedup the pass is
@@ -162,9 +163,9 @@ func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*Sa
 		rep.Policies = append(rep.Policies, p.String())
 	}
 
-	// Pre-warm the shared trace cache (one materialized stream per
-	// workload; the key is sampling-independent, so every pass replays the
-	// same buffers).
+	// Pre-warm the trace cache every pass shares (one materialized stream
+	// per workload; the key is sampling-independent, so every pass replays
+	// the same buffers).
 	warmer := NewSuite(opts)
 	for _, wl := range opts.Benchmarks {
 		if _, err := warmer.source(ctx, wl, opts.Seed, opts.Warmup+opts.Accesses); err != nil {
@@ -173,7 +174,10 @@ func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*Sa
 	}
 
 	pass := func(k int) ([]sampleRunMetrics, float64, error) {
-		su := NewSuite(opts)
+		// A fresh memo per pass over the warmer's trace cache: the pass
+		// replays the pre-warmed streams, and its systems are dropped with
+		// it once their metrics are read.
+		su := &Suite{opts: opts, runs: lru.New[*hier.System](0, nil), traces: warmer.traces}
 		var specs []RunSpec
 		for _, wl := range opts.Benchmarks {
 			for _, p := range pols {

@@ -51,18 +51,14 @@ type Options struct {
 	// (default: runtime.GOMAXPROCS(0)). It only affects how many distinct
 	// simulations run concurrently, never the result of any of them.
 	Parallelism int
-	// TraceCacheBytes bounds the trace materialization cache: each
+	// TraceCacheBytes bounds the suite's trace materialization cache: each
 	// workload's access stream is recorded once (compact varint encoding)
 	// and replayed for every policy that consumes it, which is most of the
 	// non-simulator cost of a benchmark x policy matrix. Zero selects
 	// DefaultTraceCacheBytes; a negative value disables materialization
-	// entirely (sources are regenerated per run, the pre-cache behaviour).
-	// Replayed runs are bit-identical to generated ones.
+	// entirely (sources are regenerated per run), as a suite that runs each
+	// stream once should. Replayed runs are bit-identical to generated ones.
 	TraceCacheBytes int64
-	// TraceCache, when non-nil, is used instead of a suite-private cache,
-	// letting several suites (the slipd per-job suites) share one
-	// materialization pool. TraceCacheBytes is ignored in that case.
-	TraceCache *TraceCache
 	// WarmCache, when non-nil, memoizes the post-warmup hierarchy state of
 	// each distinct warmup identity (spec minus the measured window): it is
 	// snapshotted once and cloned for every later run that shares it,
@@ -83,7 +79,7 @@ type Options struct {
 }
 
 // normalize applies every default in one place — sizing, seed, benchmark
-// set, worker-pool width, trace cache, output sink — so each entry point
+// set, worker-pool width, output sink — so each entry point
 // (NewSuite, the CLI tools, slipd's per-job suites) resolves an Options the
 // same way. It is idempotent: normalizing an already-normalized Options
 // changes nothing.
@@ -103,26 +99,41 @@ func (o *Options) normalize() {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
-	if o.TraceCache == nil && o.TraceCacheBytes >= 0 {
-		o.TraceCache = NewTraceCache(o.TraceCacheBytes)
-	}
 	if o.Out == nil {
 		o.Out = io.Discard
 	}
 }
 
 // Suite memoizes runs across experiments. All methods are safe for
-// concurrent use; a completed *hier.System is immutable from the Suite's
-// point of view (callers must not drive it further).
+// concurrent use; a completed *hier.System is never written again, by the
+// Suite or by any experiment (callers must not drive it further), so
+// renders only read the memo.
 type Suite struct {
-	opts Options
-	runs *lru.Cache[*hier.System] // the memo, keyed by KeyFor; never evicts
+	opts   Options
+	runs   *lru.Cache[*hier.System] // the memo, keyed by KeyFor; never evicts
+	traces *TraceCache              // nil when TraceCacheBytes < 0
 }
 
-// NewSuite builds a suite with the given options.
+// NewSuite builds a suite with the given options and its own trace cache.
 func NewSuite(opts Options) *Suite {
 	opts.normalize()
-	return &Suite{opts: opts, runs: lru.New[*hier.System](0, nil)}
+	s := &Suite{opts: opts, runs: lru.New[*hier.System](0, nil)}
+	if opts.TraceCacheBytes >= 0 {
+		s.traces = NewTraceCache(opts.TraceCacheBytes)
+	}
+	return s
+}
+
+// WithOut returns a view of the suite that prints its tables to w (nil
+// discards). The view shares the memo and the trace cache, so concurrent
+// renders through separate views each get their own output.
+func (s *Suite) WithOut(w io.Writer) *Suite {
+	if w == nil {
+		w = io.Discard
+	}
+	v := *s
+	v.opts.Out = w
+	return &v
 }
 
 // Options returns the filled options.
@@ -207,7 +218,7 @@ func (s *Suite) RunS(sp RunSpec) *hier.System {
 
 // TraceCache exposes the suite's trace materialization cache (nil when
 // disabled), so tools and the daemon can report its statistics.
-func (s *Suite) TraceCache() *TraceCache { return s.opts.TraceCache }
+func (s *Suite) TraceCache() *TraceCache { return s.traces }
 
 // WarmCache exposes the warm-state snapshot cache the suite was handed
 // (nil when it has none; Stats on nil reports zeros).
@@ -226,7 +237,7 @@ func (s *Suite) WarmCache() *WarmCache { return s.opts.WarmCache }
 // context's cancellation checks.
 func (s *Suite) source(ctx context.Context, name string, seed, total uint64) (trace.Source, error) {
 	wl, _ := workloads.ByName(name) // canonical specs name valid workloads
-	tc := s.opts.TraceCache
+	tc := s.traces
 	if tc == nil || total == 0 || total > uint64(tc.Budget())/2 {
 		return wl.Build(seed), nil
 	}

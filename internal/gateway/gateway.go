@@ -2,10 +2,10 @@
 // of slipd backends. Requests are consistent-hashed by the canonical spec
 // hash — the same client-computable `s1:` key that names the run in every
 // cache tier below — so routing IS cache affinity: the same spec always
-// lands on the backend whose memo/warm/trace/result caches already hold
-// it, the cluster's aggregate cache is the sum (not the overlap) of its
-// nodes, and a backend restarted over its durable store answers for its
-// whole key range without re-simulating.
+// lands on the backend whose warm and result caches already hold it, the
+// cluster's aggregate cache is the sum (not the overlap) of its nodes, and
+// a backend restarted over its durable store answers for its whole key
+// range without re-simulating.
 //
 // Rendezvous (highest-random-weight) hashing gives minimal disruption:
 // adding or removing a backend only moves the keys that backend owns,

@@ -276,7 +276,7 @@ func (s *System) accessL2(cn *coreNode, line mem.LineAddr, pte *mmu.PTE, page me
 			// — the stale-bypass pathology discussed in DESIGN.md.
 			s.stageEvidence(cn, pte, page, 1, slipcore.BinFor(r2.RDLines, s.cumL3))
 		}
-		lat := latencyOf(cn.l2, s.uniformLat2, r2.Way)
+		lat := latencyOf(cn.l2, s.uniformLat, r2.Way)
 		cn.d2.OnHit(cn.l2, r2.Set, r2.Way)
 		return lat
 	}
@@ -301,7 +301,7 @@ func (s *System) accessL3(cn *coreNode, line mem.LineAddr, pte *mmu.PTE, page me
 		if pte != nil && pte.Sampling {
 			s.stageEvidence(cn, pte, page, 1, slipcore.BinFor(r3.RDLines, s.cumL3))
 		}
-		lat := latencyOf(s.l3, s.uniformLat3, r3.Way)
+		lat := latencyOf(s.l3, s.uniformLat, r3.Way)
 		s.d3.OnHit(s.l3, r3.Set, r3.Way)
 		return lat
 	}
@@ -319,29 +319,15 @@ func (s *System) accessL3(cn *coreNode, line mem.LineAddr, pte *mmu.PTE, page me
 // to DRAM.
 func (s *System) noteL3Outcome(out policy.Outcome) {
 	if out.Evicted.Valid {
-		s.bucketNR(out.Evicted.Reuses)
+		s.NRHist[nrBucket(out.Evicted.Reuses)]++
 		if out.Evicted.Dirty {
 			s.dram.Write()
 		}
 	}
 }
 
-// bucketNR buckets a finished line's reuse count (0, 1, 2, >2).
-func (s *System) bucketNR(reuses uint32) {
-	idx := int(reuses)
-	if idx > 3 {
-		idx = 3
-	}
-	s.NRHist[idx]++
-}
-
-// FinalizeNR folds still-resident L3 lines into the Figure 1 histogram;
-// call once after a run.
-func (s *System) FinalizeNR() {
-	s.l3.ForEachLine(func(set, way int, ln cache.Line) {
-		s.bucketNR(ln.Reuses)
-	})
-}
+// nrBucket is the Figure 1 bucket of a line's reuse count (0, 1, 2, >2).
+func nrBucket(reuses uint32) int { return int(min(reuses, 3)) }
 
 // fillL1 installs a line into the L1 after it was serviced below.
 func (s *System) fillL1(cn *coreNode, line mem.LineAddr, store bool) {

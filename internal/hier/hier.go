@@ -192,13 +192,12 @@ type System struct {
 	encL2, encL3 *slipcore.Encoder
 	cumL2, cumL3 []uint64 // distribution bin boundaries in lines
 
-	// defCodeL2/defCodeL3 cache the Default SLIP codes and uniformLat2/
-	// uniformLat3 cache the drivers' UniformLatency answers; both are
-	// constant per configuration and sit on the per-access hot path, where
-	// an interface dispatch (or worse, a policy re-encoding) per reference
-	// is measurable.
-	defCodeL2, defCodeL3     uint8
-	uniformLat2, uniformLat3 bool
+	// defCodeL2/defCodeL3 cache the Default SLIP codes and uniformLat the
+	// descriptor's UniformLatency bit; both are constant per configuration
+	// and sit on the per-access hot path, where a registry lookup (or
+	// worse, a policy re-encoding) per reference is measurable.
+	defCodeL2, defCodeL3 uint8
+	uniformLat           bool
 
 	// slipL2 and slipL3 are the typed SLIP drivers (nil otherwise), kept
 	// for insertion-class statistics.
@@ -251,6 +250,7 @@ func New(cfg Config) *System {
 	s.encL3 = slipcore.NewEncoder(len(cfg.L3Params.SublevelWays))
 	s.defCodeL2 = s.encL2.DefaultCode()
 	s.defCodeL3 = s.encL3.DefaultCode()
+	s.uniformLat = desc.UniformLatency
 
 	chargeMeta := desc.UsesMetadata
 	s.l3 = cache.New(cache.Config{
@@ -260,7 +260,6 @@ func New(cfg Config) *System {
 		UseRRIP:        cfg.UseRRIP,
 	})
 	s.d3 = s.newDriver(3, cfg.Seed)
-	s.uniformLat3 = s.d3.UniformLatency()
 	if d, ok := s.d3.(*policy.SLIP); ok {
 		s.slipL3 = d
 	}
@@ -278,7 +277,6 @@ func New(cfg Config) *System {
 			UseRRIP:        cfg.UseRRIP,
 		})
 		cn.d2 = s.newDriver(2, cfg.Seed+uint64(i)*977)
-		s.uniformLat2 = cn.d2.UniformLatency()
 		if d, ok := cn.d2.(*policy.SLIP); ok {
 			s.slipL2 = append(s.slipL2, d)
 		}

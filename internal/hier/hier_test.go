@@ -190,7 +190,6 @@ func TestNRHistogramStreamIsAllZeroReuse(t *testing.T) {
 	s := run(t, Config{Policy: Baseline, Seed: 1},
 		trace.NewMix(1, 2, trace.MixItem{Region: trace.NewStream(1<<32, 64*mem.MB, 1, 0), Weight: 1, Burst: 16}),
 		300_000)
-	s.FinalizeNR()
 	fr := s.NRFractions()
 	if fr[0] < 0.98 {
 		t.Errorf("stream NR=0 fraction = %.3f, want ≈ 1", fr[0])
@@ -199,7 +198,6 @@ func TestNRHistogramStreamIsAllZeroReuse(t *testing.T) {
 
 func TestNRHistogramLoopLinesReused(t *testing.T) {
 	s := run(t, Config{Policy: Baseline, Seed: 1}, loopSource(1, 512*mem.KB), 400_000)
-	s.FinalizeNR()
 	fr := s.NRFractions()
 	if fr[3] < 0.5 {
 		t.Errorf("resident loop NR>2 fraction = %.3f, want > 0.5", fr[3])

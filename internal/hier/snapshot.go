@@ -64,10 +64,9 @@ func (s *System) clone() *System {
 		cumL2: s.cumL2,
 		cumL3: s.cumL3,
 
-		defCodeL2:   s.defCodeL2,
-		defCodeL3:   s.defCodeL3,
-		uniformLat2: s.uniformLat2,
-		uniformLat3: s.uniformLat3,
+		defCodeL2:  s.defCodeL2,
+		defCodeL3:  s.defCodeL3,
+		uniformLat: s.uniformLat,
 
 		NRHist: s.NRHist,
 

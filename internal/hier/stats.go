@@ -3,7 +3,10 @@ package hier
 // Accessors over a finished run, shaped after the metrics the paper's
 // figures report. Energies are picojoules.
 
-import "repro/internal/energy"
+import (
+	"repro/internal/cache"
+	"repro/internal/energy"
+)
 
 // ResetStats discards everything accumulated so far — energies, hit/miss
 // and traffic counters, timing, NR histogram, insertion classes — while
@@ -318,18 +321,21 @@ func (s *System) ScaledEDP() float64 {
 	return s.ScaledFullSystemPJ() * s.ScaledMaxCycles()
 }
 
-// NRFractions returns the Figure 1 breakdown of lines by reuse count
-// (call FinalizeNR first to include resident lines).
+// NRFractions returns the Figure 1 breakdown of lines by reuse count: the
+// L3-evicted lines in NRHist plus the lines still resident in the L3. It
+// only reads the system, so repeated calls agree.
 func (s *System) NRFractions() [4]float64 {
+	hist := s.NRHist
+	s.l3.ForEachLine(func(_, _ int, ln cache.Line) { hist[nrBucket(ln.Reuses)]++ })
 	var total uint64
-	for _, v := range s.NRHist {
+	for _, v := range hist {
 		total += v
 	}
 	var out [4]float64
 	if total == 0 {
 		return out
 	}
-	for i, v := range s.NRHist {
+	for i, v := range hist {
 		out[i] = float64(v) / float64(total)
 	}
 	return out

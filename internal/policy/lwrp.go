@@ -40,16 +40,6 @@ type LWRP struct {
 // driven with.
 func NewLWRP() *LWRP { return &LWRP{} }
 
-// Name implements Driver.
-func (*LWRP) Name() string { return "lwrp" }
-
-// UsesMetadata implements Driver: the stamp array and reuse counters are
-// the sidecar state this policy pays for.
-func (*LWRP) UsesMetadata() bool { return true }
-
-// UniformLatency implements Driver: placement is conventional.
-func (*LWRP) UniformLatency() bool { return true }
-
 // ensure sizes the stamp array for the level's geometry.
 func (p *LWRP) ensure(l *cache.Level) {
 	if n := l.NumSets() * l.NumWays(); len(p.stamps) != n {

@@ -24,15 +24,6 @@ type Outcome struct {
 // OnHit after every hit (promotion policies move lines there) and Insert on
 // every demand miss fill.
 type Driver interface {
-	// Name identifies the policy ("baseline", "slip", "nurapid", "lru-pea").
-	Name() string
-	// UsesMetadata reports whether the level must charge 12b-metadata and
-	// movement-queue energy (every policy except the baseline).
-	UsesMetadata() bool
-	// UniformLatency reports whether hits cost the level's uniform baseline
-	// latency rather than per-way latency (true only for the baseline,
-	// which pipelines all ways identically).
-	UniformLatency() bool
 	// OnHit may promote the line that just hit at (set, way).
 	OnHit(l *cache.Level, set, way int)
 	// Insert places line a (with its sidecar metadata) into the level,
@@ -83,15 +74,6 @@ type Baseline struct{}
 // NewBaseline returns the conventional-hierarchy driver.
 func NewBaseline() *Baseline { return &Baseline{} }
 
-// Name implements Driver.
-func (*Baseline) Name() string { return "baseline" }
-
-// UsesMetadata implements Driver.
-func (*Baseline) UsesMetadata() bool { return false }
-
-// UniformLatency implements Driver.
-func (*Baseline) UniformLatency() bool { return true }
-
 // OnHit implements Driver (the baseline never moves lines).
 func (*Baseline) OnHit(*cache.Level, int, int) {}
 
@@ -115,15 +97,6 @@ type NuRAPID struct{}
 
 // NewNuRAPID returns the NuRAPID driver.
 func NewNuRAPID() *NuRAPID { return &NuRAPID{} }
-
-// Name implements Driver.
-func (*NuRAPID) Name() string { return "nurapid" }
-
-// UsesMetadata implements Driver.
-func (*NuRAPID) UsesMetadata() bool { return true }
-
-// UniformLatency implements Driver.
-func (*NuRAPID) UniformLatency() bool { return false }
 
 // OnHit implements Driver: generational promotion to d-group 0.
 func (n *NuRAPID) OnHit(l *cache.Level, set, way int) {
@@ -194,15 +167,6 @@ func NewLRUPEA(seed uint64) *LRUPEA {
 	}
 	return p
 }
-
-// Name implements Driver.
-func (*LRUPEA) Name() string { return "lru-pea" }
-
-// UsesMetadata implements Driver.
-func (*LRUPEA) UsesMetadata() bool { return true }
-
-// UniformLatency implements Driver.
-func (*LRUPEA) UniformLatency() bool { return false }
 
 // OnHit implements Driver: promote one sublevel nearer.
 func (p *LRUPEA) OnHit(l *cache.Level, set, way int) {

@@ -52,17 +52,6 @@ type ReuseBypass struct {
 // the first Level it is driven with.
 func NewReuseBypass() *ReuseBypass { return &ReuseBypass{} }
 
-// Name implements Driver.
-func (*ReuseBypass) Name() string { return "reuse-bypass" }
-
-// UsesMetadata implements Driver: the reuse detector is the sidecar
-// hardware this policy pays for.
-func (*ReuseBypass) UsesMetadata() bool { return true }
-
-// UniformLatency implements Driver: placement is conventional, so hits
-// pipeline like the baseline's.
-func (*ReuseBypass) UniformLatency() bool { return true }
-
 // ensure latches the capacity share and sizes the trackers on first
 // contact.
 func (r *ReuseBypass) ensure(l *cache.Level) {

@@ -157,16 +157,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Rendering only reads the memo cache (everything is prefetched), so
-	// holding the render lock is cheap; it exists because the shared
-	// suite's Out is a single swappable writer.
-	s.expRenderMu.Lock()
-	defer s.expRenderMu.Unlock()
+	// Rendering only reads the memo (everything is prefetched), so
+	// concurrent renders need no lock: each prints to its own buffer.
 	var buf bytes.Buffer
-	s.expOut.set(&buf)
-	err := s.expSuite.RunNamed(name)
-	s.expOut.set(nil)
-	if err != nil {
+	if err := s.expSuite.WithOut(&buf).RunNamed(name); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

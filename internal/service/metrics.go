@@ -126,7 +126,7 @@ type Gauges struct {
 	StoreLen      int
 	StoreEvicted  uint64
 	StoreCapacity int
-	Trace         experiments.TraceCacheStats // trace materialization cache
+	Trace         experiments.TraceCacheStats // the /v1/experiments suite's trace cache
 	Warm          experiments.WarmCacheStats  // warm-state snapshot cache
 	CAS           castore.Stats               // durable result store
 }
@@ -170,8 +170,9 @@ func (m *Metrics) WriteTo(w io.Writer, g Gauges) {
 	gauge("slipd_result_cache_capacity", "Result store capacity.", float64(g.StoreCapacity))
 	counter("slipd_result_cache_evictions_total", "Results evicted by the LRU.", float64(g.StoreEvicted))
 
-	// Trace materialization cache: one trace generated (miss) can serve
-	// many runs (hits); bytes is the retained encoded footprint.
+	// The /v1/experiments suite's trace cache (jobs record no traces): one
+	// trace generated (miss) can serve many runs (hits); bytes is the
+	// retained encoded footprint.
 	gauge("slip_trace_cache_hits", "Runs served by an already-materialized (or in-flight) trace.", float64(g.Trace.Hits))
 	gauge("slip_trace_cache_misses", "Runs that had to generate and record their trace.", float64(g.Trace.Misses))
 	gauge("slip_trace_cache_bytes", "Encoded trace bytes currently retained.", float64(g.Trace.Bytes))

@@ -40,11 +40,12 @@ type Config struct {
 	//
 	// Deprecated: nothing reads it.
 	IntraParallelism int
-	// TraceCacheBytes bounds the trace materialization cache shared by
-	// every job and the experiment endpoints: each distinct workload
-	// stream is generated once and replayed by later runs (bit-identical
-	// results). Zero selects experiments.DefaultTraceCacheBytes; negative
-	// disables materialization.
+	// TraceCacheBytes bounds the trace materialization cache of the
+	// /v1/experiments suite, whose matrices replay each workload stream
+	// under several policies (bit-identical results). Jobs never use it:
+	// each brings its own stream (seed or measured window). Zero selects
+	// experiments.DefaultTraceCacheBytes; negative disables
+	// materialization.
 	TraceCacheBytes int64
 	// WarmCacheBytes bounds the warm-state snapshot cache shared by every
 	// job: the post-warmup hierarchy state of each warmup identity is
@@ -88,28 +89,6 @@ func (c *Config) fill() {
 	}
 }
 
-// swappableWriter lets the server point the shared experiment suite's
-// output at a per-request buffer; renders are serialized by expMu.
-type swappableWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *swappableWriter) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.w == nil {
-		return len(p), nil
-	}
-	return s.w.Write(p)
-}
-
-func (s *swappableWriter) set(w io.Writer) {
-	s.mu.Lock()
-	s.w = w
-	s.mu.Unlock()
-}
-
 // Server is the slipd core: queue + workers + result store + metrics,
 // independent of the HTTP listener so tests can drive it via httptest.
 type Server struct {
@@ -119,19 +98,12 @@ type Server struct {
 	metrics *Metrics
 
 	// expSuite serves /v1/experiments with the server's default sizing;
-	// its memo cache is bounded by the finite experiment matrix. It shares
-	// the trace cache but not the warm cache: its runs all measure one
-	// window, so no two of them share a warmup identity.
-	// expRenderMu serializes renders; expOut redirects table output per
-	// request.
-	expSuite    *experiments.Suite
-	expOut      *swappableWriter
-	expRenderMu sync.Mutex
-
-	// traceCache is shared by the experiment suite and every per-job
-	// suite, so a daemon serving many policies over few workloads
-	// generates each trace once. Nil when disabled by config.
-	traceCache *experiments.TraceCache
+	// its memo cache is bounded by the finite experiment matrix. It owns
+	// the daemon's only trace cache, sized by cfg.TraceCacheBytes, and has
+	// no warm cache: its runs all measure one window, so no two of them
+	// share a warmup identity. Each render prints through its own
+	// WithOut view.
+	expSuite *experiments.Suite
 
 	// warmCache is shared by the per-job suites: jobs differing only in
 	// their measured window reuse one warm snapshot instead of
@@ -162,14 +134,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	ctx, cancel := context.WithCancel(context.Background())
-	expOut := &swappableWriter{}
 	warmup := cfg.DefaultAccesses
 	if cfg.DefaultWarmup != nil {
 		warmup = *cfg.DefaultWarmup
-	}
-	var traceCache *experiments.TraceCache
-	if cfg.TraceCacheBytes >= 0 {
-		traceCache = experiments.NewTraceCache(cfg.TraceCacheBytes)
 	}
 	var warmCache *experiments.WarmCache
 	if cfg.WarmCacheBytes >= 0 {
@@ -186,17 +153,13 @@ func New(cfg Config) *Server {
 			WarmupSet:       true,
 			Seed:            cfg.DefaultSeed,
 			Parallelism:     cfg.Workers,
-			Out:             expOut,
 			TraceCacheBytes: cfg.TraceCacheBytes,
-			TraceCache:      traceCache,
 		}),
-		expOut:     expOut,
-		traceCache: traceCache,
-		warmCache:  warmCache,
-		baseCtx:    ctx,
-		cancel:     cancel,
-		jobs:       make(map[string]*Job),
-		pending:    make(map[string]*Job),
+		warmCache: warmCache,
+		baseCtx:   ctx,
+		cancel:    cancel,
+		jobs:      make(map[string]*Job),
+		pending:   make(map[string]*Job),
 	}
 	return s
 }
@@ -207,9 +170,11 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // Store exposes the result store.
 func (s *Server) Store() *Store { return s.store }
 
-// TraceCacheStats snapshots the shared trace materialization cache; all
-// zeros when the cache is disabled.
-func (s *Server) TraceCacheStats() experiments.TraceCacheStats { return s.traceCache.Stats() }
+// TraceCacheStats snapshots the experiment suite's trace materialization
+// cache; all zeros when the cache is disabled.
+func (s *Server) TraceCacheStats() experiments.TraceCacheStats {
+	return s.expSuite.TraceCache().Stats()
+}
 
 // WarmCacheStats snapshots the shared warm-state snapshot cache; all zeros
 // when the cache is disabled.
@@ -376,8 +341,7 @@ func (s *Server) runJob(j *Job) {
 		WarmupSet:       true,
 		Seed:            j.Spec.Seed,
 		Parallelism:     1,
-		TraceCacheBytes: s.cfg.TraceCacheBytes,
-		TraceCache:      s.traceCache,
+		TraceCacheBytes: -1, // a job replays no other job's stream
 		WarmCache:       s.warmCache,
 		Progress: func(_ string, done uint64) {
 			j.progress.Store(done)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -347,6 +348,70 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "Figure 1") && len(bytes.TrimSpace(raw)) == 0 {
 		t.Errorf("fig1 render empty or unrecognizable:\n%s", raw)
+	}
+}
+
+// TestExperimentRendersAgree: renders only read the memo, so four
+// concurrent requests for Fig. 1 and a later one print the same table.
+// The runs are long enough for the L3 to evict lines, so counting the
+// resident lines twice would change the printed fractions.
+func TestExperimentRendersAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the fig1 workload set")
+	}
+	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, DefaultAccesses: 40_000}, nil)
+	get := func() (string, error) {
+		resp, err := http.Get(ts.URL + "/v1/experiments/fig1")
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err == nil && resp.StatusCode != http.StatusOK {
+			err = fmt.Errorf("status %d: %s", resp.StatusCode, raw)
+		}
+		return string(raw), err
+	}
+	bodies := make([]string, 5)
+	errs := make([]error, 5)
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			bodies[i], errs[i] = get()
+		}()
+	}
+	wg.Wait()
+	bodies[4], errs[4] = get()
+	for i := range bodies {
+		if errs[i] != nil {
+			t.Fatalf("GET fig1 #%d: %v", i, errs[i])
+		}
+		if bodies[i] != bodies[0] {
+			t.Errorf("GET fig1 #%d differs from #0:\n%s\nvs\n%s", i, bodies[i], bodies[0])
+		}
+	}
+}
+
+// TestJobsRecordNoTraces: every job brings its own stream, so a job
+// records no trace, and a second policy over the same workload and seed
+// generates its stream again. The daemon's trace cache belongs to the
+// /v1/experiments suite and stays empty.
+func TestJobsRecordNoTraces(t *testing.T) {
+	srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 4}, nil)
+	for _, pol := range []string{"slip+abp", "slip"} {
+		body := fmt.Sprintf(`{"workload":"milc","policy":%q,"accesses":5000,"warmup":5000,"seed":7}`, pol)
+		code, v, _ := postRun(t, ts, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d, want 202", pol, code)
+		}
+		if done := pollJob(t, ts, v.ID); done.State != StateCompleted {
+			t.Fatalf("%s finished %s (%s), want completed", pol, done.State, done.Error)
+		}
+	}
+	if st := srv.TraceCacheStats(); st.Misses != 0 || st.Hits != 0 || st.Bytes != 0 {
+		t.Errorf("trace cache after two jobs = %+v, want no lookups and no bytes", st)
 	}
 }
 

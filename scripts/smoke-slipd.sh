@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke test for the slipd daemon: build, start, health-check, submit one
 # run, poll to completion, assert a non-empty result, verify the result
-# store answers an identical POST, check the trace cache, the warm-state
-# snapshot cache and the pprof listener, and drain cleanly on SIGTERM.
+# store answers an identical POST, check that jobs record no traces while
+# the experiments suite's trace cache replays, the warm-state snapshot
+# cache and the pprof listener, and drain cleanly on SIGTERM.
 set -euo pipefail
 
 ADDR="${SLIPD_ADDR:-127.0.0.1:18080}"
@@ -59,9 +60,12 @@ echo "$METRICS" | grep -q '^slipd_result_cache_hits_total 1$' || {
 }
 echo "result store hit confirmed via /metrics"
 
-# A different policy over the same workload/seed must replay the already
-# materialized trace: the trace cache reports the first job's miss and this
-# job's hit, with a non-zero retained footprint.
+# Jobs record no traces: each brings its own stream (its seed and measured
+# window are part of the trace key), so a different policy over the same
+# workload and seed generates its stream again and never looks up the trace
+# cache. That cache belongs to the /v1/experiments suite, whose H-tree runs
+# replay the baseline runs' streams: after one render it reports hits and
+# a non-zero retained footprint.
 REQ2='{"workload":"milc","policy":"slip","seed":7}'
 ID2=$(curl -fsS -X POST -d "$REQ2" "$BASE/v1/runs" | sed -n 's/.*"id":"\([0-9a-f]*\)".*/\1/p')
 [ -n "$ID2" ] || { echo "no job id for second policy"; exit 1; }
@@ -74,16 +78,20 @@ for _ in $(seq 1 300); do
   sleep 0.2
 done
 METRICS=$(curl -fsS "$BASE/metrics")
-echo "$METRICS" | grep -Eq '^slip_trace_cache_hits [1-9]' || {
-  echo "no trace cache hit in /metrics"; exit 1
+echo "$METRICS" | grep -q '^slip_trace_cache_misses 0$' || {
+  echo "a job recorded a trace per /metrics"; exit 1
 }
-echo "$METRICS" | grep -Eq '^slip_trace_cache_misses [1-9]' || {
-  echo "no trace cache miss in /metrics"; exit 1
+echo "jobs recorded no traces"
+HTREE=$(curl -fsS "$BASE/v1/experiments/htree")
+echo "$HTREE" | grep -q 'H-tree' || { echo "htree render unrecognizable: $HTREE"; exit 1; }
+METRICS=$(curl -fsS "$BASE/metrics")
+echo "$METRICS" | grep -Eq '^slip_trace_cache_hits [1-9]' || {
+  echo "no trace cache hit after the htree render"; exit 1
 }
 echo "$METRICS" | grep -Eq '^slip_trace_cache_bytes [1-9]' || {
-  echo "trace cache retains no bytes per /metrics"; exit 1
+  echo "trace cache retains no bytes after the htree render"; exit 1
 }
-echo "trace cache hit/miss/bytes confirmed via /metrics"
+echo "experiments trace cache hit/bytes confirmed via /metrics"
 
 # A run repeating an earlier job's warmup identity — same workload, policy,
 # seed and warmup, different measured window — must start from the cached
