@@ -29,16 +29,21 @@ func benchOpts() experiments.Options {
 }
 
 // BenchmarkSimulatorThroughput measures raw accesses/second through the
-// full SLIP system (the cost of Table 1's machinery per reference). It
-// drives hier.System.Run, the production loop, so the per-batch evidence
-// fold and the EOU run exactly as they do in every simulation.
+// full system, one sub-benchmark per registered policy (the cost of each
+// policy's machinery per reference). It drives hier.System.Run, the
+// production loop, so the per-batch evidence fold and the EOU run exactly
+// as they do in every simulation.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, _ := workloads.ByName("soplex")
-	sys := hier.New(hier.Config{Policy: hier.SLIPABP, Seed: 1})
-	src := spec.Build(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	sys.Run(trace.Limit(src, uint64(b.N)))
+	for _, p := range hier.AllPolicies() {
+		b.Run(p.String(), func(b *testing.B) {
+			sys := hier.New(hier.Config{Policy: p, Seed: 1})
+			src := spec.Build(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			sys.Run(trace.Limit(src, uint64(b.N)))
+		})
+	}
 }
 
 // BenchmarkTraceReplay measures decoding the materialized trace encoding —

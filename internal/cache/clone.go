@@ -1,75 +1,60 @@
 package cache
 
-import "repro/internal/mem"
+import "unsafe"
 
-// Clone returns a deep copy of the level: sets, packed tag/valid arrays,
-// replacement state, movement queue and statistics are all duplicated so the
-// copy can be driven independently (and concurrently) of the original. The
-// immutable pieces — Config, energy params and the reuse-distance estimator,
-// none of which mutate after New — are shared. This is the primitive behind
-// warm-state snapshots: capture a level once after warmup, then hand each
-// measured run its own copy.
+// Clone returns a deep copy of the level: lines, fingerprint/valid/demoted
+// arrays, replacement state, movement queue and statistics are all
+// duplicated so the copy can be driven independently (and concurrently) of
+// the original. The immutable pieces — Config, energy params, the sublevel
+// masks and the reuse-distance estimator, none of which mutate after New —
+// are shared. This is the primitive behind warm-state snapshots: capture a
+// level once after warmup, then hand each measured run its own copy.
 func (l *Level) Clone() *Level {
-	c := &Level{
-		cfg:     l.cfg,
-		name:    l.name,
-		numSets: l.numSets,
-		ways:    l.ways,
-		repl:    l.repl.Clone(),
-		mq:      l.mq.Clone(),
-		est:     l.est,
-		T:       l.T,
-		Stats:   l.Stats,
-	}
-	c.sets = make([][]Line, len(l.sets))
-	lines := make([]Line, l.numSets*l.ways)
-	for i := range l.sets {
-		row := lines[i*l.ways : (i+1)*l.ways : (i+1)*l.ways]
-		copy(row, l.sets[i])
-		c.sets[i] = row
-	}
-	c.tags = append([]mem.LineAddr(nil), l.tags...)
+	c := *l
+	c.lines = append([]Line(nil), l.lines...)
+	c.fp = append([]uint8(nil), l.fp...)
 	c.valid = append([]WayMask(nil), l.valid...)
+	c.demoted = append([]WayMask(nil), l.demoted...)
+	c.repl = l.repl.Clone()
+	c.mq = l.mq.Clone()
 	c.Stats.HitsPerSublevel = append([]uint64(nil), l.Stats.HitsPerSublevel...)
-	return c
+	return &c
 }
 
-// SizeBytes estimates the retained footprint of a cloned level, charged by
-// byte-budgeted snapshot caches.
+// SizeBytes returns the retained footprint of a cloned level — every array
+// the clone copies, at its real length — charged by byte-budgeted snapshot
+// caches.
 func (l *Level) SizeBytes() int {
-	per := 48 // Line struct + tag + stamp/rrpv amortized
-	return l.numSets*l.ways*per + len(l.valid)*8
+	n := int(unsafe.Sizeof(*l)) +
+		len(l.lines)*int(unsafe.Sizeof(Line{})) +
+		len(l.fp) +
+		(len(l.valid)+len(l.demoted))*int(unsafe.Sizeof(WayMask(0))) +
+		len(l.Stats.HitsPerSublevel)*8 +
+		l.mq.sizeBytes()
+	switch r := l.repl.(type) {
+	case *lru:
+		n += int(unsafe.Sizeof(*r)) + len(r.order)*8
+	case *rrip:
+		n += int(unsafe.Sizeof(*r)) + len(r.rrpv)
+	}
+	return n
 }
 
 // Clone implements Repl.
 func (l *lru) Clone() Repl {
-	c := &lru{clock: l.clock}
-	c.stamp = make([][]uint64, len(l.stamp))
-	flat := make([]uint64, 0, len(l.stamp)*len(l.stamp[0]))
-	for i, row := range l.stamp {
-		flat = append(flat, row...)
-		c.stamp[i] = flat[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
-	}
-	return c
+	return &lru{order: append([]uint64(nil), l.order...), ways: l.ways}
 }
 
 // Clone implements Repl.
 func (r *rrip) Clone() Repl {
-	c := &rrip{max: r.max}
-	c.rrpv = make([][]uint8, len(r.rrpv))
-	flat := make([]uint8, 0, len(r.rrpv)*len(r.rrpv[0]))
-	for i, row := range r.rrpv {
-		flat = append(flat, row...)
-		c.rrpv[i] = flat[i*len(row) : (i+1)*len(row) : (i+1)*len(row)]
-	}
-	return c
+	return &rrip{rrpv: append([]uint8(nil), r.rrpv...), ways: r.ways, max: r.max}
 }
 
 // Clone returns an independent copy of the queue, in-flight entries
-// included.
+// included, with the same fixed storage.
 func (q *MovementQueue) Clone() *MovementQueue {
 	c := *q
-	c.entries = append([]uint64(nil), q.entries...)
+	c.entries = append(make([]uint64, 0, q.capacity), q.entries...)
 	return &c
 }
 
@@ -80,4 +65,14 @@ func (b *MQBank) Clone() *MQBank {
 		c.lanes[g] = q.Clone()
 	}
 	return c
+}
+
+// sizeBytes returns the bank's footprint: the lanes and their fixed
+// entry storage.
+func (b *MQBank) sizeBytes() int {
+	n := int(unsafe.Sizeof(*b))
+	for _, q := range b.lanes {
+		n += int(unsafe.Sizeof(*q)) + q.capacity*8
+	}
+	return n
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -21,15 +22,16 @@ type Meta struct {
 	Sampling bool
 }
 
-// Line is one cache line's state.
+// Line is one cache line's state. The fields are ordered so a Line packs
+// into 24 bytes.
 type Line struct {
-	Valid bool
-	Addr  mem.LineAddr
-	Dirty bool
-	Meta  Meta
+	Addr mem.LineAddr
 	// Reuses counts hits since insertion into this level (for the Figure 1
 	// reuse-number breakdown).
 	Reuses uint32
+	Meta   Meta
+	Valid  bool
+	Dirty  bool
 	// Demoted marks lines that have been moved to a farther sublevel;
 	// LRU-PEA preferentially evicts such lines.
 	Demoted bool
@@ -115,20 +117,28 @@ func (s *Stats) Reset() {
 type Level struct {
 	cfg     Config
 	name    string
-	sets    [][]Line
 	numSets int
 	ways    int
-	repl    Repl
-	mq      *MQBank
-	est     *core.RDEstimator
-	// tags is the packed tag array: tags[set*ways+way] mirrors
-	// sets[set][way].Addr. Lookups scan this contiguous row instead of the
-	// much larger Line structs, so a 16-way probe touches two cache lines
-	// instead of eight.
-	tags []mem.LineAddr
+	// lines holds every line, lines[set*ways+way].
+	lines []Line
+	// fp is the tag fingerprint array: fp[set*fpStride+way] is the
+	// fingerprint of lines[set*ways+way].Addr (see fingerprint). Rows are
+	// padded to whole 8-byte words so findWay probes eight ways per word
+	// and reads a Line only on a fingerprint match.
+	fp       []uint8
+	fpStride int
+	setBits  uint
 	// valid mirrors per-line Valid bits as one mask per set, letting lookup
 	// and victim selection skip invalid ways with bit arithmetic.
 	valid []WayMask
+	// demoted mirrors the Demoted bits of each set's valid lines, so
+	// VictimPrefer finds LRU-PEA's preferred victims with one AND.
+	demoted []WayMask
+	// cum[i] is the way mask of the sublevels below i (len sublevels+1).
+	cum  []WayMask
+	repl Repl
+	mq   *MQBank
+	est  *core.RDEstimator
 	// T holds one access counter per line-address group, driving the
 	// Section 4.1 timestamps group-locally. A group's counter advances only
 	// on that group's traffic, so it is identical whether the group ran in
@@ -139,12 +149,17 @@ type Level struct {
 	Stats Stats
 }
 
-// New builds a level from cfg.
+// New builds a level from cfg. It panics on a geometry the level cannot
+// hold: a capacity that is not whole sets of lines, a set count that is
+// not a power of two, or more than 16 ways.
 func New(cfg Config) *Level {
 	if cfg.Params == nil {
 		panic("cache: Config.Params is required")
 	}
 	ways := cfg.Params.NumWays()
+	if ways > maxLRUWays {
+		panic(fmt.Sprintf("cache: %d ways exceeds the %d-way limit", ways, maxLRUWays))
+	}
 	if cfg.Bytes == 0 || cfg.Bytes%(uint64(ways)*mem.LineBytes) != 0 {
 		panic(fmt.Sprintf("cache: capacity %d not divisible into %d ways of lines", cfg.Bytes, ways))
 	}
@@ -153,17 +168,23 @@ func New(cfg Config) *Level {
 		panic(fmt.Sprintf("cache: set count %d must be a power of two", numSets))
 	}
 	l := &Level{
-		cfg:     cfg,
-		name:    cfg.Params.Name,
-		numSets: numSets,
-		ways:    ways,
+		cfg:      cfg,
+		name:     cfg.Params.Name,
+		numSets:  numSets,
+		ways:     ways,
+		lines:    make([]Line, numSets*ways),
+		fpStride: (ways + 7) &^ 7,
+		setBits:  uint(bits.TrailingZeros(uint(numSets))),
+		valid:    make([]WayMask, numSets),
+		demoted:  make([]WayMask, numSets),
 	}
-	l.sets = make([][]Line, numSets)
-	for i := range l.sets {
-		l.sets[i] = make([]Line, ways)
+	l.fp = make([]uint8, numSets*l.fpStride)
+	l.cum = make([]WayMask, len(cfg.Params.SublevelWays)+1)
+	first := 0
+	for i, n := range cfg.Params.SublevelWays {
+		first += n
+		l.cum[i+1] = WayMask(1)<<first - 1
 	}
-	l.tags = make([]mem.LineAddr, numSets*ways)
-	l.valid = make([]WayMask, numSets)
 	if cfg.UseRRIP {
 		l.repl = NewRRIP(numSets, ways, 2)
 	} else {
@@ -215,26 +236,24 @@ func (l *Level) SetOf(a mem.LineAddr) int {
 }
 
 // SublevelMask returns the way mask of sublevel i.
-func (l *Level) SublevelMask(i int) WayMask {
-	first := 0
-	for k := 0; k < i; k++ {
-		first += l.cfg.Params.SublevelWays[k]
-	}
-	return RangeMask(first, first+l.cfg.Params.SublevelWays[i]-1)
-}
+func (l *Level) SublevelMask(i int) WayMask { return l.cum[i+1] &^ l.cum[i] }
 
 // ChunkMask returns the way mask for a chunk spanning sublevels
-// [first, last].
-func (l *Level) ChunkMask(first, last int) WayMask {
-	var m WayMask
-	for s := first; s <= last; s++ {
-		m |= l.SublevelMask(s)
-	}
-	return m
-}
+// [first, last]; it is empty when last < first.
+func (l *Level) ChunkMask(first, last int) WayMask { return l.cum[last+1] &^ l.cum[first] }
 
 // LineAt returns a copy of the line at (set, way).
-func (l *Level) LineAt(set, way int) Line { return l.sets[set][way] }
+func (l *Level) LineAt(set, way int) Line { return l.lines[set*l.ways+way] }
+
+// line returns the line at (set, way) for update.
+func (l *Level) line(set, way int) *Line { return &l.lines[set*l.ways+way] }
+
+// fingerprint hashes the tag of a (the address bits above the set index)
+// to the byte findWay compares. The multiplicative hash keeps strided
+// streams, whose tags share their low bits, from sharing one fingerprint.
+func (l *Level) fingerprint(a mem.LineAddr) uint8 {
+	return uint8((uint64(a) >> l.setBits) * 0x9e3779b97f4a7c15 >> 56)
+}
 
 // chargeMeta adds the per-line metadata access energy when enabled.
 func (l *Level) chargeMeta() {
@@ -279,7 +298,7 @@ func (l *Level) Access(a mem.LineAddr, store bool) AccessResult {
 	l.Stats.Accesses.Inc()
 	l.chargeMQ(g)
 	if w := l.findWay(set, a); w >= 0 {
-		ln := &l.sets[set][w]
+		ln := l.line(set, w)
 		l.Stats.Hits.Inc()
 		sub := l.cfg.Params.WaySublevel(w)
 		l.Stats.HitsPerSublevel[sub]++
@@ -300,14 +319,29 @@ func (l *Level) Access(a mem.LineAddr, store bool) AccessResult {
 	return AccessResult{Hit: false, Set: set}
 }
 
-// findWay returns the way holding line a in set, or -1. It scans the packed
-// tag row restricted to valid ways — the innermost loop of the simulator.
+// Byte-broadcast constants for the SWAR zero-byte test.
+const (
+	byteOnes = 0x0101010101010101
+	byteHigh = 0x8080808080808080
+)
+
+// findWay returns the way holding line a in set, or -1 — the innermost
+// loop of the simulator. It compares a's fingerprint against eight ways
+// per word: the zero-byte test on row^broadcast(fp) flags every matching
+// byte (plus, rarely, a 0x01 byte above one), and each flagged way is
+// verified against the valid mask and the line's full address. A miss
+// usually reads one or two words and no Line.
 func (l *Level) findWay(set int, a mem.LineAddr) int {
-	row := l.tags[set*l.ways : set*l.ways+l.ways]
-	for v := uint32(l.valid[set]); v != 0; v &= v - 1 {
-		w := bits.TrailingZeros32(v)
-		if row[w] == a {
-			return w
+	pat := uint64(l.fingerprint(a)) * byteOnes
+	valid := l.valid[set]
+	row := l.fp[set*l.fpStride : (set+1)*l.fpStride]
+	for base := 0; base < len(row); base += 8 {
+		x := binary.LittleEndian.Uint64(row[base:]) ^ pat
+		for m := (x - byteOnes) &^ x & byteHigh; m != 0; m &= m - 1 {
+			w := base + bits.TrailingZeros64(m)>>3
+			if valid.Has(w) && l.lines[set*l.ways+w].Addr == a {
+				return w
+			}
 		}
 	}
 	return -1
@@ -335,25 +369,17 @@ func (l *Level) VictimIn(set int, mask WayMask) int {
 	return l.repl.Victim(set, mask)
 }
 
-// VictimPrefer picks a victim within mask like VictimIn, but when any valid
-// line in the mask satisfies pred, the replacement choice is restricted to
-// those lines — the mechanism behind LRU-PEA's preferential eviction of
-// demoted lines.
-func (l *Level) VictimPrefer(set int, mask WayMask, pred func(Line) bool) int {
+// VictimPrefer picks a victim within mask like VictimIn, but when any line
+// in the mask is demoted, the replacement choice is restricted to the
+// demoted lines — the mechanism behind LRU-PEA's preferential eviction.
+func (l *Level) VictimPrefer(set int, mask WayMask) int {
 	if mask == 0 {
 		panic("cache: VictimPrefer with empty mask")
 	}
 	if free := mask &^ l.valid[set]; free != 0 {
 		return bits.TrailingZeros32(uint32(free))
 	}
-	var preferred WayMask
-	for v := uint32(mask); v != 0; v &= v - 1 {
-		w := bits.TrailingZeros32(v)
-		if pred(l.sets[set][w]) {
-			preferred |= 1 << w
-		}
-	}
-	if preferred != 0 {
+	if preferred := mask & l.demoted[set]; preferred != 0 {
 		return l.repl.Victim(set, preferred)
 	}
 	return l.repl.Victim(set, mask)
@@ -361,10 +387,20 @@ func (l *Level) VictimPrefer(set int, mask WayMask, pred func(Line) bool) int {
 
 // MarkDemoted sets the demotion flag on the line at (set, way).
 func (l *Level) MarkDemoted(set, way int, demoted bool) {
-	if !l.sets[set][way].Valid {
+	ln := l.line(set, way)
+	if !ln.Valid {
 		panic("cache: marking an invalid line")
 	}
-	l.sets[set][way].Demoted = demoted
+	ln.Demoted = demoted
+	l.demoted[set] = l.demoted[set]&^(1<<way) | boolMask(demoted, way)
+}
+
+// boolMask returns the mask of way w when b is set, else 0.
+func boolMask(b bool, w int) WayMask {
+	if b {
+		return 1 << w
+	}
+	return 0
 }
 
 // Fill installs line a at (set, way), returning the displaced line (whose
@@ -372,12 +408,13 @@ func (l *Level) MarkDemoted(set, way int, demoted bool) {
 // movement energy (insertions count as movement in Figure 11); the caller
 // handles the displaced line per its own policy.
 func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evicted Line) {
-	ln := &l.sets[set][way]
+	ln := l.line(set, way)
 	evicted = *ln
 	meta.TL = l.est.Stamp(l.T[GroupOf(set)])
 	*ln = Line{Valid: true, Addr: a, Dirty: dirty, Meta: meta}
-	l.tags[set*l.ways+way] = a
+	l.fp[set*l.fpStride+way] = l.fingerprint(a)
 	l.valid[set] |= 1 << way
+	l.demoted[set] &^= 1 << way
 	l.Stats.Fills.Inc()
 	l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[way])
 	l.chargeMeta()
@@ -390,7 +427,7 @@ func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evict
 // line at the destination is returned for the caller to handle. It reports
 // whether the queue stalled.
 func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
-	src := &l.sets[set][from]
+	src := l.line(set, from)
 	if !src.Valid {
 		panic("cache: moving an invalid line")
 	}
@@ -399,11 +436,13 @@ func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
 	}
 	moved := *src
 	src.Valid = false
-	dst := &l.sets[set][to]
+	dst := l.line(set, to)
 	displaced = *dst
 	*dst = moved
-	l.tags[set*l.ways+to] = moved.Addr
+	row := l.fp[set*l.fpStride:]
+	row[to] = row[from]
 	l.valid[set] = l.valid[set]&^(1<<from) | 1<<to
+	l.demoted[set] = l.demoted[set]&^(1<<from|1<<to) | boolMask(moved.Demoted, to)
 	l.Stats.Movements.Inc()
 	l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[from] + l.cfg.Params.WayAccessPJ[to])
 	l.chargeMeta()
@@ -422,13 +461,14 @@ func (l *Level) Swap(set, w1, w2 int) (stalled bool) {
 	if w1 == w2 {
 		panic("cache: swapping a way with itself")
 	}
-	a, b := &l.sets[set][w1], &l.sets[set][w2]
+	a, b := l.line(set, w1), l.line(set, w2)
 	if !a.Valid || !b.Valid {
 		panic("cache: swapping an invalid line")
 	}
 	*a, *b = *b, *a
-	i1, i2 := set*l.ways+w1, set*l.ways+w2
-	l.tags[i1], l.tags[i2] = l.tags[i2], l.tags[i1]
+	row := l.fp[set*l.fpStride:]
+	row[w1], row[w2] = row[w2], row[w1]
+	l.demoted[set] = l.demoted[set]&^(1<<w1|1<<w2) | boolMask(a.Demoted, w1) | boolMask(b.Demoted, w2)
 	l.Stats.Movements.Add(2)
 	l.Stats.MovementPJ.AddPJ(2 * (l.cfg.Params.WayAccessPJ[w1] + l.cfg.Params.WayAccessPJ[w2]))
 	l.chargeMeta()
@@ -464,7 +504,7 @@ func (l *Level) NoteBypass() { l.Stats.Bypasses.Inc() }
 func (l *Level) WritebackTo(a mem.LineAddr) bool {
 	set := l.SetOf(a)
 	if w := l.findWay(set, a); w >= 0 {
-		l.sets[set][w].Dirty = true
+		l.line(set, w).Dirty = true
 		l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[w])
 		l.chargeMeta()
 		return true
@@ -482,10 +522,11 @@ func (l *Level) Invalidate(a mem.LineAddr) (Line, bool) {
 		l.Stats.MetadataPJ.AddPJ(l.mq.Lookup(g, l.T[g]))
 	}
 	if w := l.findWay(set, a); w >= 0 {
-		ln := &l.sets[set][w]
+		ln := l.line(set, w)
 		out := *ln
 		ln.Valid = false
 		l.valid[set] &^= 1 << w
+		l.demoted[set] &^= 1 << w
 		return out, true
 	}
 	return Line{}, false
@@ -494,11 +535,9 @@ func (l *Level) Invalidate(a mem.LineAddr) (Line, bool) {
 // ForEachLine visits every valid line (for end-of-run statistics such as
 // Figure 1's resident-line reuse counts).
 func (l *Level) ForEachLine(f func(set, way int, ln Line)) {
-	for s := range l.sets {
-		for w := range l.sets[s] {
-			if l.sets[s][w].Valid {
-				f(s, w, l.sets[s][w])
-			}
+	for i, ln := range l.lines {
+		if ln.Valid {
+			f(i/l.ways, i%l.ways, ln)
 		}
 	}
 }

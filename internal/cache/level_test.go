@@ -2,6 +2,7 @@ package cache
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/energy"
 	"repro/internal/mem"
@@ -390,5 +391,200 @@ func TestRRIPLevelConstruction(t *testing.T) {
 	l := New(Config{Params: energy.L2Params45(), Bytes: 256 * mem.KB, UseRRIP: true})
 	if l.Repl().Name() != "rrip" {
 		t.Error("UseRRIP ignored")
+	}
+}
+
+// wideParams returns hand-built uniform params for a level of the given
+// way count in one sublevel.
+func wideParams(ways int) *energy.LevelParams {
+	p := &energy.LevelParams{
+		Name:            "wide",
+		SublevelWays:    []int{ways},
+		SublevelPJ:      []float64{1},
+		SublevelLatency: []int{1},
+		WayAccessPJ:     make([]float64, ways),
+		WayLatency:      make([]int, ways),
+	}
+	if err := p.Validate(); err != nil {
+		panic(err)
+	}
+	return p
+}
+
+func TestNewRejectsMoreThan16Ways(t *testing.T) {
+	for _, rrip := range []bool{false, true} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a 17-way level (rrip %v) did not panic", rrip)
+				}
+			}()
+			New(Config{Params: wideParams(17), Bytes: 64 * 17 * mem.LineBytes, UseRRIP: rrip})
+		}()
+	}
+}
+
+// sameFingerprint returns n addresses of set that share one fingerprint
+// byte but have distinct tags.
+func sameFingerprint(l *Level, set, n int) []mem.LineAddr {
+	first := mem.LineAddr(uint64(1)<<l.setBits | uint64(set))
+	out := []mem.LineAddr{first}
+	for tag := uint64(2); len(out) < n; tag++ {
+		a := mem.LineAddr(tag<<l.setBits | uint64(set))
+		if l.fingerprint(a) == l.fingerprint(first) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// TestFingerprintCollisionsResolve fills one set with lines whose tags
+// differ but whose fingerprints collide; every lookup must still resolve
+// to the right way by its full address.
+func TestFingerprintCollisionsResolve(t *testing.T) {
+	l := testLevel(false)
+	const set = 17
+	as := sameFingerprint(l, set, 4)
+	a, b, c, absent := as[0], as[1], as[2], as[3]
+	l.Fill(set, 3, a, false, Meta{})
+	l.Fill(set, 9, b, false, Meta{})
+	l.Fill(set, 15, c, false, Meta{})
+	for _, tc := range []struct {
+		a   mem.LineAddr
+		way int
+	}{{a, 3}, {b, 9}, {c, 15}} {
+		if r := l.Access(tc.a, false); !r.Hit || r.Way != tc.way {
+			t.Errorf("Access(%#x) = hit %v way %d, want way %d", uint64(tc.a), r.Hit, r.Way, tc.way)
+		}
+		if w, hit := l.Probe(tc.a); !hit || w != tc.way {
+			t.Errorf("Probe(%#x) = way %d hit %v, want way %d", uint64(tc.a), w, hit, tc.way)
+		}
+	}
+	if _, hit := l.Probe(absent); hit {
+		t.Error("an absent line with a colliding fingerprint hit")
+	}
+	if l.WritebackTo(absent) {
+		t.Error("writeback matched an absent line with a colliding fingerprint")
+	}
+	if !l.WritebackTo(b) || !l.LineAt(set, 9).Dirty || l.LineAt(set, 3).Dirty || l.LineAt(set, 15).Dirty {
+		t.Error("writeback dirtied the wrong colliding line")
+	}
+	if ln, ok := l.Invalidate(a); !ok || ln.Addr != a {
+		t.Errorf("Invalidate(a) = %+v ok=%v", ln, ok)
+	}
+	// a's fingerprint byte is still in the row, but its way is invalid.
+	if _, hit := l.Probe(a); hit {
+		t.Error("invalidated line still hits through its stale fingerprint")
+	}
+	if w, hit := l.Probe(c); !hit || w != 15 {
+		t.Errorf("Probe(c) after invalidating a = way %d hit %v", w, hit)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFingerprintRowPadding runs a 12-way level, whose fingerprint rows
+// are padded to 16 bytes: the padding bytes are zero, so an address whose
+// fingerprint is zero must still miss and hit only real ways.
+func TestFingerprintRowPadding(t *testing.T) {
+	l := New(Config{Params: wideParams(12), Bytes: 64 * 12 * mem.LineBytes})
+	const set = 5
+	var zero mem.LineAddr
+	for tag := uint64(1); ; tag++ {
+		if a := mem.LineAddr(tag<<l.setBits | set); l.fingerprint(a) == 0 {
+			zero = a
+			break
+		}
+	}
+	if _, hit := l.Probe(zero); hit {
+		t.Fatal("a zero fingerprint hit an empty set's padding")
+	}
+	for w := 0; w < 12; w++ {
+		l.Fill(set, w, mem.LineAddr(uint64(w+100)<<l.setBits|set), false, Meta{})
+	}
+	if _, hit := l.Probe(zero); hit {
+		t.Error("a zero fingerprint hit a full set's padding")
+	}
+	for w := 0; w < 12; w++ {
+		if got, hit := l.Probe(mem.LineAddr(uint64(w+100)<<l.setBits | set)); !hit || got != w {
+			t.Errorf("way %d: probe = way %d hit %v", w, got, hit)
+		}
+	}
+}
+
+// TestDemotedMaskFollowsLines moves, swaps, refills and invalidates
+// demoted lines and checks that VictimPrefer sees the demotion wherever
+// the line went.
+func TestDemotedMaskFollowsLines(t *testing.T) {
+	l := testLevel(true)
+	const set = 3
+	for w := 0; w < 16; w++ {
+		l.Fill(set, w, mem.LineAddr(uint64(w+1)<<l.setBits|set), false, Meta{})
+	}
+	near := RangeMask(0, 3)
+	l.MarkDemoted(set, 2, true)
+	if v := l.VictimPrefer(set, near); v != 2 {
+		t.Errorf("victim = %d, want demoted way 2", v)
+	}
+	l.Swap(set, 2, 12) // the demoted line travels to way 12
+	if v := l.VictimPrefer(set, near); v == 2 {
+		t.Error("demotion stayed behind at way 2 after a swap")
+	}
+	if v := l.VictimPrefer(set, RangeMask(8, 15)); v != 12 {
+		t.Errorf("victim = %d, want demoted way 12", v)
+	}
+	ln, _ := l.Invalidate(l.LineAt(set, 13).Addr)
+	l.Move(set, 12, 13) // and on to way 13, the most recently used
+	if v := l.VictimPrefer(set, RangeMask(13, 15)); v != 13 {
+		t.Errorf("victim = %d, want demoted way 13", v)
+	}
+	l.Fill(set, 13, ln.Addr, false, Meta{}) // a fill is never demoted
+	if got := l.demoted[set]; got != 0 {
+		t.Errorf("demoted mask = %v after refill, want empty", got)
+	}
+	if err := l.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption breaks each mirrored structure in
+// turn and requires CheckInvariants to report it.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	const set = 9
+	for name, corrupt := range map[string]func(l *Level){
+		"fingerprint":  func(l *Level) { l.fp[set*l.fpStride+1]++ },
+		"valid mask":   func(l *Level) { l.valid[set] |= 1 << 7 },
+		"demoted mask": func(l *Level) { l.demoted[set] |= 1 << 0 },
+		"duplicate": func(l *Level) {
+			l.lines[set*l.ways+1].Addr = l.lines[set*l.ways].Addr
+			l.fp[set*l.fpStride+1] = l.fp[set*l.fpStride]
+		},
+		"recency word": func(l *Level) { l.repl.(*lru).order[set] ^= 1 },
+	} {
+		l := testLevel(false)
+		for w := 0; w < 4; w++ {
+			l.Fill(set, w, mem.LineAddr(uint64(w+1)<<l.setBits|set), false, Meta{})
+		}
+		if err := l.CheckInvariants(); err != nil {
+			t.Fatalf("%s: clean level fails: %v", name, err)
+		}
+		corrupt(l)
+		if l.CheckInvariants() == nil {
+			t.Errorf("%s corruption went unreported", name)
+		}
+	}
+}
+
+// TestSizeBytesCoversArrays pins the snapshot size charge to at least
+// the arrays a clone copies.
+func TestSizeBytesCoversArrays(t *testing.T) {
+	l := testLevel(false)
+	lines := 256 * 16
+	if floor := lines*int(unsafe.Sizeof(Line{})) + lines + lines/16*8; l.SizeBytes() < floor {
+		t.Errorf("SizeBytes = %d, below the %d bytes of lines, fingerprints and recency words", l.SizeBytes(), floor)
+	}
+	if got := unsafe.Sizeof(Line{}); got != 24 {
+		t.Errorf("Line is %d bytes, want 24", got)
 	}
 }

@@ -11,7 +11,8 @@ type MovementQueue struct {
 	// drainAge is how many subsequent level accesses a movement occupies an
 	// entry for (the read+write service time expressed in accesses).
 	drainAge uint64
-	// entries holds the access-counter values at which entries free up.
+	// entries holds the access-counter values at which entries free up,
+	// oldest first, in fixed storage of capacity entries.
 	entries []uint64
 
 	lookups uint64
@@ -28,7 +29,8 @@ func NewMovementQueue(capacity int, drainAge uint64) *MovementQueue {
 	if drainAge < 1 {
 		drainAge = 1
 	}
-	return &MovementQueue{capacity: capacity, drainAge: drainAge}
+	return &MovementQueue{capacity: capacity, drainAge: drainAge,
+		entries: make([]uint64, 0, capacity)}
 }
 
 // drain releases entries that have completed by access-time now.
@@ -62,8 +64,9 @@ func (q *MovementQueue) Enqueue(now uint64) (stalled bool) {
 		q.stalls++
 		stalled = true
 		// The movement still proceeds once the oldest entry drains; model
-		// that by dropping the oldest.
-		q.entries = q.entries[1:]
+		// that by dropping the oldest, in place.
+		n := copy(q.entries, q.entries[1:])
+		q.entries = q.entries[:n]
 	}
 	q.entries = append(q.entries, now+q.drainAge)
 	if len(q.entries) > q.peak {

@@ -61,3 +61,38 @@ func TestMQZeroDrainAgeClamped(t *testing.T) {
 		t.Error("entry never drained")
 	}
 }
+
+// TestMQFixedStorage checks that a queue never allocates once built —
+// not while reaching a new peak, nor when a stall drops the oldest
+// entry — and that a clone keeps the same entries and capacity.
+func TestMQFixedStorage(t *testing.T) {
+	q := NewMovementQueue(4, 10)
+	now := uint64(0)
+	if avg := testing.AllocsPerRun(100, func() {
+		now++
+		q.Enqueue(now)
+		q.Enqueue(now)
+	}); avg != 0 {
+		t.Errorf("Enqueue allocates %.1f times per call pair, want 0", avg)
+	}
+	if q.Stalls() == 0 || q.Peak() != 4 {
+		t.Fatalf("stalls = %d, peak = %d: the queue never filled", q.Stalls(), q.Peak())
+	}
+	// The stall dropped the oldest entries: the four newest remain.
+	want := []uint64{now + 9, now + 9, now + 10, now + 10}
+	for i, e := range q.entries {
+		if e != want[i] {
+			t.Fatalf("entries = %v, want %v", q.entries, want)
+		}
+	}
+	c := q.Clone()
+	c.Enqueue(now)
+	if q.Stalls() == c.Stalls() || q.entries[3] != now+10 {
+		t.Error("clone shares state with the original")
+	}
+	// A clone of a part-full queue keeps the full fixed storage.
+	q.Occupancy(now + 9)
+	if c := q.Clone(); len(c.entries) != 2 || cap(c.entries) != 4 {
+		t.Errorf("clone entries len %d cap %d, want 2/4", len(c.entries), cap(c.entries))
+	}
+}

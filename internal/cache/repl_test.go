@@ -93,3 +93,86 @@ func TestReplNames(t *testing.T) {
 		t.Error("names wrong")
 	}
 }
+
+// stampLRU is the per-line-stamp true LRU the packed recency word
+// replaced, kept as the reference it must agree with: each touch stamps
+// the way from its group's monotone clock, and the victim is the smallest
+// stamp in the mask, ties (never-touched ways, stamp 0) to the lowest way.
+type stampLRU struct {
+	stamp [][]uint64
+	clock [NumGroups]uint64
+}
+
+func newStampLRU(sets, ways int) *stampLRU {
+	s := &stampLRU{stamp: make([][]uint64, sets)}
+	for i := range s.stamp {
+		s.stamp[i] = make([]uint64, ways)
+	}
+	return s
+}
+
+func (s *stampLRU) touch(set, way int) {
+	g := GroupOf(set)
+	s.clock[g]++
+	s.stamp[set][way] = s.clock[g]
+}
+
+func (s *stampLRU) victim(set int, mask WayMask) int {
+	best, bestStamp := -1, ^uint64(0)
+	for _, w := range mask.Ways() {
+		if st := s.stamp[set][w]; best == -1 || st < bestStamp {
+			best, bestStamp = w, st
+		}
+	}
+	return best
+}
+
+// TestLRUMatchesStampReference drives the packed LRU and the stamp
+// reference with the same random hits, fills and masked victim queries —
+// from the first, never-touched state on, with full and partial masks —
+// and requires every victim to agree.
+func TestLRUMatchesStampReference(t *testing.T) {
+	x := uint64(7)
+	rnd := func(n int) int {
+		x = x*6364136223846793005 + 1442695040888963407
+		return int(x>>33) % n
+	}
+	for _, ways := range []int{1, 3, 8, 12, 16} {
+		const sets = 128
+		got, ref := NewLRU(sets, ways), newStampLRU(sets, ways)
+		full := FullMask(ways)
+		for step := 0; step < 50_000; step++ {
+			set := rnd(sets)
+			switch op := rnd(4); {
+			case op == 0:
+				w := rnd(ways)
+				got.OnHit(set, w)
+				ref.touch(set, w)
+			case op == 1:
+				w := rnd(ways)
+				got.OnFill(set, w)
+				ref.touch(set, w)
+			default:
+				mask := full
+				if op == 3 {
+					mask = WayMask(rnd(1<<ways-1) + 1)
+				}
+				if g, r := got.Victim(set, mask), ref.victim(set, mask); g != r {
+					t.Fatalf("%d ways, step %d: set %d mask %v: victim %d, reference %d", ways, step, set, mask, g, r)
+				}
+			}
+		}
+		if err := got.(*lru).checkOrder(0); err != nil {
+			t.Errorf("%d ways: %v", ways, err)
+		}
+	}
+}
+
+func TestLRURejectsWideSets(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("17-way LRU did not panic")
+		}
+	}()
+	NewLRU(1, 17)
+}

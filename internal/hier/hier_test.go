@@ -325,31 +325,36 @@ func TestSLIPWithoutABPNeverBypasses(t *testing.T) {
 	}
 }
 
-// TestAccessZeroAllocs guards the hot path: once its scratch (pend lists,
-// TLB arrays, page table) is warm, the steady-state access path —
-// including the batch-boundary fold — allocates nothing.
+// TestAccessZeroAllocs guards the hot path of every registered policy:
+// once its scratch (pend lists, TLB arrays, page table, movement-queue
+// lanes) is warm, the steady-state access path — including the
+// batch-boundary fold — allocates nothing.
 func TestAccessZeroAllocs(t *testing.T) {
-	s := New(Config{Policy: SLIPABP, Seed: 1})
 	const batchLen = 4096
 	accs := trace.Collect(mixedSource(3), 64*batchLen)
-	idx := 0
-	replayBatch := func() {
-		for j := 0; j < batchLen; j++ {
-			s.Access(0, accs[idx])
-			idx++
-			if idx == len(accs) {
-				idx = 0
+	for _, p := range AllPolicies() {
+		t.Run(p.String(), func(t *testing.T) {
+			s := New(Config{Policy: p, Seed: 1})
+			idx := 0
+			replayBatch := func() {
+				for j := 0; j < batchLen; j++ {
+					s.Access(0, accs[idx])
+					idx++
+					if idx == len(accs) {
+						idx = 0
+					}
+				}
+				s.FoldPending()
 			}
-		}
-		s.FoldPending()
-	}
-	// Warm scratch through one full replay cycle plus change: every page
-	// the loop will ever touch gets its PTE, and the pend lists reach
-	// steady capacity.
-	for i := 0; i < 72; i++ {
-		replayBatch()
-	}
-	if avg := testing.AllocsPerRun(8, replayBatch); avg != 0 {
-		t.Errorf("access+fold path allocates %.1f times per %d-access batch, want 0", avg, batchLen)
+			// Warm scratch through one full replay cycle plus change: every
+			// page the loop will ever touch gets its PTE, and the pend lists
+			// reach steady capacity.
+			for i := 0; i < 72; i++ {
+				replayBatch()
+			}
+			if avg := testing.AllocsPerRun(8, replayBatch); avg != 0 {
+				t.Errorf("access+fold path allocates %.1f times per %d-access batch, want 0", avg, batchLen)
+			}
+		})
 	}
 }

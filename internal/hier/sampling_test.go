@@ -53,6 +53,7 @@ func TestSamplingOffGoldenIdentity(t *testing.T) {
 			if got, want := digestHash(s), golden[p.String()]; got != want {
 				t.Errorf("digest hash = %s, want pre-change golden %s", got, want)
 			}
+			checkLevels(t, s)
 		})
 	}
 }
@@ -70,6 +71,7 @@ func TestSamplingOffGoldenIdentityMix(t *testing.T) {
 	if got := digestHash(s); got != golden {
 		t.Errorf("2-core digest hash = %s, want pre-change golden %s", got, golden)
 	}
+	checkLevels(t, s)
 }
 
 // TestSampleKOneIsOff asserts the escape hatch: SampleK == 1 must be the

@@ -128,10 +128,10 @@ func (n *NuRAPID) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.
 // leaves the level. An empty mask evicts the victim directly.
 func insertWithDemotion(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.Meta, first int, demoteTo cache.WayMask) Outcome {
 	set := l.SetOf(a)
-	way := l.VictimPrefer(set, l.SublevelMask(first), func(ln cache.Line) bool { return ln.Demoted })
+	way := l.VictimPrefer(set, l.SublevelMask(first))
 	var out Outcome
 	if l.LineAt(set, way).Valid && demoteTo != 0 && !demoteTo.Has(way) {
-		dest := l.VictimPrefer(set, demoteTo, func(ln cache.Line) bool { return ln.Demoted })
+		dest := l.VictimPrefer(set, demoteTo)
 		displaced, _ := l.Move(set, way, dest)
 		l.MarkDemoted(set, dest, true)
 		if displaced.Valid {
@@ -175,7 +175,7 @@ func (p *LRUPEA) OnHit(l *cache.Level, set, way int) {
 		return
 	}
 	nearer := l.SublevelMask(sub - 1)
-	victim := l.VictimPrefer(set, nearer, func(ln cache.Line) bool { return ln.Demoted })
+	victim := l.VictimPrefer(set, nearer)
 	if !l.LineAt(set, victim).Valid {
 		l.Move(set, way, victim)
 		return

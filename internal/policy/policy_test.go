@@ -344,7 +344,7 @@ func TestLRUPEAPrefersEvictingDemoted(t *testing.T) {
 		l.Fill(set, w, addrInSet(w), false, cache.Meta{})
 	}
 	l.MarkDemoted(set, 2, true)
-	v := l.VictimPrefer(set, cache.RangeMask(0, 3), func(ln cache.Line) bool { return ln.Demoted })
+	v := l.VictimPrefer(set, cache.RangeMask(0, 3))
 	if v != 2 {
 		t.Errorf("victim = %d, want demoted way 2", v)
 	}

@@ -96,6 +96,15 @@ func (c *Calculator) Observe(l mem.LineAddr) uint64 {
 	return d
 }
 
+// reset empties the calculator without releasing its tables, so it
+// observes a new stream exactly as a fresh calculator of the same size.
+func (c *Calculator) reset() {
+	clear(c.last)
+	clear(c.tree)
+	clear(c.marks)
+	c.now = 0
+}
+
 // Distinct returns the number of distinct lines seen so far.
 func (c *Calculator) Distinct() int { return len(c.last) }
 

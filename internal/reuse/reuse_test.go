@@ -149,3 +149,53 @@ func TestHistogramEmptyAndBadBounds(t *testing.T) {
 	}()
 	NewHistogram([]uint64{10, 5})
 }
+
+// TestResetMatchesFresh checks that a reset calculator, whose tables
+// keep their grown size, measures a new stream — growing again past that
+// size — exactly as a fresh one does.
+func TestResetMatchesFresh(t *testing.T) {
+	c := NewCalculator(2)
+	for i := 0; i < 40; i++ {
+		c.Observe(mem.LineAddr(i % 7))
+	}
+	c.reset()
+	stream := make([]mem.LineAddr, 200)
+	for i := range stream {
+		stream[i] = mem.LineAddr(i * i % 13)
+	}
+	for i, want := range naiveStackDistance(stream) {
+		if d := c.Observe(stream[i]); d != want {
+			t.Fatalf("access %d after reset: d = %d, want %d", i, d, want)
+		}
+	}
+}
+
+// TestWindowedEpochsMatchFreshCalculators checks that resetting the
+// calculator in place at each epoch boundary gives the distances a fresh
+// calculator per epoch gives, and that later epochs allocate nothing.
+func TestWindowedEpochsMatchFreshCalculators(t *testing.T) {
+	const window = 64
+	w := NewWindowed(window)
+	var ref *Calculator
+	x := uint64(1)
+	next := func() mem.LineAddr {
+		x = x*6364136223846793005 + 1442695040888963407
+		return mem.LineAddr(x >> 58) // 64 distinct lines
+	}
+	for i := 0; i < 5*window; i++ {
+		if i%window == 0 {
+			ref = NewCalculator(window)
+		}
+		l := next()
+		if got, want := w.Observe(l), ref.Observe(l); got != want {
+			t.Fatalf("access %d: windowed distance %d, fresh calculator %d", i, got, want)
+		}
+	}
+	if avg := testing.AllocsPerRun(4, func() {
+		for i := 0; i < window; i++ {
+			w.Observe(next())
+		}
+	}); avg != 0 {
+		t.Errorf("an epoch allocates %.1f times, want 0", avg)
+	}
+}

@@ -6,7 +6,7 @@ import (
 
 // Windowed is a bounded-memory stack-distance tracker for online use
 // inside a policy driver: it runs the exact Calculator over fixed-size
-// epochs of `window` accesses and starts a fresh one when an epoch fills.
+// epochs of `window` accesses and resets it in place when an epoch fills.
 // Distances within an epoch are exact; the first access of each line per
 // epoch reads as Infinite (cold), which a Reuse Detector-style consumer
 // treats as "no evidence" rather than "no reuse". The epoch reset is what
@@ -30,7 +30,7 @@ func NewWindowed(window uint64) *Windowed {
 // current epoch (Infinite when the line was not yet seen this epoch).
 func (w *Windowed) Observe(l mem.LineAddr) uint64 {
 	if w.calc.now >= w.window {
-		w.calc = NewCalculator(int(w.window))
+		w.calc.reset()
 	}
 	return w.calc.Observe(l)
 }
