@@ -29,7 +29,7 @@ func benchOpts() experiments.Options {
 }
 
 // BenchmarkSimulatorThroughput measures raw accesses/second through the
-// full system, one sub-benchmark per registered policy (the cost of each
+// full system, one sub-benchmark per policy in the table (the cost of each
 // policy's machinery per reference). It drives hier.System.Run, the
 // production loop, so the per-batch evidence fold and the EOU run exactly
 // as they do in every simulation.

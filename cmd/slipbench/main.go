@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/policy"
+	"repro/internal/hier"
 	"repro/internal/spec"
 	"repro/internal/workloads"
 )
@@ -70,9 +70,9 @@ func readSpecs(path string) ([]spec.Spec, error) {
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiments: fig1,fig3,table2,htree,fig9,fig10,fig11,fig12,fig13,fig14,fig15,fig16,tech22,binwidth,sampling")
-		acc      = flag.Uint64("accesses", 2_000_000, "measured accesses per benchmark")
+		acc      = flag.Uint64("accesses", spec.DefaultAccesses, "measured accesses per benchmark")
 		warmup   = flag.Int64("warmup", -1, "warmup accesses before measurement (-1 = same as -accesses)")
-		seed     = flag.Uint64("seed", 42, "random seed")
+		seed     = flag.Uint64("seed", spec.DefaultSeed, "random seed")
 		benches  = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all)")
 		list     = flag.Bool("list", false, "list benchmarks and exit")
 		listPol  = flag.Bool("list-policies", false, "list the registered policies and exit")
@@ -103,10 +103,10 @@ func main() {
 		return
 	}
 	if *listPol {
-		// One line per registered policy, from the same registry the
-		// simulator dispatches on (slipsim -list-policies has the long form).
-		for _, d := range policy.Descriptors() {
-			fmt.Printf("%-14s %s\n", d.Name, d.Doc)
+		// One line per policy, from the same table the simulator
+		// dispatches on (slipsim -list-policies has the long form).
+		for _, p := range hier.AllPolicies() {
+			fmt.Printf("%-14s %s\n", p, p.Descriptor().Doc)
 		}
 		return
 	}

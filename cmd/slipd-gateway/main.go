@@ -37,15 +37,16 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/service"
+	"repro/internal/spec"
 )
 
 func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		backends   = flag.String("backends", "", "comma-separated slipd backend addresses (required)")
-		acc        = flag.Uint64("accesses", 2_000_000, "default measured accesses stamped before hashing (match the backends)")
+		acc        = flag.Uint64("accesses", spec.DefaultAccesses, "default measured accesses stamped before hashing (match the backends)")
 		warmup     = flag.Int64("warmup", -1, "default warmup accesses stamped before hashing (-1 = same as -accesses)")
-		seed       = flag.Uint64("seed", 42, "default seed stamped before hashing (match the backends)")
+		seed       = flag.Uint64("seed", spec.DefaultSeed, "default seed stamped before hashing (match the backends)")
 		healthIv   = flag.Duration("health-interval", time.Second, "backend /readyz probe period")
 		healthTO   = flag.Duration("health-timeout", 500*time.Millisecond, "single probe timeout")
 		failThresh = flag.Int("fail-threshold", 2, "consecutive failed probes that eject a backend")

@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/castore"
 	"repro/internal/service"
+	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -51,9 +52,9 @@ func main() {
 		storeDir = flag.String("store-dir", "", "durable result store directory (empty = memory only)")
 		storeMB  = flag.Int64("store-disk-mb", 1024, "durable store byte budget in MiB (0 = unlimited)")
 		storeFS  = flag.Bool("store-fsync", false, "fsync durable store writes before commit")
-		acc      = flag.Uint64("accesses", 2_000_000, "default measured accesses per run")
+		acc      = flag.Uint64("accesses", spec.DefaultAccesses, "default measured accesses per run")
 		warmup   = flag.Int64("warmup", -1, "default warmup accesses (-1 = same as -accesses)")
-		seed     = flag.Uint64("seed", 42, "default random seed")
+		seed     = flag.Uint64("seed", spec.DefaultSeed, "default random seed")
 		jobTO    = flag.Duration("job-timeout", 5*time.Minute, "per-job deadline; expired jobs report cancelled")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain budget")
 		traceMB  = flag.Int64("trace-cache-mb", 256, "trace cache budget in MiB of the /v1/experiments suite; jobs record no traces (0 disables)")
@@ -100,17 +101,16 @@ func main() {
 
 	logger := log.New(os.Stderr, "slipd: ", log.LstdFlags)
 	cfg := service.Config{
-		Workers:         *workers,
-		QueueDepth:      *queue,
-		StoreCap:        *storeCap,
-		DefaultAccesses: *acc,
-		DefaultSeed:     *seed,
-		JobTimeout:      *jobTO,
-		Log:             logger,
+		Workers:    *workers,
+		QueueDepth: *queue,
+		StoreCap:   *storeCap,
+		Defaults:   service.Defaults{Accesses: *acc, Seed: *seed},
+		JobTimeout: *jobTO,
+		Log:        logger,
 	}
 	if *warmup >= 0 {
 		w := uint64(*warmup)
-		cfg.DefaultWarmup = &w
+		cfg.Defaults.Warmup = &w
 	}
 	if *traceMB == 0 {
 		cfg.TraceCacheBytes = -1 // disabled

@@ -11,7 +11,7 @@
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
 //	slipsim -trace file.trc -policy baseline     # replay a tracegen file
-//	slipsim -list-policies                       # enumerate the policy registry
+//	slipsim -list-policies                       # enumerate the policy table
 //
 // The flags and the -spec file describe the same canonical simulation spec
 // (see internal/spec): -dump-spec prints the canonical JSON the flags
@@ -40,7 +40,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/hier"
-	"repro/internal/policy"
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -69,9 +68,9 @@ func run(args []string, stdout io.Writer) error {
 		wl2      = fs.String("workload2", "", "second core's benchmark (with -cores 2)")
 		policyFl = fs.String("policy", "slip+abp",
 			"policy name, one of: "+strings.Join(hier.PolicyNames(), "|")+" (see -list-policies)")
-		acc      = fs.Uint64("accesses", 2_000_000, "measured accesses")
-		warm     = fs.Uint64("warmup", 2_000_000, "warmup accesses before stats reset")
-		seed     = fs.Uint64("seed", 42, "random seed")
+		acc      = fs.Uint64("accesses", spec.DefaultAccesses, "measured accesses")
+		warm     = fs.Uint64("warmup", spec.DefaultAccesses, "warmup accesses before stats reset")
+		seed     = fs.Uint64("seed", spec.DefaultSeed, "random seed")
 		cores    = fs.Int("cores", 1, "number of cores (private L2s, shared L3)")
 		rrip     = fs.Bool("rrip", false, "use SRRIP replacement instead of LRU")
 		binBits  = fs.Uint("binbits", 0, "distribution counter width (0 = default 4)")
@@ -180,12 +179,13 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// listPolicies renders the policy registry: every run-nable policy with
-// its aliases and capability bits, straight from the descriptors the
-// simulator itself dispatches on.
+// listPolicies renders the policy table: every run-nable policy with its
+// aliases and capability bits, straight from the rows the simulator
+// itself dispatches on.
 func listPolicies(w io.Writer) {
 	tb := stats.NewTable("Registered policies", "name", "aliases", "metadata", "latency", "machinery", "description")
-	for _, d := range policy.Descriptors() {
+	for _, p := range hier.AllPolicies() {
+		d := p.Descriptor()
 		meta, lat, mach := "none", "per-way", "-"
 		if d.UsesMetadata {
 			meta = "12b sidecar"

@@ -1,7 +1,7 @@
 // Command suitebench writes the two result artifacts the docs cite:
 //
-//   - a cross-policy comparison of every policy in the registry (the
-//     paper's comparison set and any registry-only additions) over the
+//   - a cross-policy comparison of every policy in the policy table (the
+//     paper's comparison set and the later additions) over the
 //     matrix benchmarks: mean energy/EDP with savings vs baseline, written
 //     to BENCH_policies.json plus a markdown table (BENCH_policies.md)
 //     that EXPERIMENTS.md embeds.
@@ -119,7 +119,7 @@ func main() {
 	}
 
 	if *policyO != "" {
-		// Cross-policy comparison: every *registered* policy — not just the
+		// Cross-policy comparison: every policy in the table — not just the
 		// paper's comparison set — over the matrix benchmarks, summarized as
 		// mean energy/EDP with savings vs baseline. This is the table
 		// EXPERIMENTS.md embeds and the CI policy-matrix job uploads.

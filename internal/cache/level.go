@@ -227,9 +227,6 @@ func (l *Level) Repl() Repl { return l.repl }
 // MQ exposes the movement-queue bank for occupancy checks in tests.
 func (l *Level) MQ() *MQBank { return l.mq }
 
-// Estimator returns the timestamp-based reuse-distance estimator.
-func (l *Level) Estimator() *core.RDEstimator { return l.est }
-
 // SetOf returns the set index for a line address.
 func (l *Level) SetOf(a mem.LineAddr) int {
 	return int(uint64(a) & uint64(l.numSets-1))

@@ -1,20 +1,25 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/hier"
-	"repro/internal/policy"
 	"repro/internal/stats"
 )
 
-// evalPolicies is the Section 5 comparison set in presentation order,
-// enumerated from the policy registry (descriptors with EvalOrder > 0;
-// registry-only additions stay out so the paper figures keep their exact
-// shape).
+// evalPolicies is the Section 5 comparison set in presentation order:
+// the policies with EvalOrder > 0, sorted by it (later additions stay out
+// so the paper figures keep their exact shape).
 var evalPolicies = func() []hier.PolicyKind {
 	var out []hier.PolicyKind
-	for _, rank := range policy.EvalRanks() {
-		out = append(out, hier.PolicyKind(rank))
+	for _, p := range hier.AllPolicies() {
+		if p.Descriptor().EvalOrder > 0 {
+			out = append(out, p)
+		}
 	}
+	slices.SortFunc(out, func(a, b hier.PolicyKind) int {
+		return a.Descriptor().EvalOrder - b.Descriptor().EvalOrder
+	})
 	return out
 }()
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/stats"
 )
 
-// PolicyRow is one registered policy's cross-benchmark summary: mean
-// full-system dynamic energy and EDP over the benchmark set, and savings
-// versus the baseline row.
+// PolicyRow is one policy's cross-benchmark summary: mean full-system
+// dynamic energy and EDP over the benchmark set, and savings versus the
+// baseline row.
 type PolicyRow struct {
 	Policy        string  `json:"policy"`
 	UsesMetadata  bool    `json:"uses_metadata"`
@@ -27,9 +27,9 @@ type PolicyRow struct {
 	MeanBypassPct float64 `json:"mean_bypass_pct"`
 }
 
-// PolicyComparison is the registry-wide energy/EDP table: every
-// registered policy — the paper's comparison set and the registry-only
-// additions alike — run over the same benchmarks on the same substrate.
+// PolicyComparison is the energy/EDP table over the whole policy table:
+// every policy — the paper's comparison set and the later additions
+// alike — run over the same benchmarks on the same substrate.
 type PolicyComparison struct {
 	Benchmarks []string    `json:"benchmarks"`
 	Accesses   uint64      `json:"accesses"`
@@ -38,11 +38,11 @@ type PolicyComparison struct {
 	Rows       []PolicyRow `json:"rows"`
 }
 
-// ComparePolicies runs every registered policy over the configured
-// benchmark set and summarizes mean full-system energy, EDP and miss/
-// bypass behaviour, with savings relative to the baseline. The run fan-out
-// goes through the ordinary suite engine, so the memo cache, trace cache
-// and worker pool all apply.
+// ComparePolicies runs every policy over the configured benchmark set and
+// summarizes mean full-system energy, EDP and miss/bypass behaviour, with
+// savings relative to the baseline. The run fan-out goes through the
+// ordinary suite engine, so the memo cache, trace cache and worker pool
+// all apply.
 func ComparePolicies(ctx context.Context, opts Options) (*PolicyComparison, error) {
 	opts.normalize()
 	su := NewSuite(opts)

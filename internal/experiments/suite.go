@@ -85,13 +85,13 @@ type Options struct {
 // changes nothing.
 func (o *Options) normalize() {
 	if o.Accesses == 0 {
-		o.Accesses = 2_000_000
+		o.Accesses = spec.DefaultAccesses
 	}
 	if o.Warmup == 0 && !o.WarmupSet {
 		o.Warmup = o.Accesses
 	}
 	if o.Seed == 0 {
-		o.Seed = 42
+		o.Seed = spec.DefaultSeed
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = workloads.Names()

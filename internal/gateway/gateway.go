@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/lru"
 	"repro/internal/service"
+	"repro/internal/spec"
 )
 
 // Config sizes the gateway. Zero values take the documented defaults.
@@ -103,10 +104,10 @@ func (c *Config) fill() {
 		c.Log = log.New(io.Discard, "", 0)
 	}
 	if c.Defaults.Accesses == 0 {
-		c.Defaults.Accesses = 2_000_000
+		c.Defaults.Accesses = spec.DefaultAccesses
 	}
 	if c.Defaults.Seed == 0 {
-		c.Defaults.Seed = 42
+		c.Defaults.Seed = spec.DefaultSeed
 	}
 }
 

@@ -121,9 +121,9 @@ func testGateway(t *testing.T, cfg Config, fakes ...*fakeBackend) (*Gateway, *ht
 // planning.
 func keyFor(t *testing.T, g *Gateway, body string) string {
 	t.Helper()
-	key, err := g.keyOf([]byte(body))
+	_, _, key, err := service.ParseRunRequest([]byte(body), g.cfg.Defaults)
 	if err != nil {
-		t.Fatalf("keyOf(%s) = %v", body, err)
+		t.Fatalf("ParseRunRequest(%s) = %v", body, err)
 	}
 	return key
 }
@@ -514,7 +514,7 @@ func TestRouteTableBound(t *testing.T) {
 }
 
 // TestDefaultsAffectKeyDerivation: eliding defaulted fields must hash the
-// same as spelling them out, mirroring slipd's normalize-then-hash — the
+// same as spelling them out under the gateway's configured defaults — the
 // affinity contract for default-elided requests.
 func TestDefaultsAffectKeyDerivation(t *testing.T) {
 	w := uint64(5000)
@@ -526,14 +526,8 @@ func TestDefaultsAffectKeyDerivation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Shutdown()
-	k1, err := g.keyOf([]byte(`{"workload":"milc","policy":"slip"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := g.keyOf([]byte(`{"workload":"milc","policy":"slip","accesses":5000,"warmup":5000,"seed":9}`))
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := keyFor(t, g, `{"workload":"milc","policy":"slip"}`)
+	k2 := keyFor(t, g, `{"workload":"milc","policy":"slip","accesses":5000,"warmup":5000,"seed":9}`)
 	if k1 != k2 {
 		t.Fatalf("elided defaults hash differently: %s vs %s", k1, k2)
 	}

@@ -17,7 +17,7 @@ import (
 //	GET  /v1/runs/{id}                  proxy to the job's backend (route table)
 //	GET  /v1/results/{key}              shard by key, scan fallback
 //	GET  /v1/experiments/{name}         shard by experiment name
-//	GET  /v1/policies                   policy registry (answered locally)
+//	GET  /v1/policies                   policy table (answered locally)
 //	GET  /healthz                       gateway liveness
 //	GET  /readyz                        200 iff >= 1 backend accepts new work
 //	GET  /metrics                       Prometheus text format
@@ -52,7 +52,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// handlePolicies answers locally: the registry is compiled into every
+// handlePolicies answers locally: the policy table is compiled into every
 // binary of the cluster, so the gateway is as authoritative as any
 // backend and the answer stays available with zero healthy nodes.
 func (g *Gateway) handlePolicies(w http.ResponseWriter, _ *http.Request) {
@@ -183,7 +183,7 @@ func (g *Gateway) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusRequestEntityTooLarge, "body over %d bytes", g.cfg.MaxBodyBytes)
 		return
 	}
-	key, err := g.keyOf(body)
+	_, _, key, err := service.ParseRunRequest(body, g.cfg.Defaults)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -198,26 +198,6 @@ func (g *Gateway) handlePostRun(w http.ResponseWriter, r *http.Request) {
 				g.routes.Put(v.ID, addr)
 			}
 		})
-}
-
-// keyOf derives the canonical spec hash of a POST body exactly the way a
-// backend will: decode strictly, stamp defaults, canonicalize, hash.
-func (g *Gateway) keyOf(body []byte) (string, error) {
-	var req service.RunRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return "", fmt.Errorf("bad request body: %v", err)
-	}
-	if req.Workload == "" || req.Policy == "" {
-		return "", fmt.Errorf("workload and policy are required")
-	}
-	req.ApplyDefaults(g.cfg.Defaults)
-	c, err := req.Spec.Canonical()
-	if err != nil {
-		return "", err
-	}
-	return c.MustHash(), nil
 }
 
 // handleGetRun follows the route table to the backend that owns the job.

@@ -10,7 +10,7 @@ import (
 )
 
 // TestGatewayServesPoliciesLocally checks the gateway answers GET
-// /v1/policies from its own compiled-in registry — the fake backend has
+// /v1/policies from its own compiled-in policy table — the fake backend has
 // no such route, so any attempt to proxy would fail, and the answer must
 // stay available even with zero healthy nodes.
 func TestGatewayServesPoliciesLocally(t *testing.T) {
@@ -32,7 +32,7 @@ func TestGatewayServesPoliciesLocally(t *testing.T) {
 	}
 	names := hier.PolicyNames()
 	if len(got.Policies) != len(names) {
-		t.Fatalf("served %d policies, registry has %d", len(got.Policies), len(names))
+		t.Fatalf("served %d policies, table has %d", len(got.Policies), len(names))
 	}
 	for i, pv := range got.Policies {
 		if pv.Name != names[i] {

@@ -9,7 +9,6 @@ package hier
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"repro/internal/cache"
 	slipcore "repro/internal/core"
@@ -19,71 +18,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/policy"
 )
-
-// PolicyKind is a thin handle onto the policy registry: its numeric value
-// is the registering driver's rank (see policy.Register), so the zero
-// value stays the baseline and existing call sites keep compiling. All
-// naming, parsing and capability questions delegate to the registered
-// Descriptor — hier no longer enumerates policies anywhere.
-type PolicyKind int
-
-// Named handles for the registered policies: the paper's Section 5
-// comparison set plus the post-publication registry additions. The
-// constants track the registration ranks; TestPolicyRegistryProjection
-// guards the alignment.
-const (
-	Baseline PolicyKind = iota
-	SLIP                // SLIP without the All-Bypass Policy
-	SLIPABP             // SLIP with ABP in the candidate pool
-	NuRAPID
-	LRUPEA
-	ReuseBypass // Reuse Detector insertion bypass
-	LWRP        // least weighted reuse probability replacement
-)
-
-// Descriptor returns the policy's registry entry (nil for an invalid
-// handle).
-func (p PolicyKind) Descriptor() *policy.Descriptor { return policy.ByIndex(int(p)) }
-
-// String names the policy.
-func (p PolicyKind) String() string {
-	if d := p.Descriptor(); d != nil {
-		return d.Name
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
-// IsSLIP reports whether the policy uses the SLIP machinery (MMU sampling,
-// EOU, PTE codes).
-func (p PolicyKind) IsSLIP() bool {
-	d := p.Descriptor()
-	return d != nil && d.SLIPMachinery
-}
-
-// PolicyNames lists the canonical policy names in registry rank order.
-func PolicyNames() []string { return policy.Names() }
-
-// AllPolicies lists every registered policy's handle in rank order.
-func AllPolicies() []PolicyKind {
-	out := make([]PolicyKind, 0, policy.Count())
-	for i := 0; i < policy.Count(); i++ {
-		if policy.ByIndex(i) != nil {
-			out = append(out, PolicyKind(i))
-		}
-	}
-	return out
-}
-
-// ParsePolicy is the inverse of PolicyKind.String. It also accepts each
-// policy's registered aliases ("slip-abp"/"slipabp" for slip+abp, "lrupea"
-// for lru-pea) and is the single parser shared by CLI flags, spec files
-// and the slipd wire format.
-func ParsePolicy(name string) (PolicyKind, error) {
-	if i, _, ok := policy.Resolve(name); ok {
-		return PolicyKind(i), nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (valid: %s)", name, strings.Join(PolicyNames(), ", "))
-}
 
 // Config describes a system to simulate. Zero-value fields default to the
 // paper's Table 1/2 configuration.
@@ -194,7 +128,7 @@ type System struct {
 
 	// defCodeL2/defCodeL3 cache the Default SLIP codes and uniformLat the
 	// descriptor's UniformLatency bit; both are constant per configuration
-	// and sit on the per-access hot path, where a registry lookup (or
+	// and sit on the per-access hot path, where a table lookup (or
 	// worse, a policy re-encoding) per reference is measurable.
 	defCodeL2, defCodeL3 uint8
 	uniformLat           bool
@@ -336,18 +270,14 @@ func sublevelLines(l *cache.Level) []uint64 {
 	return out
 }
 
-// newDriver instantiates the policy driver for a level (2 or 3) via the
-// registered constructor.
+// newDriver instantiates the policy driver for a level (2 or 3) through
+// its table row's constructor; New has already checked the policy.
 func (s *System) newDriver(level int, seed uint64) policy.Driver {
-	desc := s.cfg.Policy.Descriptor()
-	if desc == nil {
-		panic(fmt.Sprintf("hier: unknown policy %v", s.cfg.Policy))
-	}
 	n := len(s.cfg.L2Params.SublevelWays)
 	if level == 3 {
 		n = len(s.cfg.L3Params.SublevelWays)
 	}
-	return desc.New(policy.DriverConfig{Level: level, NumSublevels: n, Seed: seed})
+	return s.cfg.Policy.Descriptor().New(policy.DriverConfig{Level: level, NumSublevels: n, Seed: seed})
 }
 
 // Config returns the (default-filled) configuration.

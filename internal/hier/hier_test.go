@@ -325,7 +325,7 @@ func TestSLIPWithoutABPNeverBypasses(t *testing.T) {
 	}
 }
 
-// TestAccessZeroAllocs guards the hot path of every registered policy:
+// TestAccessZeroAllocs guards the hot path of every policy in the table:
 // once its scratch (pend lists, TLB arrays, page table, movement-queue
 // lanes) is warm, the steady-state access path — including the
 // batch-boundary fold — allocates nothing.

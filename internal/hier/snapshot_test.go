@@ -74,9 +74,9 @@ func drain(src trace.Source, n uint64) trace.Source {
 	return src
 }
 
-// allPolicies is every registered policy kind: enumerating the registry
-// (rather than a hand-kept list) means a newly registered driver is under
-// the snapshot bit-identity proof the moment it exists.
+// allPolicies is every policy kind: enumerating the policy table (rather
+// than a hand-kept list) means a new driver is under the snapshot
+// bit-identity proof the moment its row exists.
 var allPolicies = AllPolicies()
 
 // TestSnapshotRestoreBitIdentity proves the tentpole's correctness claim

@@ -1,26 +1,16 @@
 package policy
 
-// lwrp is the second registry-only policy: least weighted reuse
-// probability replacement (PAPERS.md #1). Instead of evicting the LRU
-// line, the victim is the line with the worst recency x frequency score —
-// the oldest line relative to how often it has proven reuse. Placement is
-// conventional (no sublevel steering), so the policy isolates the value
-// of weighted victim selection on the same energy substrate.
+// lwrp is a post-publication policy: least weighted reuse probability
+// replacement (PAPERS.md #1). Instead of evicting the LRU line, the victim
+// is the line with the worst recency x frequency score — the oldest line
+// relative to how often it has proven reuse. Placement is conventional (no
+// sublevel steering), so the policy isolates the value of weighted victim
+// selection on the same energy substrate.
 
 import (
 	"repro/internal/cache"
 	"repro/internal/mem"
 )
-
-func init() {
-	Register(6, Descriptor{
-		Name:           "lwrp",
-		Doc:            "least weighted reuse probability: evict the line with the worst age/(1+reuses) score",
-		UsesMetadata:   true,
-		UniformLatency: true,
-		New:            func(DriverConfig) Driver { return NewLWRP() },
-	})
-}
 
 // LWRP owns per-way recency stamps and a logical clock; the cache's own
 // Reuses counters supply the frequency term. The clock is per line-address

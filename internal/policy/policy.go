@@ -1,8 +1,11 @@
 // Package policy implements the per-level insertion/movement policies the
 // paper evaluates: the conventional baseline, SLIP itself (with and without
 // the All-Bypass Policy), and the two NUCA comparison points NuRAPID and
-// LRU-PEA. All drivers run against the same cache.Level mechanism, so the
-// energy comparisons in the experiments isolate pure policy effects.
+// LRU-PEA, plus two later drivers, Reuse Detector bypass and LWRP. All
+// drivers run against the same cache.Level mechanism, so the energy
+// comparisons in the experiments isolate pure policy effects. Each
+// driver's name, aliases and capability bits live in one row of hier's
+// policy table.
 package policy
 
 import (
@@ -41,30 +44,6 @@ func finishEviction(l *cache.Level, ln cache.Line, way int) {
 		l.EvictionRead(way)
 	}
 	l.NoteEviction(ln.Dirty)
-}
-
-func init() {
-	Register(0, Descriptor{
-		Name:           "baseline",
-		Doc:            "conventional hierarchy: global LRU insertion, no movement, no metadata",
-		UniformLatency: true,
-		New:            func(DriverConfig) Driver { return NewBaseline() },
-	})
-	Register(3, Descriptor{
-		Name:         "nurapid",
-		Doc:          "NuRAPID distance associativity: nearest d-group insertion, outward demotion, promotion on hit",
-		UsesMetadata: true,
-		EvalOrder:    1,
-		New:          func(DriverConfig) Driver { return NewNuRAPID() },
-	})
-	Register(4, Descriptor{
-		Name:         "lru-pea",
-		Aliases:      []string{"lrupea"},
-		Doc:          "LRU-PEA: random capacity-weighted sublevel insertion, stepwise promotion, demoted-first eviction",
-		UsesMetadata: true,
-		EvalOrder:    2,
-		New:          func(cfg DriverConfig) Driver { return NewLRUPEA(cfg.Seed) },
-	})
 }
 
 // Baseline is the conventional cache: insert anywhere (global LRU victim),

@@ -1,29 +1,18 @@
 package policy
 
-// reuse-bypass is the first policy shipped purely through the registry: a
-// Reuse Detector-style insertion filter (PAPERS.md #4) on an otherwise
-// conventional cache. An online windowed stack-distance tracker watches
-// the level's access stream; a line whose observed reuse distance exceeds
-// the level's capacity would be evicted before its next use, so inserting
-// it only spends fill and eviction energy — such lines bypass the level
-// entirely. Cold lines (no evidence yet) get a first chance.
+// reuse-bypass is a post-publication policy: a Reuse Detector-style
+// insertion filter (PAPERS.md #4) on an otherwise conventional cache. An
+// online windowed stack-distance tracker watches the level's access
+// stream; a line whose observed reuse distance exceeds the level's
+// capacity would be evicted before its next use, so inserting it only
+// spends fill and eviction energy — such lines bypass the level entirely.
+// Cold lines (no evidence yet) get a first chance.
 
 import (
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/reuse"
 )
-
-func init() {
-	Register(5, Descriptor{
-		Name:           "reuse-bypass",
-		Aliases:        []string{"reusebypass", "rd-bypass"},
-		Doc:            "Reuse Detector bypass: lines whose observed reuse distance exceeds capacity skip insertion",
-		UsesMetadata:   true,
-		UniformLatency: true,
-		New:            func(DriverConfig) Driver { return NewReuseBypass() },
-	})
-}
 
 // ReuseBypass filters insertions by observed reuse distance; surviving
 // fills use the baseline global-LRU placement, and hits never move lines.

@@ -37,31 +37,6 @@ type SLIP struct {
 	chain  []int // displacement-chain scratch (len <= numSub+1)
 }
 
-func init() {
-	// SLIP and SLIP+ABP share the driver: ABP changes only which SLIPs the
-	// EOU may pick, which the AllowABP capability bit communicates to the
-	// hierarchy.
-	newSLIP := func(cfg DriverConfig) Driver { return NewSLIP(cfg.NumSublevels, cfg.Level) }
-	Register(1, Descriptor{
-		Name:          "slip",
-		Doc:           "SLIP reuse-predicted placement without the All-Bypass Policy",
-		UsesMetadata:  true,
-		SLIPMachinery: true,
-		EvalOrder:     3,
-		New:           newSLIP,
-	})
-	Register(2, Descriptor{
-		Name:          "slip+abp",
-		Aliases:       []string{"slip-abp", "slipabp"},
-		Doc:           "SLIP with the All-Bypass Policy in the EOU candidate pool",
-		UsesMetadata:  true,
-		SLIPMachinery: true,
-		AllowABP:      true,
-		EvalOrder:     4,
-		New:           newSLIP,
-	})
-}
-
 // NewSLIP builds the driver for a level with numSublevels sublevels;
 // level (2 or 3) selects the metadata code field.
 func NewSLIP(numSublevels, level int) *SLIP {

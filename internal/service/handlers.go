@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/experiments"
+	"repro/internal/hier"
 	"repro/internal/policy"
 )
 
@@ -18,7 +20,7 @@ import (
 //	GET  /v1/runs/{id}          job status + result
 //	GET  /v1/results/{key}      fetch a stored result by spec hash (memory or disk)
 //	GET  /v1/experiments/{name} render a paper experiment as text tables
-//	GET  /v1/policies           enumerate the policy registry with metadata
+//	GET  /v1/policies           enumerate the policy table with metadata
 //	GET  /healthz               liveness (always 200 while the process serves)
 //	GET  /readyz                readiness (503 while draining)
 //	GET  /metrics               Prometheus text format
@@ -63,10 +65,8 @@ const maxRunBody = 1 << 20
 
 // handlePostRun admits one simulation request.
 func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRunBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRunBody))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", maxRunBody)
@@ -75,12 +75,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	if req.Workload == "" || req.Policy == "" {
-		writeError(w, http.StatusBadRequest, "workload and policy are required")
-		return
-	}
-	req.normalize(s.cfg)
-	c, key, err := specOf(&req)
+	req, c, key, err := ParseRunRequest(body, s.cfg.Defaults)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -88,14 +83,17 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 
 	// Identical effective requests are answered straight from the LRU
 	// result store — the cache-hit counter in /metrics observes this.
+	// The stored result's spec is c (its hash is key), so the view counts
+	// the accesses its job did.
 	if res, ok := s.store.Get(key); ok {
 		s.metrics.CacheHit()
+		total := totalAccesses(c)
 		writeJSON(w, http.StatusOK, JobView{
 			State:    StateCompleted,
 			Key:      key,
 			Cached:   true,
-			Progress: res.Accesses,
-			Total:    res.Accesses,
+			Progress: total,
+			Total:    total,
 			Result:   res,
 		})
 		return
@@ -168,47 +166,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	_, _ = buf.WriteTo(w)
 }
 
-// PolicyView is the wire form of one registry descriptor: everything a
-// client needs to stop hardcoding the valid-policy set.
-type PolicyView struct {
-	Name           string   `json:"name"`
-	Aliases        []string `json:"aliases,omitempty"`
-	Doc            string   `json:"doc"`
-	UsesMetadata   bool     `json:"uses_metadata"`
-	UniformLatency bool     `json:"uniform_latency"`
-	SLIPMachinery  bool     `json:"slip_machinery"`
-	AllowABP       bool     `json:"allow_abp"`
-	EvalOrder      int      `json:"eval_order,omitempty"`
-}
-
-// PolicyList enumerates the registry in rank order.
+// PolicyList is the /v1/policies body: the policy table in order.
 type PolicyList struct {
-	Policies []PolicyView `json:"policies"`
+	Policies []policy.Descriptor `json:"policies"`
 }
 
-// Policies snapshots the policy registry in wire form — shared by the
-// daemon's /v1/policies and the gateway's local answer to the same path.
+// Policies lists the policy table in wire form — shared by the daemon's
+// /v1/policies and the gateway's local answer to the same path.
 func Policies() PolicyList {
-	list := PolicyList{Policies: make([]PolicyView, 0, policy.Count())}
-	for _, d := range policy.Descriptors() {
-		list.Policies = append(list.Policies, PolicyView{
-			Name:           d.Name,
-			Aliases:        d.Aliases,
-			Doc:            d.Doc,
-			UsesMetadata:   d.UsesMetadata,
-			UniformLatency: d.UniformLatency,
-			SLIPMachinery:  d.SLIPMachinery,
-			AllowABP:       d.AllowABP,
-			EvalOrder:      d.EvalOrder,
-		})
+	list := PolicyList{}
+	for _, p := range hier.AllPolicies() {
+		list.Policies = append(list.Policies, *p.Descriptor())
 	}
 	return list
 }
 
-// handlePolicies serves the policy registry: the daemon-side source of
-// truth for the valid -policy set, per-policy aliases and capability
-// metadata. It needs no server state — the registry is process-global and
-// immutable after init.
+// handlePolicies serves the policy table: the daemon-side source of truth
+// for the valid -policy set, per-policy aliases and capability metadata.
+// It needs no server state — the table is fixed at compile time.
 func handlePolicies(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, Policies())
 }

@@ -156,7 +156,7 @@ func TestResultsSurviveRestart(t *testing.T) {
 	}
 
 	// Second daemon, same directory: the result must be served from disk.
-	srv2 := New(Config{Workers: 1, QueueDepth: 4, DefaultAccesses: 20_000, DiskStore: openDisk()})
+	srv2 := New(Config{Workers: 1, QueueDepth: 4, Defaults: Defaults{Accesses: 20_000}, DiskStore: openDisk()})
 	srv2.Start()
 	ts2 := httptest.NewServer(srv2.Handler())
 	t.Cleanup(func() {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/hier"
 )
 
-// TestPoliciesEndpoint checks GET /v1/policies serves the registry: one
-// entry per registered policy, in rank order, with the capability bits
-// the descriptors declare — so clients can discover valid -policy values
+// TestPoliciesEndpoint checks GET /v1/policies serves the policy table:
+// one entry per policy, in table order, with the capability bits the
+// descriptors declare — so clients can discover valid -policy values
 // without a baked-in list.
 func TestPoliciesEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{}, nil)
@@ -29,7 +29,7 @@ func TestPoliciesEndpoint(t *testing.T) {
 
 	names := hier.PolicyNames()
 	if len(got.Policies) != len(names) {
-		t.Fatalf("served %d policies, registry has %d", len(got.Policies), len(names))
+		t.Fatalf("served %d policies, table has %d", len(got.Policies), len(names))
 	}
 	for i, pv := range got.Policies {
 		if pv.Name != names[i] {

@@ -28,11 +28,9 @@ type Config struct {
 	// the finished jobs kept for GET /v1/runs/{id}: past StoreCap, the
 	// oldest finished job is forgotten.
 	StoreCap int
-	// DefaultAccesses/DefaultWarmup/DefaultSeed fill unset request fields
-	// (defaults 2M / same-as-accesses / 42).
-	DefaultAccesses uint64
-	DefaultWarmup   *uint64
-	DefaultSeed     uint64
+	// Defaults fill unset request fields (defaults spec.DefaultAccesses,
+	// same-as-accesses warmup and spec.DefaultSeed).
+	Defaults Defaults
 	// JobTimeout is the per-job deadline; an expired job reports state
 	// cancelled (default 5m). Requests may shorten it, never extend it.
 	JobTimeout time.Duration
@@ -75,11 +73,11 @@ func (c *Config) fill() {
 	if c.StoreCap <= 0 {
 		c.StoreCap = 256
 	}
-	if c.DefaultAccesses == 0 {
-		c.DefaultAccesses = 2_000_000
+	if c.Defaults.Accesses == 0 {
+		c.Defaults.Accesses = spec.DefaultAccesses
 	}
-	if c.DefaultSeed == 0 {
-		c.DefaultSeed = 42
+	if c.Defaults.Seed == 0 {
+		c.Defaults.Seed = spec.DefaultSeed
 	}
 	if c.JobTimeout <= 0 {
 		c.JobTimeout = 5 * time.Minute
@@ -134,9 +132,9 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.fill()
 	ctx, cancel := context.WithCancel(context.Background())
-	warmup := cfg.DefaultAccesses
-	if cfg.DefaultWarmup != nil {
-		warmup = *cfg.DefaultWarmup
+	warmup := cfg.Defaults.Accesses
+	if cfg.Defaults.Warmup != nil {
+		warmup = *cfg.Defaults.Warmup
 	}
 	var warmCache *experiments.WarmCache
 	if cfg.WarmCacheBytes >= 0 {
@@ -148,10 +146,10 @@ func New(cfg Config) *Server {
 		store:   NewStoreWithDisk(cfg.StoreCap, cfg.DiskStore),
 		metrics: NewMetrics(),
 		expSuite: experiments.NewSuite(experiments.Options{
-			Accesses:        cfg.DefaultAccesses,
+			Accesses:        cfg.Defaults.Accesses,
 			Warmup:          warmup,
 			WarmupSet:       true,
-			Seed:            cfg.DefaultSeed,
+			Seed:            cfg.Defaults.Seed,
 			Parallelism:     cfg.Workers,
 			TraceCacheBytes: cfg.TraceCacheBytes,
 		}),
@@ -255,7 +253,7 @@ func (s *Server) submit(req RunRequest, c spec.Spec, key string) (JobView, error
 		Spec:    c,
 		State:   StateQueued,
 		Created: time.Now(),
-		Total:   uint64(c.Cores) * (*c.Warmup + c.Accesses),
+		Total:   totalAccesses(c),
 	}
 	s.jobs[j.ID] = j
 	s.pending[key] = j

@@ -17,8 +17,8 @@ import (
 // testServer builds a started server plus an httptest front end.
 func testServer(t *testing.T, cfg Config, hook func(*Job)) (*Server, *httptest.Server) {
 	t.Helper()
-	if cfg.DefaultAccesses == 0 {
-		cfg.DefaultAccesses = 20_000
+	if cfg.Defaults.Accesses == 0 {
+		cfg.Defaults.Accesses = 20_000
 	}
 	srv := New(cfg)
 	srv.testHookJobStart = hook
@@ -108,6 +108,11 @@ func TestEndToEndRunAndResultCache(t *testing.T) {
 	code, v2, _ := postRun(t, ts, body)
 	if code != http.StatusOK || !v2.Cached {
 		t.Fatalf("identical POST = %d cached=%v, want 200 from the result store", code, v2.Cached)
+	}
+	// The cached view counts what the job drove (warmup included), as
+	// the job's own view does.
+	if v2.Progress != 40_000 || v2.Total != 40_000 {
+		t.Errorf("cached progress/total = %d/%d, want 40000/40000", v2.Progress, v2.Total)
 	}
 	if v2.Result == nil || v2.Result.FullSystemPJ != res.FullSystemPJ {
 		t.Errorf("cached result differs: %+v vs %+v", v2.Result, res)
@@ -336,7 +341,7 @@ func TestExperimentEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the fig1 workload set")
 	}
-	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, DefaultAccesses: 10_000}, nil)
+	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, Defaults: Defaults{Accesses: 10_000}}, nil)
 	resp, err := http.Get(ts.URL + "/v1/experiments/fig1")
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +364,7 @@ func TestExperimentRendersAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the fig1 workload set")
 	}
-	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, DefaultAccesses: 40_000}, nil)
+	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, Defaults: Defaults{Accesses: 40_000}}, nil)
 	get := func() (string, error) {
 		resp, err := http.Get(ts.URL + "/v1/experiments/fig1")
 		if err != nil {

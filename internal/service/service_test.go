@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -84,21 +85,32 @@ func TestStorePutRefreshesExisting(t *testing.T) {
 	}
 }
 
+// testDefaults are the request defaults of the parser tests below.
+var testDefaults = Defaults{Accesses: 1000, Seed: 42}
+
+// parse runs ParseRunRequest over the JSON encoding of s.
+func parse(s spec.Spec) (spec.Spec, string, error) {
+	body, err := json.Marshal(s)
+	if err != nil {
+		return spec.Spec{}, "", err
+	}
+	_, c, key, err := ParseRunRequest(body, testDefaults)
+	return c, key, err
+}
+
 // TestSpecKeyFingerprintsSizing: equal specs with different sizing must
 // occupy different store keys; equal effective requests must collide.
 func TestSpecKeyFingerprintsSizing(t *testing.T) {
-	mk := func(acc, seed uint64) *RunRequest {
-		r := &RunRequest{Spec: spec.Spec{Workload: "milc", Policy: "baseline", Accesses: acc, Seed: seed}}
-		r.normalize(Config{DefaultAccesses: 1000, DefaultSeed: 42})
-		return r
+	mk := func(acc, seed uint64) spec.Spec {
+		return spec.Spec{Workload: "milc", Policy: "baseline", Accesses: acc, Seed: seed}
 	}
-	_, k1, err := specOf(mk(1000, 1))
+	_, k1, err := parse(mk(1000, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, k2, _ := specOf(mk(2000, 1))
-	_, k3, _ := specOf(mk(1000, 2))
-	_, k4, _ := specOf(mk(1000, 1))
+	_, k2, _ := parse(mk(2000, 1))
+	_, k3, _ := parse(mk(1000, 2))
+	_, k4, _ := parse(mk(1000, 1))
 	if k1 == k2 || k1 == k3 {
 		t.Errorf("sizing not fingerprinted: %q vs %q vs %q", k1, k2, k3)
 	}
@@ -119,10 +131,18 @@ func TestSpecOfRejectsBadRequests(t *testing.T) {
 		{Workload: "milc", Policy: "baseline", DRAM: &spec.DRAMSpec{PJPerBit: 11}},
 	}
 	for i, c := range cases {
-		r := RunRequest{Spec: c}
-		r.normalize(Config{DefaultAccesses: 1000, DefaultSeed: 42})
-		if _, _, err := specOf(&r); err == nil {
-			t.Errorf("case %d (%+v): no error", i, r)
+		if _, _, err := parse(c); err == nil {
+			t.Errorf("case %d (%+v): no error", i, c)
+		}
+	}
+	for _, body := range []string{
+		`{`,
+		`{"workload":"milc"}`,
+		`{"workload":"milc","policy":"slip","acesses":5}`,
+		`[]`,
+	} {
+		if _, _, _, err := ParseRunRequest([]byte(body), testDefaults); err == nil {
+			t.Errorf("body %s: no error", body)
 		}
 	}
 }
@@ -131,16 +151,11 @@ func TestSpecOfRejectsBadRequests(t *testing.T) {
 // request spelled with a policy alias or explicit defaults lands on the
 // same hash as its canonical spelling.
 func TestSpecOfCanonicalizesAliases(t *testing.T) {
-	cfg := Config{DefaultAccesses: 1000, DefaultSeed: 42}
-	a := RunRequest{Spec: spec.Spec{Workload: "milc", Policy: "slip-abp", BinBits: 3, UseRRIP: true}}
-	b := RunRequest{Spec: spec.Spec{Workload: "milc", Policy: "slip+abp", BinBits: 3, UseRRIP: true, Cores: 1}}
-	a.normalize(cfg)
-	b.normalize(cfg)
-	ca, ka, err := specOf(&a)
+	ca, ka, err := parse(spec.Spec{Workload: "milc", Policy: "slip-abp", BinBits: 3, UseRRIP: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, kb, err := specOf(&b)
+	cb, kb, err := parse(spec.Spec{Workload: "milc", Policy: "slip+abp", BinBits: 3, UseRRIP: true, Cores: 1, Accesses: 1000, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,20 +184,48 @@ func TestSpecOfCanonicalizesAliases(t *testing.T) {
 // generalized engine simulates any spec), and the mix key differs from the
 // single-core keys.
 func TestMixRequestWithKnobs(t *testing.T) {
-	cfg := Config{DefaultAccesses: 1000, DefaultSeed: 42}
-	r := RunRequest{Spec: spec.Spec{Workload: "milc", MixWith: "sphinx3", Policy: "slip+abp", BinBits: 3}}
-	r.normalize(cfg)
-	c, key, err := specOf(&r)
+	c, key, err := parse(spec.Spec{Workload: "milc", MixWith: "sphinx3", Policy: "slip+abp", BinBits: 3})
 	if err != nil {
 		t.Fatalf("mix with knobs rejected: %v", err)
 	}
 	if c.Cores != 2 {
 		t.Errorf("canonical cores = %d, want 2", c.Cores)
 	}
-	single := RunRequest{Spec: spec.Spec{Workload: "milc", Policy: "slip+abp", BinBits: 3}}
-	single.normalize(cfg)
-	_, ks, _ := specOf(&single)
+	_, ks, _ := parse(spec.Spec{Workload: "milc", Policy: "slip+abp", BinBits: 3})
 	if key == ks {
 		t.Errorf("mix and single-core requests share key %q", key)
 	}
+}
+
+// FuzzRunRequest drives arbitrary POST bodies through the parser slipd and
+// the gateway share: no input may panic it, and an accepted body's
+// canonical spec, posted back, must parse to the same key.
+func FuzzRunRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"milc","policy":"slip"}`,
+		`{"workload":"milc","policy":"slip-abp","accesses":5000,"warmup":0,"seed":9}`,
+		`{"workload":"milc","mix_with":"sphinx3","policy":"lru-pea","bin_bits":3,"use_rrip":true}`,
+		`{"workload":"soplex","policy":"slip+abp","sampling":8,"tech":"22nm","topology":"h-tree","cores":3}`,
+		`{"workload":"milc","policy":"baseline","dram":{"latency_cycles":100,"pj_per_bit":10},"timeout_ms":5}`,
+		`{"workload":"milc","policy":"slip","disable_sampling":true,"l2_bytes":131072}`,
+		`{"workload":"milc","policy":"slip","acesses":5}`,
+		`{"workload":"milc","policy":"slip"} trailing`,
+		`{`, `[]`, `null`, ``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, c, key, err := ParseRunRequest(body, testDefaults)
+		if err != nil {
+			return
+		}
+		canon, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("canonical spec of %q does not encode: %v", body, err)
+		}
+		_, _, again, err := ParseRunRequest(canon, testDefaults)
+		if err != nil || again != key {
+			t.Fatalf("body %q keyed %s; its canonical spec %s keyed %s, %v", body, key, canon, again, err)
+		}
+	})
 }

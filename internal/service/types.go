@@ -6,6 +6,10 @@
 package service
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -34,9 +38,9 @@ type Defaults struct {
 	Seed     uint64
 }
 
-// ApplyDefaults stamps d into unset sizing fields; call before spec/key
-// derivation so equal effective requests share one result-store key.
-func (r *RunRequest) ApplyDefaults(d Defaults) {
+// applyDefaults stamps d into unset sizing fields, so equal effective
+// requests share one result-store key.
+func (r *RunRequest) applyDefaults(d Defaults) {
 	if r.Accesses == 0 {
 		r.Accesses = d.Accesses
 	}
@@ -52,21 +56,36 @@ func (r *RunRequest) ApplyDefaults(d Defaults) {
 	}
 }
 
-// normalize applies the server config's defaults.
-func (r *RunRequest) normalize(cfg Config) {
-	r.ApplyDefaults(Defaults{Accesses: cfg.DefaultAccesses, Warmup: cfg.DefaultWarmup, Seed: cfg.DefaultSeed})
-}
-
-// specOf canonicalizes a normalized request into the run's full identity:
-// the canonical spec the job will simulate and its content hash — the
+// ParseRunRequest is the one POST /v1/runs parser, shared by slipd and the
+// gateway so a key always routes to the backend that stores it under that
+// key. It decodes body strictly, requires workload and policy, stamps d
+// into unset sizing fields and canonicalizes. It returns the request, the
+// canonical spec the job will simulate and its content hash: the
 // result-store key, identical to the experiments memo key for the same
 // run, so every layer of the stack addresses one simulation one way.
-func specOf(r *RunRequest) (spec.Spec, string, error) {
-	c, err := r.Spec.Canonical()
-	if err != nil {
-		return spec.Spec{}, "", err
+func ParseRunRequest(body []byte, d Defaults) (RunRequest, spec.Spec, string, error) {
+	var req RunRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return RunRequest{}, spec.Spec{}, "", fmt.Errorf("bad request body: %v", err)
 	}
-	return c, c.MustHash(), nil
+	if req.Workload == "" || req.Policy == "" {
+		return RunRequest{}, spec.Spec{}, "", errors.New("workload and policy are required")
+	}
+	req.applyDefaults(d)
+	c, err := req.Spec.Canonical()
+	if err != nil {
+		return RunRequest{}, spec.Spec{}, "", err
+	}
+	return req, c, c.MustHash(), nil
+}
+
+// totalAccesses is what a run of canonical spec c drives: every core's
+// warmup plus its measured window. A job's view and a cached POST both
+// report it as total_accesses.
+func totalAccesses(c spec.Spec) uint64 {
+	return uint64(c.Cores) * (*c.Warmup + c.Accesses)
 }
 
 // RunResult is the flattened metrics of one finished simulation — the same

@@ -10,14 +10,13 @@ import (
 )
 
 // TestPolicyRegistryProjection proves the spec layer is a faithful
-// projection of the policy registry: every registered name and alias
-// validates, canonicalizes to the canonical name, hashes stably, and
+// projection of the policy table: every name and alias in it validates, canonicalizes to the canonical name, hashes stably, and
 // builds a config that actually runs — with no spec-side list to drift.
 func TestPolicyRegistryProjection(t *testing.T) {
 	for _, name := range hier.PolicyNames() {
 		k, err := hier.ParsePolicy(name)
 		if err != nil {
-			t.Fatalf("registered name %q does not parse: %v", name, err)
+			t.Fatalf("policy name %q does not parse: %v", name, err)
 		}
 		d := k.Descriptor()
 		spellings := append([]string{d.Name}, d.Aliases...)
@@ -25,7 +24,7 @@ func TestPolicyRegistryProjection(t *testing.T) {
 		for _, sp := range spellings {
 			s := Spec{Workload: "milc", Policy: sp}
 			if err := s.Validate(); err != nil {
-				t.Errorf("Validate rejected registered spelling %q: %v", sp, err)
+				t.Errorf("Validate rejected spelling %q: %v", sp, err)
 				continue
 			}
 			c, err := s.Canonical()
@@ -66,9 +65,9 @@ func TestPolicyRegistryProjection(t *testing.T) {
 	}
 }
 
-// TestRegistryPoliciesBuildAndRun is the end-to-end seam proof at the
-// spec layer: the registry-only policies flow spec -> Canonical -> Build
-// -> hier.New -> Run without any dispatch site naming them.
+// TestRegistryPoliciesBuildAndRun is the end-to-end proof at the spec
+// layer: the later policies flow spec -> Canonical -> Build -> hier.New ->
+// Run without any dispatch site naming them.
 func TestRegistryPoliciesBuildAndRun(t *testing.T) {
 	for _, name := range []string{"reuse-bypass", "lwrp"} {
 		s := Spec{Workload: "milc", Policy: name, Accesses: 20_000}

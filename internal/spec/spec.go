@@ -36,6 +36,14 @@ const (
 	Tech22 = "22nm"
 )
 
+// DefaultAccesses and DefaultSeed are the sizing a spec takes when it
+// leaves Accesses or Seed unset (Warmup then defaults to Accesses). CLI
+// flags, experiments.Options, slipd and the gateway all read them here.
+const (
+	DefaultAccesses = 2_000_000
+	DefaultSeed     = 42
+)
+
 // Interconnect topology names accepted by Spec.Topology (Figure 4).
 const (
 	TopoWayInterleaved = "way-interleaved"
@@ -60,8 +68,8 @@ type DRAMSpec struct {
 // be appended with omitempty semantics whose zero value is the canonical
 // form of "absent", so existing specs keep their hashes.
 type Spec struct {
-	// Policy is one of baseline, slip, slip+abp, nurapid, lru-pea
-	// (aliases slip-abp/slipabp/lrupea accepted); required.
+	// Policy names a row of hier's policy table (hier.PolicyNames) by
+	// its name or an alias; required.
 	Policy string `json:"policy"`
 	// Workload names the benchmark driving core 0; required.
 	Workload string `json:"workload"`
@@ -215,7 +223,7 @@ func (s Spec) Canonical() (Spec, error) {
 		c.MixWith = ""
 	}
 	if c.Accesses == 0 {
-		c.Accesses = 2_000_000
+		c.Accesses = DefaultAccesses
 	}
 	if c.Warmup == nil {
 		w := c.Accesses
@@ -225,7 +233,7 @@ func (s Spec) Canonical() (Spec, error) {
 		c.Warmup = &w
 	}
 	if c.Seed == 0 {
-		c.Seed = 42
+		c.Seed = DefaultSeed
 	}
 	if p.IsSLIP() {
 		if c.BinBits == 0 {

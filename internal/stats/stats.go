@@ -1,5 +1,5 @@
-// Package stats provides the counters, histograms and table rendering used
-// by the simulator and the experiment harness. Everything here is plain
+// Package stats provides the counters, energy accumulators and table
+// rendering used by the simulator and the experiment harness. Everything here is plain
 // bookkeeping: the goal is that each experiment can collect named quantities
 // during a run and print them in the same row/column layout as the paper's
 // tables and figures.
@@ -7,8 +7,6 @@ package stats
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"strings"
 )
 
@@ -48,12 +46,6 @@ func (e *Energy) AddPJ(pj float64) { e.units += uint64(pj*energyUnitsPerPJ + 0.5
 // PJ returns the accumulated energy in picojoules.
 func (e *Energy) PJ() float64 { return float64(e.units) / energyUnitsPerPJ }
 
-// NJ returns the accumulated energy in nanojoules.
-func (e *Energy) NJ() float64 { return e.PJ() / 1e3 }
-
-// MJoulesMicro returns the accumulated energy in microjoules.
-func (e *Energy) MJoulesMicro() float64 { return e.PJ() / 1e6 }
-
 // Reset zeroes the accumulator.
 func (e *Energy) Reset() { e.units = 0 }
 
@@ -78,22 +70,6 @@ func Savings(base, v float64) float64 {
 	return 100 * (base - v) / base
 }
 
-// GeoMean returns the geometric mean of xs; it ignores non-positive entries
-// (which would otherwise poison the product) and returns 0 for an empty set.
-func GeoMean(xs []float64) float64 {
-	sum, n := 0.0, 0
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -104,69 +80,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Histogram is a fixed-bin histogram over uint64 samples. Bin i counts
-// samples in [bounds[i-1], bounds[i]); the final bin is unbounded above.
-type Histogram struct {
-	bounds []uint64 // ascending upper bounds; len(bins) == len(bounds)+1
-	bins   []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with the given ascending upper bounds.
-// With bounds [a, b] the bins are [0,a), [a,b), [b,inf).
-func NewHistogram(bounds []uint64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats.NewHistogram: bounds must be strictly ascending")
-		}
-	}
-	b := make([]uint64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, bins: make([]uint64, len(bounds)+1)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(v uint64) {
-	h.total++
-	for i, ub := range h.bounds {
-		if v < ub {
-			h.bins[i]++
-			return
-		}
-	}
-	h.bins[len(h.bins)-1]++
-}
-
-// Bins returns a copy of the raw bin counts.
-func (h *Histogram) Bins() []uint64 {
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins)
-	return out
-}
-
-// Total returns the number of observed samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Fractions returns each bin's share of the total (all zeros when empty).
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.bins))
-	if h.total == 0 {
-		return out
-	}
-	for i, b := range h.bins {
-		out[i] = float64(b) / float64(h.total)
-	}
-	return out
-}
-
-// Reset zeroes all bins.
-func (h *Histogram) Reset() {
-	for i := range h.bins {
-		h.bins[i] = 0
-	}
-	h.total = 0
 }
 
 // Table renders rows of labelled values as an aligned text table, the way
@@ -246,15 +159,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// SortedKeys returns the keys of m in ascending order; used to iterate maps
-// deterministically when reporting.
-func SortedKeys[K ~string, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }
