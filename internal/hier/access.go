@@ -41,9 +41,10 @@ func (s *System) Run(srcs ...trace.Source) {
 // cancellation latency stays well under any service deadline.
 const cancelCheckEvery = 4096
 
-// runScratch pools RunContext's decode buffers. The parallel experiment
+// runScratch pools RunContext's decode buffers and its interleave, whose
+// per-core staging lanes a multi-core run fills. The parallel experiment
 // engine starts thousands of short runs (two RunContext calls each, warmup
-// and measurement), and a fresh ~100 KiB buffer pair per call is pure GC
+// and measurement), and fresh ~100 KiB buffers per call are pure GC
 // pressure; the buffers are overwritten before every read, so reuse cannot
 // affect results.
 var runScratch = sync.Pool{New: func() any {
@@ -56,6 +57,7 @@ var runScratch = sync.Pool{New: func() any {
 type runBuffers struct {
 	batch []trace.Access
 	cores []int
+	iv    trace.Interleave
 }
 
 // RunContext is Run with a cancellation hook: every cancelCheckEvery
@@ -73,11 +75,12 @@ func (s *System) RunContext(ctx context.Context, progress func(done uint64), src
 	// the interleave/limiter/generator chain, and materialized traces
 	// (trace.Buffer replays) decode in a tight varint loop. Single-core
 	// runs take the same loop: core 0's shiftAddr is the identity.
-	iv := trace.NewInterleave(srcs...)
 	done := ctx.Done()
 	buffers := runScratch.Get().(*runBuffers)
 	defer runScratch.Put(buffers)
-	batch, cores := buffers.batch, buffers.cores
+	batch, cores, iv := buffers.batch, buffers.cores, &buffers.iv
+	iv.Reset(srcs...)
+	defer iv.Reset() // a pooled interleave must not pin the sources
 	var n uint64
 	for {
 		k := iv.NextBatch(batch, cores)

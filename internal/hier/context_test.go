@@ -57,3 +57,41 @@ func TestRunContextCancelStopsMidTrace(t *testing.T) {
 		t.Errorf("ran %d accesses after cancel, want <= %d (one check stride)", acc, 2*cancelCheckEvery)
 	}
 }
+
+// rewindable replays a fixed access slice and can be rewound without
+// allocating, so an allocation count sees only RunContext's own.
+type rewindable struct {
+	accs []trace.Access
+	pos  int
+}
+
+func (r *rewindable) NextBatch(dst []trace.Access) int {
+	k := copy(dst, r.accs[r.pos:])
+	r.pos += k
+	return k
+}
+
+// raceEnabled is set by race_test.go in race-detector builds.
+var raceEnabled bool
+
+// TestRunContextAllocs: once its pooled scratch is warm, a RunContext
+// call allocates nothing of its own, on one core or, with its staged
+// interleave, on two.
+func TestRunContextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled scratch at random under the race detector")
+	}
+	a := &rewindable{accs: trace.Collect(mixedSource(3), 10_000)}
+	b := &rewindable{accs: trace.Collect(streamSource(4), 7_000)}
+	for _, srcs := range [][]trace.Source{{a}, {a, b}} {
+		s := New(Config{Policy: SLIPABP, NumCores: len(srcs), Seed: 1})
+		run := func() {
+			a.pos, b.pos = 0, 0
+			_ = s.RunContext(context.Background(), nil, srcs...)
+		}
+		run()
+		if avg := testing.AllocsPerRun(20, run); avg != 0 {
+			t.Errorf("%d-core RunContext allocates %.1f times per call, want 0", len(srcs), avg)
+		}
+	}
+}

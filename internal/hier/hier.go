@@ -7,6 +7,7 @@
 package hier
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -311,3 +312,21 @@ func (s *System) SLIPDriverL2(i int) *policy.SLIP {
 
 // SLIPDriverL3 returns the shared L3 SLIP driver (nil otherwise).
 func (s *System) SLIPDriverL3() *policy.SLIP { return s.slipL3 }
+
+// CheckInvariants checks the structures every cache level and every
+// core's MMU keep redundantly (cache.Level.CheckInvariants,
+// mmu.MMU.CheckInvariants) and returns every inconsistency found, joined.
+// It expects the system at rest, between runs. It is a test aid; nothing
+// on the simulation path calls it.
+func (s *System) CheckInvariants() error {
+	errs := []error{s.l3.CheckInvariants()}
+	for c, cn := range s.cores {
+		errs = append(errs, cn.l1.CheckInvariants(), cn.l2.CheckInvariants())
+		if cn.mmu != nil {
+			if err := cn.mmu.CheckInvariants(); err != nil {
+				errs = append(errs, fmt.Errorf("core %d: %w", c, err))
+			}
+		}
+	}
+	return errors.Join(errs...)
+}

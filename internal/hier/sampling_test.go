@@ -53,7 +53,9 @@ func TestSamplingOffGoldenIdentity(t *testing.T) {
 			if got, want := digestHash(s), golden[p.String()]; got != want {
 				t.Errorf("digest hash = %s, want pre-change golden %s", got, want)
 			}
-			checkLevels(t, s)
+			if err := s.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
 		})
 	}
 }
@@ -71,7 +73,9 @@ func TestSamplingOffGoldenIdentityMix(t *testing.T) {
 	if got := digestHash(s); got != golden {
 		t.Errorf("2-core digest hash = %s, want pre-change golden %s", got, golden)
 	}
-	checkLevels(t, s)
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
 }
 
 // TestSampleKOneIsOff asserts the escape hatch: SampleK == 1 must be the

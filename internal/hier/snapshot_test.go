@@ -52,21 +52,6 @@ func stateDigest(s *System) string {
 	return b.String()
 }
 
-// checkLevels fails t if any cache level of s breaks its structural
-// invariants (cache.Level.CheckInvariants).
-func checkLevels(t *testing.T, s *System) {
-	t.Helper()
-	levels := []*cache.Level{s.L3()}
-	for c := range s.cores {
-		levels = append(levels, s.L1(c), s.L2(c))
-	}
-	for _, l := range levels {
-		if err := l.CheckInvariants(); err != nil {
-			t.Error(err)
-		}
-	}
-}
-
 // drain advances src by n accesses without simulating them, positioning a
 // fresh source chain exactly where a warmed run's source stands.
 func drain(src trace.Source, n uint64) trace.Source {
@@ -136,7 +121,9 @@ func TestSnapshotRestoreBitIdentity(t *testing.T) {
 				t.Error("snapshot reports a non-positive size")
 			}
 			for _, s := range []*System{ref, clone, warmed, again, restored} {
-				checkLevels(t, s)
+				if err := s.CheckInvariants(); err != nil {
+					t.Error(err)
+				}
 			}
 		})
 	}

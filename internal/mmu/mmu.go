@@ -8,6 +8,8 @@
 package mmu
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -95,26 +97,32 @@ type Stats struct {
 	PolicyRecomputs stats.Counter // EOU invocations
 }
 
-// MMU is the TLB + page table pair. The TLB is three parallel packed
-// slices (page keys, PTE pointers, LRU stamps) rather than a map or a
-// struct slice: the hit scan touches only the contiguous page-key array —
-// 64 entries fit in eight cache lines — and the LRU victim scan touches
-// only the stamp array. Lookup order is a pure performance concern: the
-// slot of the previous hit is probed first (accesses burst within a page),
-// and each scan hit transposes the entry one slot toward the front so hot
-// pages cluster there. Replacement is decided by stamps alone, which are
-// unique (one clock tick per translation), so the minimum-stamp victim —
-// and therefore every architectural event — is identical no matter how the
-// slots are ordered.
+// MMU is the TLB + page table pair. The TLB is an exact LRU over
+// TLBEntries slots whose every operation is O(1): slot i holds page
+// tlbPages[i] and its PTE tlbPTEs[i]; prev/next chain the slots from the
+// most recently translated (head) to the victim (tail); and a hashed
+// index finds a page's slot without a scan. The index is open-addressed
+// (linear probing over a power-of-two table at most a quarter full) and
+// stores slot+1 per entry, 0 marking an empty entry, so the keys live
+// only in tlbPages; eviction deletes by backward shift, which keeps every
+// probe run free of tombstones. A hit moves its slot to the head and a
+// miss reuses the tail's, so the tail is always the least recently
+// translated page, whatever order the slots sit in.
 type MMU struct {
-	cfg       Config
-	pages     map[mem.PageID]*PTE
-	tlbPages  []mem.PageID
-	tlbPTEs   []*PTE
-	tlbStamps []uint64
-	lastHit   int
-	clock     uint64
-	rng       *trace.RNG
+	cfg   Config
+	pages map[mem.PageID]*PTE
+
+	tlbPages   []mem.PageID
+	tlbPTEs    []*PTE
+	prev, next []int32 // LRU links between slots; -1 ends the list
+	head, tail int32   // most and least recently used slots; -1 when empty
+	index      []int32 // slot+1 by page hash; 0 is an empty entry
+	shift      uint8   // 64 - log2(len(index)), for Fibonacci hashing
+
+	// pStable and pSampling are the per-miss transition probabilities
+	// 1/Nsamp and 1/Nstab.
+	pStable, pSampling float64
+	rng                *trace.RNG
 
 	Stats Stats
 }
@@ -133,12 +141,20 @@ func New(cfg Config) *MMU {
 	if cfg.MinSamples == 0 {
 		cfg.MinSamples = DefaultMinSamples
 	}
+	logIndex := 2 + bits.Len(uint(cfg.TLBEntries-1)) // load factor at most 1/4
 	return &MMU{
 		cfg:       cfg,
 		pages:     make(map[mem.PageID]*PTE),
 		tlbPages:  make([]mem.PageID, 0, cfg.TLBEntries),
 		tlbPTEs:   make([]*PTE, 0, cfg.TLBEntries),
-		tlbStamps: make([]uint64, 0, cfg.TLBEntries),
+		prev:      make([]int32, cfg.TLBEntries),
+		next:      make([]int32, cfg.TLBEntries),
+		head:      -1,
+		tail:      -1,
+		index:     make([]int32, 1<<logIndex),
+		shift:     uint8(64 - logIndex),
+		pStable:   1 / float64(cfg.Nsamp),
+		pSampling: 1 / float64(cfg.Nstab),
 		rng:       trace.NewRNG(cfg.Seed ^ 0x51e9),
 	}
 }
@@ -181,60 +197,49 @@ type TranslateResult struct {
 // Translate looks page p up in the TLB, running the Section 4.2 state
 // machine on misses.
 func (m *MMU) Translate(p mem.PageID) TranslateResult {
-	m.clock++
-	// Same-page bursts resolve against the previous hit's slot without a
-	// scan; the stamp still advances, so LRU state is exactly as if the
-	// full scan had run.
-	if li := m.lastHit; li < len(m.tlbPages) && m.tlbPages[li] == p {
-		m.tlbStamps[li] = m.clock
-		m.Stats.TLBHits.Inc()
-		return TranslateResult{PTE: m.tlbPTEs[li]}
-	}
-	for i, pg := range m.tlbPages {
-		if pg == p {
-			m.tlbStamps[i] = m.clock
-			pte := m.tlbPTEs[i]
-			if i > 0 {
-				// Transpose toward the front to shorten future scans;
-				// order never affects replacement (stamps do).
-				j := i - 1
-				m.tlbPages[i], m.tlbPages[j] = m.tlbPages[j], m.tlbPages[i]
-				m.tlbPTEs[i], m.tlbPTEs[j] = m.tlbPTEs[j], m.tlbPTEs[i]
-				m.tlbStamps[i], m.tlbStamps[j] = m.tlbStamps[j], m.tlbStamps[i]
-				i = j
-			}
-			m.lastHit = i
-			m.Stats.TLBHits.Inc()
-			return TranslateResult{PTE: pte}
+	s := m.head
+	// Same-page bursts resolve at the head without touching the index.
+	if s < 0 || m.tlbPages[s] != p {
+		if s = m.slotOf(p); s < 0 {
+			return m.miss(p)
 		}
+		m.unlink(s)
+		m.pushFront(s)
 	}
+	m.Stats.TLBHits.Inc()
+	return TranslateResult{PTE: m.tlbPTEs[s]}
+}
+
+// miss walks the page table for p, installs it in the TLB at the head and
+// runs the sampling state machine.
+func (m *MMU) miss(p mem.PageID) TranslateResult {
 	pte := m.PTEOf(p)
 	m.Stats.TLBMisses.Inc()
 	res := TranslateResult{PTE: pte, TLBMiss: true}
-	// Evict the LRU TLB entry when full; a displaced sampling page's
-	// distribution counters are written back to DRAM.
-	if len(m.tlbPages) >= m.cfg.TLBEntries {
-		victim := 0
-		for i, st := range m.tlbStamps {
-			if st < m.tlbStamps[victim] {
-				victim = i
-			}
-		}
-		if vp := m.tlbPTEs[victim]; vp.Sampling {
-			m.Stats.ProfileWrites.Inc()
-			res.WritebackProfile = m.tlbPages[victim]
-			res.WritebackValid = true
-		}
-		m.tlbPages[victim] = p
-		m.tlbPTEs[victim] = pte
-		m.tlbStamps[victim] = m.clock
-		m.lastHit = victim
-	} else {
+	s := int32(len(m.tlbPages))
+	if int(s) < m.cfg.TLBEntries {
 		m.tlbPages = append(m.tlbPages, p)
 		m.tlbPTEs = append(m.tlbPTEs, pte)
-		m.tlbStamps = append(m.tlbStamps, m.clock)
-		m.lastHit = len(m.tlbPages) - 1
+	} else {
+		// Evict the LRU TLB entry; a displaced sampling page's
+		// distribution counters are written back to DRAM.
+		s = m.tail
+		if m.tlbPTEs[s].Sampling {
+			m.Stats.ProfileWrites.Inc()
+			res.WritebackProfile = m.tlbPages[s]
+			res.WritebackValid = true
+		}
+		m.unindex(s)
+		m.unlink(s)
+		m.tlbPages[s], m.tlbPTEs[s] = p, pte
 	}
+	m.pushFront(s)
+	// Index p at the first empty entry of its probe run.
+	i := m.home(p)
+	for m.index[i] != 0 {
+		i = (i + 1) & m.indexMask()
+	}
+	m.index[i] = s + 1
 	if pte.Sampling {
 		// Distribution metadata is only fetched for sampling pages.
 		m.Stats.ProfileFetches.Inc()
@@ -245,12 +250,12 @@ func (m *MMU) Translate(p mem.PageID) TranslateResult {
 		if pte.Sampling {
 			enough := m.cfg.MinSamples < 0 ||
 				pte.L2Dist.Total()+pte.L3Dist.Total() >= uint64(m.cfg.MinSamples)
-			if enough && m.rng.Bool(1/float64(m.cfg.Nsamp)) {
+			if enough && m.rng.Bool(m.pStable) {
 				pte.Sampling = false
 				m.Stats.ToStable.Inc()
 				res.BecameStable = true
 			}
-		} else if m.rng.Bool(1 / float64(m.cfg.Nstab)) {
+		} else if m.rng.Bool(m.pSampling) {
 			pte.Sampling = true
 			m.Stats.ToSampling.Inc()
 		}
@@ -258,19 +263,73 @@ func (m *MMU) Translate(p mem.PageID) TranslateResult {
 	return res
 }
 
+// home is p's first probe position in the index.
+func (m *MMU) home(p mem.PageID) uint32 {
+	return uint32(uint64(p) * 0x9e3779b97f4a7c15 >> m.shift)
+}
+
+func (m *MMU) indexMask() uint32 { return uint32(len(m.index) - 1) }
+
+// slotOf returns the TLB slot holding p, or -1.
+func (m *MMU) slotOf(p mem.PageID) int32 {
+	for i := m.home(p); ; i = (i + 1) & m.indexMask() {
+		e := m.index[i]
+		if e == 0 || m.tlbPages[e-1] == p {
+			return e - 1
+		}
+	}
+}
+
+// unindex deletes slot s's index entry. Each later entry of the probe
+// run moves back into the hole unless that would put it before its home,
+// so every entry stays reachable from its home without tombstones.
+func (m *MMU) unindex(s int32) {
+	mask := m.indexMask()
+	i := m.home(m.tlbPages[s])
+	for m.index[i] != s+1 {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
+		if e := m.index[j]; (j-m.home(m.tlbPages[e-1]))&mask >= (j-i)&mask {
+			m.index[i] = e
+			i = j
+		}
+	}
+	m.index[i] = 0
+}
+
+// unlink takes slot s out of the LRU list.
+func (m *MMU) unlink(s int32) {
+	p, n := m.prev[s], m.next[s]
+	if p >= 0 {
+		m.next[p] = n
+	} else {
+		m.head = n
+	}
+	if n >= 0 {
+		m.prev[n] = p
+	} else {
+		m.tail = p
+	}
+}
+
+// pushFront makes slot s, not in the list, its head.
+func (m *MMU) pushFront(s int32) {
+	m.prev[s], m.next[s] = -1, m.head
+	if m.head >= 0 {
+		m.prev[m.head] = s
+	} else {
+		m.tail = s
+	}
+	m.head = s
+}
+
 // NotePolicyUpdate counts an EOU recomputation for accounting (the caller
 // performs the optimization and stores the codes).
 func (m *MMU) NotePolicyUpdate() { m.Stats.PolicyRecomputs.Inc() }
 
 // InTLB reports whether p currently hits in the TLB.
-func (m *MMU) InTLB(p mem.PageID) bool {
-	for _, pg := range m.tlbPages {
-		if pg == p {
-			return true
-		}
-	}
-	return false
-}
+func (m *MMU) InTLB(p mem.PageID) bool { return m.slotOf(p) >= 0 }
 
 // ProfileBase is the base of the reserved physical region where page
 // profiles live; data addresses must stay below it.

@@ -23,8 +23,10 @@ type Mix struct {
 	left int // accesses left in current burst
 	cum  []float64
 	// gapP is the per-trial success probability of the geometric gap draw,
-	// precomputed so the hot path avoids a division per access.
+	// and gapK its boolThreshold, precomputed so the hot path draws with
+	// integer compares alone.
 	gapP float64
+	gapK uint64
 }
 
 // NewMix builds a mixture source. meanGap sets the average instruction gap
@@ -41,6 +43,7 @@ func NewMix(seed uint64, meanGap float64, items ...MixItem) *Mix {
 	m := &Mix{items: items, meanGap: meanGap, rng: NewRNG(seed)}
 	if meanGap > 0 {
 		m.gapP = 1.0 / (meanGap + 1)
+		m.gapK = boolThreshold(m.gapP)
 	}
 	// Weight is each region's share of the *access stream*. One selection
 	// emits Burst accesses, so selection probability must be proportional
@@ -80,17 +83,25 @@ func (m *Mix) NextBatch(dst []Access) int {
 	return len(dst)
 }
 
-// gap draws a geometric instruction gap with the configured mean.
+// gap draws a geometric instruction gap with the configured mean: it
+// counts failed Bool(gapP) trials before the first success, capped at
+// 1000, and so consumes g+1 draws. The RNG state stays in a register for
+// the loop and each trial is one integer compare against gapK.
 func (m *Mix) gap() uint32 {
 	if m.meanGap <= 0 {
 		return 0
 	}
-	// A geometric draw with mean g: floor(ln(u)/ln(1-1/(g+1))) clamped.
-	g := 0
-	for !m.rng.Bool(m.gapP) && g < 1000 {
+	s, k := m.rng.s, m.gapK
+	g := uint32(0)
+	for {
+		s = xorshift(s)
+		if (s*rngMul)>>11 < k || g == 1000 {
+			break
+		}
 		g++
 	}
-	return uint32(g)
+	m.rng.s = s
+	return g
 }
 
 // Phase is one program phase: a source and how many accesses it lasts.
@@ -146,10 +157,22 @@ func (p *Phased) NextBatch(dst []Access) int {
 
 // Interleave merges per-core sources round-robin, the multiprogrammed-mix
 // driver for the Figure 16 experiments, and reports which core issued each
-// access.
+// access. A merge of two or more sources pulls each source in bulk into a
+// lane of its own staging buffer and merges from the lanes, so every
+// source pays one NextBatch call per lane fill rather than one per access.
 type Interleave struct {
-	srcs []Source
-	next int
+	srcs  []Source
+	next  int
+	stage []Access
+	lanes []lane
+}
+
+// lane is one source's window of stage: its pulled but unmerged accesses
+// are stage[lo:hi], and ended records a short count from the source, after
+// which it is never pulled again.
+type lane struct {
+	lo, hi int
+	ended  bool
 }
 
 // NewInterleave builds a round-robin merger.
@@ -157,7 +180,19 @@ func NewInterleave(srcs ...Source) *Interleave {
 	if len(srcs) == 0 {
 		panic("trace: interleave needs at least one source")
 	}
-	return &Interleave{srcs: srcs}
+	iv := &Interleave{}
+	iv.Reset(srcs...)
+	return iv
+}
+
+// Reset points iv at a new set of sources, dropping anything staged from
+// the old ones but keeping the staging memory, so a pooled merger
+// allocates nothing per use. With no sources it only releases the old
+// ones, and NextBatch returns 0 until the next Reset.
+func (iv *Interleave) Reset(srcs ...Source) {
+	clear(iv.srcs)
+	iv.srcs, iv.next = append(iv.srcs[:0], srcs...), 0
+	iv.lanes = append(iv.lanes[:0], make([]lane, len(srcs))...)
 }
 
 // NextBatch fills dst with the merged stream and cores[i] with the index of
@@ -166,22 +201,40 @@ func NewInterleave(srcs ...Source) *Interleave {
 // the merged stream ends only when every source has ended.
 func (iv *Interleave) NextBatch(dst []Access, cores []int) int {
 	cores = cores[:len(dst)]
-	if len(iv.srcs) == 1 {
+	n := len(iv.srcs)
+	if n == 1 {
 		k := iv.srcs[0].NextBatch(dst)
 		clear(cores[:k])
 		return k
 	}
+	if len(iv.stage) < n {
+		// Lanes of about len(dst)/n accesses: one pull per source per
+		// batch while every source lasts.
+		iv.stage = make([]Access, max(len(dst), n))
+	}
 next:
 	for i := range dst {
-		for range iv.srcs {
+		for range n {
 			c := iv.next
-			if iv.next++; iv.next == len(iv.srcs) {
+			if iv.next++; iv.next == n {
 				iv.next = 0
 			}
-			if iv.srcs[c].NextBatch(dst[i:i+1]) == 1 {
-				cores[i] = c
-				continue next
+			ln := &iv.lanes[c]
+			if ln.lo == ln.hi {
+				if ln.ended {
+					continue
+				}
+				width := len(iv.stage) / n
+				k := iv.srcs[c].NextBatch(iv.stage[c*width : (c+1)*width])
+				ln.lo, ln.hi, ln.ended = c*width, c*width+k, k < width
+				if k == 0 {
+					continue
+				}
 			}
+			dst[i] = iv.stage[ln.lo]
+			ln.lo++
+			cores[i] = c
+			continue next
 		}
 		return i // every source has ended
 	}

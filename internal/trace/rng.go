@@ -1,5 +1,7 @@
 package trace
 
+import "math"
+
 // RNG is a small, fast, deterministic xorshift64* generator. Every source of
 // randomness in the simulator (workload generation, sampling-state
 // transitions, LRU-PEA bank selection) draws from an explicitly seeded RNG so
@@ -20,13 +22,20 @@ func NewRNG(seed uint64) *RNG {
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	x := r.s
+	r.s = xorshift(r.s)
+	return r.s * rngMul
+}
+
+// xorshift advances the generator state by one step; rngMul scrambles a
+// state into its output.
+func xorshift(x uint64) uint64 {
 	x ^= x >> 12
 	x ^= x << 25
 	x ^= x >> 27
-	r.s = x
-	return x * 0x2545f4914f6cdd1d
+	return x
 }
+
+const rngMul = 0x2545f4914f6cdd1d
 
 // Intn returns a uniform value in [0, n). It panics when n <= 0.
 func (r *RNG) Intn(n int) int {
@@ -43,6 +52,20 @@ func (r *RNG) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
+
+// boolThreshold returns the integer form of Bool(p): for an output x,
+// Bool draws true exactly when x>>11 < boolThreshold(p). Float64 is
+// k/2^53 for k = x>>11, exact, so k/2^53 < p holds exactly when
+// k < ceil(p·2^53); p ≤ 0 and NaN never draw true, p ≥ 1 always does.
+func boolThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
 
 // Fork derives an independent generator, so subsystems can be given their
 // own streams without coupling their consumption rates.

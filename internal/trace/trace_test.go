@@ -465,3 +465,127 @@ func TestZigzag(t *testing.T) {
 		}
 	}
 }
+
+// bernoulliGap is the reference gap draw: failed Bool(p) trials before the
+// first success, capped at 1000.
+func bernoulliGap(r *RNG, p float64) uint32 {
+	g := 0
+	for !r.Bool(p) && g < 1000 {
+		g++
+	}
+	return uint32(g)
+}
+
+// TestGapMatchesBernoulliReference requires Mix's integer-threshold gap
+// loop to draw the reference's gaps and leave the RNG where it does, over
+// mean gaps from none to one that mostly hits the 1000 cap.
+func TestGapMatchesBernoulliReference(t *testing.T) {
+	for _, mean := range []float64{0, 0.5, 8, 12, 5000} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			m := NewMix(seed, mean, MixItem{Region: NewLoop(0, 64*mem.LineBytes, 0), Weight: 1, Burst: 1})
+			ref := NewRNG(seed)
+			capped := 0
+			for i := 0; i < 3000; i++ {
+				var want uint32
+				if mean > 0 {
+					want = bernoulliGap(ref, m.gapP)
+				}
+				if got := m.gap(); got != want || m.rng.s != ref.s {
+					t.Fatalf("mean %v seed %d draw %d: gap %d state %#x, reference %d %#x",
+						mean, seed, i, got, m.rng.s, want, ref.s)
+				}
+				if want == 1000 {
+					capped++
+				}
+			}
+			if mean == 5000 && capped == 0 {
+				t.Errorf("seed %d: mean 5000 never reached the cap", seed)
+			}
+		}
+	}
+}
+
+// TestBoolThreshold checks the integer form of Bool at the threshold and
+// one either side of it, for probabilities at and between the edges.
+func TestBoolThreshold(t *testing.T) {
+	const scale = 1 << 53
+	for _, p := range []float64{-1, 0, 0x1p-53, 0x1.8p-53, 1.0 / 3, 0.5, 1.0 / 9, 1.0 / 13,
+		math.Nextafter(1, 0), 1, 2, math.NaN(), math.Inf(1)} {
+		k := boolThreshold(p)
+		for _, x := range []uint64{0, 1, k - 1, k, k + 1, scale - 1} {
+			if x >= scale {
+				continue
+			}
+			if got, want := x < k, float64(x)/scale < p; got != want {
+				t.Errorf("p=%v k=%d: x=%d draws %v, Bool draws %v", p, k, x, got, want)
+			}
+		}
+	}
+}
+
+// perAccessInterleave is the reference round robin: one single-access
+// NextBatch call per merged access, skipping sources that have ended.
+type perAccessInterleave struct {
+	srcs []Source
+	next int
+}
+
+func (iv *perAccessInterleave) NextBatch(dst []Access, cores []int) int {
+next:
+	for i := range dst {
+		for range iv.srcs {
+			c := iv.next
+			iv.next = (iv.next + 1) % len(iv.srcs)
+			if iv.srcs[c].NextBatch(dst[i:i+1]) == 1 {
+				cores[i] = c
+				continue next
+			}
+		}
+		return i
+	}
+	return len(dst)
+}
+
+// TestInterleaveMatchesPerAccessReference merges 2 to 4 sources of
+// unequal lengths, 0 and 1 among them, at batch sizes from 5000 down to 1,
+// and requires the lane merge to return the reference's counts, accesses
+// and core tags call by call. Each batch size runs on a fresh Interleave,
+// whose lanes it sizes, and on one reused through Reset, as a pooled
+// merger is, whose lanes the first, largest batch sized.
+func TestInterleaveMatchesPerAccessReference(t *testing.T) {
+	sources := func(lens []int) []Source {
+		srcs := make([]Source, len(lens))
+		for c, n := range lens {
+			region := NewRandom(mem.Addr(c+1)<<32, 64*mem.KB, 0.3)
+			srcs[c] = Limit(NewMix(uint64(c+1), 4, MixItem{Region: region, Weight: 1, Burst: 3}), uint64(n))
+		}
+		return srcs
+	}
+	check := func(iv *Interleave, lens []int, batch int) {
+		t.Helper()
+		ref := &perAccessInterleave{srcs: sources(lens)}
+		got, want := make([]Access, batch), make([]Access, batch)
+		gotCores, wantCores := make([]int, batch), make([]int, batch)
+		for call := 0; ; call++ {
+			k, wk := iv.NextBatch(got, gotCores), ref.NextBatch(want, wantCores)
+			if k != wk || !slices.Equal(got[:k], want[:k]) || !slices.Equal(gotCores[:k], wantCores[:k]) {
+				t.Fatalf("lengths %v batch %d call %d: %d accesses, reference %d, or their accesses or cores differ",
+					lens, batch, call, k, wk)
+			}
+			if k < batch {
+				break
+			}
+		}
+		if k := iv.NextBatch(got, gotCores); k != 0 {
+			t.Errorf("lengths %v batch %d: %d accesses after the end", lens, batch, k)
+		}
+	}
+	for _, lens := range [][]int{{0, 5000}, {1, 9000}, {4096, 4097}, {9000, 0, 1}, {3000, 7000, 5000}, {1, 1, 0, 6000}, {2500, 2500, 2500, 2500}} {
+		reused := NewInterleave(sources(lens)...)
+		for _, batch := range []int{5000, 4096, 1000, 64, 3, 1} {
+			check(NewInterleave(sources(lens)...), lens, batch)
+			reused.Reset(sources(lens)...)
+			check(reused, lens, batch)
+		}
+	}
+}
