@@ -409,7 +409,7 @@ func BenchmarkRRIPAblation(b *testing.B) {
 			sys.Run(trace.Limit(spec.Build(7), 300_000))
 			if i == 0 {
 				b.Logf("rrip=%v: L2 energy %.1f uJ, L2 hits %d",
-					rrip, sys.L2TotalPJ()/1e6, sys.L2(0).Stats.Hits.Value())
+					rrip, sys.Result().L2TotalPJ()/1e6, sys.L2(0).Stats.Hits.Value())
 			}
 		}
 	}

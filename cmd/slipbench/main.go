@@ -161,8 +161,8 @@ func main() {
 		fmt.Printf("[simulated %d specs on %d workers in %v]\n\n",
 			len(specs), *parallel, time.Since(start).Round(time.Millisecond))
 		for _, sp := range specs {
-			sys := suite.RunS(sp)
-			fmt.Printf("%-40s %s  %.1f uJ\n", sp.Label(), suite.KeyFor(sp), sys.ScaledFullSystemPJ()/1e6)
+			run := suite.RunS(sp)
+			fmt.Printf("%-40s %s  %.1f uJ\n", sp.Label(), suite.KeyFor(sp), run.ScaledFullSystemPJ()/1e6)
 		}
 		return
 	}

@@ -160,9 +160,9 @@ func run(args []string, stdout io.Writer) error {
 		defer pprof.StopCPUProfile()
 	}
 
-	var sys *hier.System
+	var res *hier.Result
 	if *traceIn != "" {
-		sys, err = replay(*traceIn, c)
+		res, err = replay(*traceIn, c)
 	} else {
 		// One run in a one-off process never hits the trace cache, so it
 		// stays off.
@@ -170,12 +170,12 @@ func run(args []string, stdout io.Writer) error {
 			Parallelism:     1,
 			TraceCacheBytes: -1,
 		})
-		sys, err = suite.RunSpecContext(context.Background(), c)
+		res, err = suite.RunSpecContext(context.Background(), c)
 	}
 	if err != nil {
 		return err
 	}
-	report(stdout, sys)
+	report(stdout, res)
 	return nil
 }
 
@@ -207,7 +207,7 @@ func listPolicies(w io.Writer) {
 // replay drives a tracegen file through the single-core system c
 // describes. There is no warmup: statistics cover the first c.Accesses
 // accesses of the file. A malformed record among them is an error.
-func replay(path string, c spec.Spec) (*hier.System, error) {
+func replay(path string, c spec.Spec) (*hier.Result, error) {
 	if c.Cores != 1 {
 		return nil, errors.New("-trace replay supports one core")
 	}
@@ -229,77 +229,77 @@ func replay(path string, c spec.Spec) (*hier.System, error) {
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
-	return sys, nil
+	return sys.Result(), nil
 }
 
 // report prints the run's per-level, energy, traffic and timing summary.
-func report(w io.Writer, sys *hier.System) {
-	cfg := sys.Config()
+func report(w io.Writer, res *hier.Result) {
+	cfg := res.Config
 	fmt.Fprintf(w, "policy: %s, cores: %d\n\n", cfg.Policy, cfg.NumCores)
 
 	tb := stats.NewTable("Per-level summary", "level", "accesses", "hit rate", "access pJ", "movement pJ", "metadata pJ", "total uJ")
 	for c := 0; c < cfg.NumCores; c++ {
-		l1, l2 := sys.L1(c), sys.L2(c)
+		l1, l2 := &res.Cores[c].L1, &res.Cores[c].L2
 		tb.AddRow(fmt.Sprintf("core%d L1", c),
-			fmt.Sprintf("%d", l1.Stats.Accesses.Value()),
-			fmt.Sprintf("%.1f%%", stats.Pct(float64(l1.Stats.Hits.Value()), float64(l1.Stats.Accesses.Value()))),
-			fmt.Sprintf("%.0f", l1.Stats.AccessPJ.PJ()),
-			fmt.Sprintf("%.0f", l1.Stats.MovementPJ.PJ()),
+			fmt.Sprintf("%d", l1.Accesses.Value()),
+			fmt.Sprintf("%.1f%%", stats.Pct(float64(l1.Hits.Value()), float64(l1.Accesses.Value()))),
+			fmt.Sprintf("%.0f", l1.AccessPJ.PJ()),
+			fmt.Sprintf("%.0f", l1.MovementPJ.PJ()),
 			"-",
-			fmt.Sprintf("%.1f", l1.Stats.TotalPJ()/1e6))
+			fmt.Sprintf("%.1f", l1.TotalPJ()/1e6))
 		tb.AddRow(fmt.Sprintf("core%d L2", c),
-			fmt.Sprintf("%d", l2.Stats.Accesses.Value()),
-			fmt.Sprintf("%.1f%%", stats.Pct(float64(l2.Stats.Hits.Value()), float64(l2.Stats.Accesses.Value()))),
-			fmt.Sprintf("%.0f", l2.Stats.AccessPJ.PJ()),
-			fmt.Sprintf("%.0f", l2.Stats.MovementPJ.PJ()),
-			fmt.Sprintf("%.0f", l2.Stats.MetadataPJ.PJ()),
-			fmt.Sprintf("%.1f", l2.Stats.TotalPJ()/1e6))
+			fmt.Sprintf("%d", l2.Accesses.Value()),
+			fmt.Sprintf("%.1f%%", stats.Pct(float64(l2.Hits.Value()), float64(l2.Accesses.Value()))),
+			fmt.Sprintf("%.0f", l2.AccessPJ.PJ()),
+			fmt.Sprintf("%.0f", l2.MovementPJ.PJ()),
+			fmt.Sprintf("%.0f", l2.MetadataPJ.PJ()),
+			fmt.Sprintf("%.1f", l2.TotalPJ()/1e6))
 	}
-	l3 := sys.L3()
+	l3 := &res.L3
 	tb.AddRow("L3",
-		fmt.Sprintf("%d", l3.Stats.Accesses.Value()),
-		fmt.Sprintf("%.1f%%", stats.Pct(float64(l3.Stats.Hits.Value()), float64(l3.Stats.Accesses.Value()))),
-		fmt.Sprintf("%.0f", l3.Stats.AccessPJ.PJ()),
-		fmt.Sprintf("%.0f", l3.Stats.MovementPJ.PJ()),
-		fmt.Sprintf("%.0f", l3.Stats.MetadataPJ.PJ()),
-		fmt.Sprintf("%.1f", l3.Stats.TotalPJ()/1e6))
+		fmt.Sprintf("%d", l3.Accesses.Value()),
+		fmt.Sprintf("%.1f%%", stats.Pct(float64(l3.Hits.Value()), float64(l3.Accesses.Value()))),
+		fmt.Sprintf("%.0f", l3.AccessPJ.PJ()),
+		fmt.Sprintf("%.0f", l3.MovementPJ.PJ()),
+		fmt.Sprintf("%.0f", l3.MetadataPJ.PJ()),
+		fmt.Sprintf("%.1f", l3.TotalPJ()/1e6))
 	fmt.Fprintln(w, tb.String())
 
-	f2 := sys.SublevelHitFractions(2)
-	f3 := sys.SublevelHitFractions(3)
+	f2 := res.SublevelHitFractions(2)
+	f3 := res.SublevelHitFractions(3)
 	fmt.Fprintf(w, "L2 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n", 100*f2[0], 100*f2[1], 100*f2[2])
 	fmt.Fprintf(w, "L3 sublevel hit shares: %.1f%% / %.1f%% / %.1f%%\n\n", 100*f3[0], 100*f3[1], 100*f3[2])
 
 	if cfg.Policy.IsSLIP() {
-		cls2 := sys.InsertionClassFractions(2)
-		cls3 := sys.InsertionClassFractions(3)
+		cls2 := res.InsertionClassFractions(2)
+		cls3 := res.InsertionClassFractions(3)
 		fmt.Fprintf(w, "L2 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
 			100*cls2[0], 100*cls2[1], 100*cls2[2], 100*cls2[3])
 		fmt.Fprintf(w, "L3 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
 			100*cls3[0], 100*cls3[1], 100*cls3[2], 100*cls3[3])
-		m := sys.MMU(0)
+		m := &res.Cores[0].MMU
 		fmt.Fprintf(w, "TLB: %d hits, %d misses; profile fetches %d, writebacks %d; EOU runs %d (%.0f pJ)\n\n",
-			m.Stats.TLBHits.Value(), m.Stats.TLBMisses.Value(),
-			m.Stats.ProfileFetches.Value(), m.Stats.ProfileWrites.Value(),
-			m.Stats.PolicyRecomputs.Value(), sys.EOUPJ())
+			m.TLBHits.Value(), m.TLBMisses.Value(),
+			m.ProfileFetches.Value(), m.ProfileWrites.Value(),
+			m.PolicyRecomputs.Value(), res.EOUPJ())
 	}
 
-	d := sys.DRAM()
+	d := &res.DRAM
 	fmt.Fprintf(w, "DRAM: %d reads, %d writes, %d metadata transfers, %.1f uJ\n",
-		d.Stats.Reads.Value(), d.Stats.Writes.Value(),
-		d.Stats.MetadataReads.Value()+d.Stats.MetadataWrites.Value(),
-		d.Stats.EnergyPJ.PJ()/1e6)
+		d.Reads.Value(), d.Writes.Value(),
+		d.MetadataReads.Value()+d.MetadataWrites.Value(),
+		d.EnergyPJ.PJ()/1e6)
 	for c := 0; c < cfg.NumCores; c++ {
 		fmt.Fprintf(w, "core%d: %d instrs, %.0f cycles, IPC %.2f\n",
-			c, sys.Instrs(c), sys.Cycles(c), sys.IPC(c))
+			c, res.Instrs(c), res.Cycles(c), res.IPC(c))
 	}
-	fmt.Fprintf(w, "full-system dynamic energy: %.1f uJ\n", sys.FullSystemPJ()/1e6)
-	if k := sys.SampleK(); k > 1 {
+	fmt.Fprintf(w, "full-system dynamic energy: %.1f uJ\n", res.FullSystemPJ()/1e6)
+	if k := res.SampleK(); k > 1 {
 		fmt.Fprintf(w, "\nset sampling 1/%d: %d accesses simulated, %d skipped\n",
-			k, sys.SampledAccesses, sys.SkippedAccesses)
+			k, res.SampledAccesses, res.SkippedAccesses)
 		fmt.Fprintf(w, "extrapolated (x%d): L2 misses %d, L3 misses %d, DRAM traffic %d, "+
 			"energy %.1f uJ, cycles %.0f, EDP %.3g pJ*cyc\n",
-			k, sys.ScaledL2Misses(true), sys.ScaledL3Misses(true), sys.ScaledDRAMTraffic(),
-			sys.ScaledFullSystemPJ()/1e6, sys.ScaledMaxCycles(), sys.ScaledEDP())
+			k, res.ScaledL2Misses(true), res.ScaledL3Misses(true), res.ScaledDRAMTraffic(),
+			res.ScaledFullSystemPJ()/1e6, res.ScaledMaxCycles(), res.ScaledEDP())
 	}
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func simulate(policy hier.PolicyKind, mix workloads.Mix) *hier.System {
+func simulate(policy hier.PolicyKind, mix workloads.Mix) *hier.Result {
 	a, _ := workloads.ByName(mix.A)
 	b, _ := workloads.ByName(mix.B)
 	sys := hier.New(hier.Config{Policy: policy, NumCores: 2, Seed: 9})
@@ -22,7 +22,7 @@ func simulate(policy hier.PolicyKind, mix workloads.Mix) *hier.System {
 	sys.ResetStats()
 	// Statistics cover only the window where both benchmarks run.
 	sys.Run(trace.Limit(sa, 1_500_000), trace.Limit(sb, 1_500_000))
-	return sys
+	return sys.Result()
 }
 
 func main() {
@@ -48,7 +48,7 @@ func main() {
 			name = mix.B
 		}
 		fmt.Printf("core%d (%s): IPC %.2f -> %.2f, %d L2 accesses\n",
-			c, name, base.IPC(c), slip.IPC(c), slip.L2(c).Stats.Accesses.Value())
+			c, name, base.IPC(c), slip.IPC(c), slip.Cores[c].L2.Accesses.Value())
 	}
 	f3 := slip.SublevelHitFractions(3)
 	fmt.Printf("\nshared L3 hit shares by sublevel under SLIP+ABP: %.0f%% / %.0f%% / %.0f%%\n",

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workloads"
 )
 
-func simulate(policy hier.PolicyKind) *hier.System {
+func simulate(policy hier.PolicyKind) *hier.Result {
 	// The mcf stand-in workload: pointer chasing over a large arc network,
 	// with a phase whose working set develops locality.
 	spec, _ := workloads.ByName("mcf")
@@ -23,7 +23,7 @@ func simulate(policy hier.PolicyKind) *hier.System {
 	sys.Run(trace.Limit(src, 2_000_000))
 	sys.ResetStats()
 	sys.Run(trace.Limit(src, 2_000_000))
-	return sys
+	return sys.Result()
 }
 
 func main() {

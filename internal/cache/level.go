@@ -538,3 +538,9 @@ func (l *Level) ForEachLine(f func(set, way int, ln Line)) {
 		}
 	}
 }
+
+// StatsOnly returns a level that holds only a name and statistics, with no
+// lines, tags or replacement state; only Name and Stats may be used. It
+// exists for the stats-only System views hier.Result.View builds for
+// perfbench, and goes with them.
+func StatsOnly(name string, st Stats) *Level { return &Level{name: name, Stats: st} }

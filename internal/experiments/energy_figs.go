@@ -58,9 +58,9 @@ func (s *Suite) Fig9() Fig9Result {
 		base := s.Run(name, hier.Baseline)
 		var row2, row3 []float64
 		for _, p := range evalPolicies {
-			sys := s.Run(name, p)
-			sv2 := stats.Savings(base.L2TotalPJ(), sys.L2TotalPJ())
-			sv3 := stats.Savings(base.L3TotalPJ(), sys.L3TotalPJ())
+			run := s.Run(name, p)
+			sv2 := stats.Savings(base.L2TotalPJ(), run.L2TotalPJ())
+			sv3 := stats.Savings(base.L3TotalPJ(), run.L3TotalPJ())
 			res.L2[p][name] = sv2
 			res.L3[p][name] = sv3
 			row2 = append(row2, sv2)
@@ -153,13 +153,13 @@ func (s *Suite) Fig11() Fig11Result {
 		var a2, m2, a3, m3 []float64
 		for _, name := range s.opts.Benchmarks {
 			base := s.Run(name, hier.Baseline)
-			sys := s.Run(name, p)
+			run := s.Run(name, p)
 			n2 := base.L2AccessPJ() + base.L2MovementPJ()
 			n3 := base.L3AccessPJ() + base.L3MovementPJ()
-			a2 = append(a2, stats.Ratio(sys.L2AccessPJ(), n2))
-			m2 = append(m2, stats.Ratio(sys.L2MovementPJ(), n2))
-			a3 = append(a3, stats.Ratio(sys.L3AccessPJ(), n3))
-			m3 = append(m3, stats.Ratio(sys.L3MovementPJ(), n3))
+			a2 = append(a2, stats.Ratio(run.L2AccessPJ(), n2))
+			m2 = append(m2, stats.Ratio(run.L2MovementPJ(), n2))
+			a3 = append(a3, stats.Ratio(run.L3AccessPJ(), n3))
+			m3 = append(m3, stats.Ratio(run.L3MovementPJ(), n3))
 		}
 		res.L2Access[p] = stats.Mean(a2)
 		res.L2Movement[p] = stats.Mean(m2)

@@ -24,10 +24,10 @@ type RunSpec = spec.Spec
 // specs describing the same simulation share one flight no matter which
 // layer submitted them. Invalid specs panic, in the caller's goroutine,
 // with the valid alternatives named.
-func (s *Suite) RunSpecContext(ctx context.Context, sp RunSpec) (*hier.System, error) {
+func (s *Suite) RunSpecContext(ctx context.Context, sp RunSpec) (*hier.Result, error) {
 	c := s.mustResolve(sp)
 	key := c.MustHash()
-	return s.runs.Get(ctx, key, func(ctx context.Context) (*hier.System, error) {
+	return s.runs.Get(ctx, key, func(ctx context.Context) (*hier.Result, error) {
 		return s.simulate(ctx, key, c)
 	})
 }
@@ -88,8 +88,10 @@ dispatch:
 
 // RunAll fans the full benchmark x policy matrix (the suite's configured
 // benchmark set against the given policies) over the worker pool and
-// returns the simulated systems keyed by workload then policy. It is the
-// parallel equivalent of nested Run loops.
+// returns the runs keyed by workload then policy, each as a stats-only
+// view of its memoized Result (hier.Result.View). The views are a shim
+// for perfbench, which still reads *hier.System; code in this module
+// reads Results through Run.
 func (s *Suite) RunAll(policies ...hier.PolicyKind) map[string]map[hier.PolicyKind]*hier.System {
 	out, _ := s.RunAllContext(context.Background(), policies...)
 	return out
@@ -111,7 +113,7 @@ func (s *Suite) RunAllContext(ctx context.Context, policies ...hier.PolicyKind) 
 	for _, wl := range s.opts.Benchmarks {
 		row := make(map[hier.PolicyKind]*hier.System, len(policies))
 		for _, p := range policies {
-			row[p] = s.Run(wl, p)
+			row[p] = s.Run(wl, p).View()
 		}
 		out[wl] = row
 	}

@@ -25,41 +25,52 @@ func detOptions(parallelism int) Options {
 
 // TestParallelRunAllMatchesSequential is the determinism guarantee: fanning
 // the benchmark x policy matrix over a worker pool must produce numerically
-// identical systems to running the same matrix one at a time. Exact float
+// identical results to running the same matrix one at a time. Exact float
 // equality is intentional — each simulation is single-goroutine and seeded,
-// so parallelism may not perturb a single bit.
+// so parallelism may not perturb a single bit. Every memoized Result must
+// also keep its counter identities.
 func TestParallelRunAllMatchesSequential(t *testing.T) {
 	pols := []hier.PolicyKind{hier.Baseline, hier.SLIPABP}
 
 	seq := NewSuite(detOptions(1))
 	par := NewSuite(detOptions(8))
-	got := par.RunAll(pols...)
+	var specs []RunSpec
+	for _, wl := range par.Options().Benchmarks {
+		for _, p := range pols {
+			specs = append(specs, spec.Single(wl, p))
+		}
+	}
+	par.Prefetch(specs)
+	if got, want := len(par.Keys()), len(specs); got != want {
+		t.Fatalf("prefetch memoized %d runs, want %d", got, want)
+	}
 
 	for _, wl := range seq.Options().Benchmarks {
 		for _, p := range pols {
-			want := seq.Run(wl, p)
-			sys := got[wl][p]
-			if sys == nil {
-				t.Fatalf("%s/%v: missing parallel run", wl, p)
+			want, got := seq.Run(wl, p), par.Run(wl, p)
+			for _, r := range []*hier.Result{want, got} {
+				if err := r.CheckWindow(detOptions(1).Accesses); err != nil {
+					t.Errorf("%s/%v: %v", wl, p, err)
+				}
 			}
-			if a, b := want.FullSystemPJ(), sys.FullSystemPJ(); a != b {
+			if a, b := want.FullSystemPJ(), got.FullSystemPJ(); a != b {
 				t.Errorf("%s/%v: full-system energy %v (sequential) != %v (parallel)", wl, p, a, b)
 			}
-			if a, b := want.L2TotalPJ(), sys.L2TotalPJ(); a != b {
+			if a, b := want.L2TotalPJ(), got.L2TotalPJ(); a != b {
 				t.Errorf("%s/%v: L2 energy %v != %v", wl, p, a, b)
 			}
-			if a, b := want.L3TotalPJ(), sys.L3TotalPJ(); a != b {
+			if a, b := want.L3TotalPJ(), got.L3TotalPJ(); a != b {
 				t.Errorf("%s/%v: L3 energy %v != %v", wl, p, a, b)
 			}
-			wl2, sl2 := want.L2(0).Stats, sys.L2(0).Stats
-			if wl2.Hits.Value() != sl2.Hits.Value() || wl2.Accesses.Value() != sl2.Accesses.Value() {
+			wl2, gl2 := &want.Cores[0].L2, &got.Cores[0].L2
+			if wl2.Hits.Value() != gl2.Hits.Value() || wl2.Accesses.Value() != gl2.Accesses.Value() {
 				t.Errorf("%s/%v: L2 hits/accesses %d/%d != %d/%d", wl, p,
-					wl2.Hits.Value(), wl2.Accesses.Value(), sl2.Hits.Value(), sl2.Accesses.Value())
+					wl2.Hits.Value(), wl2.Accesses.Value(), gl2.Hits.Value(), gl2.Accesses.Value())
 			}
-			if a, b := want.DRAMTraffic(), sys.DRAMTraffic(); a != b {
+			if a, b := want.DRAMTraffic(), got.DRAMTraffic(); a != b {
 				t.Errorf("%s/%v: DRAM traffic %d != %d", wl, p, a, b)
 			}
-			if a, b := want.MaxCycles(), sys.MaxCycles(); a != b {
+			if a, b := want.MaxCycles(), got.MaxCycles(); a != b {
 				t.Errorf("%s/%v: cycles %v != %v", wl, p, a, b)
 			}
 		}
@@ -67,14 +78,14 @@ func TestParallelRunAllMatchesSequential(t *testing.T) {
 }
 
 // TestSingleflightCollapsesConcurrentRuns hammers one memo key from many
-// goroutines; every caller must get the same simulated system back.
+// goroutines; every caller must get the same memoized result back.
 func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 	s := NewSuite(Options{
 		Accesses: 20_000, Warmup: 20_000, Seed: 7,
 		Benchmarks: []string{"milc"}, Parallelism: 4,
 	})
 	const callers = 8
-	results := make([]*hier.System, callers)
+	results := make([]*hier.Result, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -86,7 +97,7 @@ func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 	wg.Wait()
 	for i := 1; i < callers; i++ {
 		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different system: duplicate simulation ran", i)
+			t.Fatalf("caller %d got a different result: duplicate simulation ran", i)
 		}
 	}
 	if keys := s.Keys(); len(keys) != 1 {

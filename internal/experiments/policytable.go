@@ -75,18 +75,18 @@ func ComparePolicies(ctx context.Context, opts Options) (*PolicyComparison, erro
 		}
 		var energy, edp, l2m, l3m, byp []float64
 		for _, wl := range opts.Benchmarks {
-			sys := su.Run(wl, p)
-			energy = append(energy, sys.ScaledFullSystemPJ()/1e6)
-			edp = append(edp, sys.ScaledEDP())
-			l2m = append(l2m, 100*levelMissRatio(sys, 2))
-			l3m = append(l3m, 100*levelMissRatio(sys, 3))
+			res := su.Run(wl, p)
+			energy = append(energy, res.ScaledFullSystemPJ()/1e6)
+			edp = append(edp, res.ScaledEDP())
+			l2m = append(l2m, 100*levelMissRatio(res, 2))
+			l3m = append(l3m, 100*levelMissRatio(res, 3))
 			var fills, bypasses uint64
-			for c := 0; c < sys.Config().NumCores; c++ {
-				fills += sys.L2(c).Stats.Fills.Value()
-				bypasses += sys.L2(c).Stats.Bypasses.Value()
+			for c := range res.Cores {
+				fills += res.Cores[c].L2.Fills.Value()
+				bypasses += res.Cores[c].L2.Bypasses.Value()
 			}
-			fills += sys.L3().Stats.Fills.Value()
-			bypasses += sys.L3().Stats.Bypasses.Value()
+			fills += res.L3.Fills.Value()
+			bypasses += res.L3.Bypasses.Value()
 			if tot := fills + bypasses; tot > 0 {
 				byp = append(byp, 100*float64(bypasses)/float64(tot))
 			} else {

@@ -114,8 +114,8 @@ func TestSampledFiguresExtrapolate(t *testing.T) {
 	s := NewSuite(Options{Accesses: 60_000, Warmup: 60_000, Seed: 7, Sampling: 8,
 		Benchmarks: []string{"soplex", "milc"}})
 	fig10, fig13, htree := s.Fig10(), s.Fig13(), s.HTree()
-	speedup := func(base, sys *hier.System) float64 {
-		return 100 * (base.ScaledMaxCycles()/sys.ScaledMaxCycles() - 1)
+	speedup := func(base, run *hier.Result) float64 {
+		return 100 * (base.ScaledMaxCycles()/run.ScaledMaxCycles() - 1)
 	}
 	var htreeSpeed []float64
 	for _, name := range s.Options().Benchmarks {

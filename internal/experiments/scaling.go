@@ -97,10 +97,10 @@ func (s *Suite) BinWidth() BinWidthResult {
 		var v []float64
 		for _, name := range s.opts.Benchmarks {
 			base := s.Run(name, hier.Baseline)
-			sys := s.RunS(bitsSpec(name, b))
+			run := s.RunS(bitsSpec(name, b))
 			v = append(v, stats.Savings(
 				base.L2TotalPJ()+base.L3TotalPJ(),
-				sys.L2TotalPJ()+sys.L3TotalPJ()))
+				run.L2TotalPJ()+run.L3TotalPJ()))
 		}
 		res.SavingsByBits[bits] = stats.Mean(v)
 		tb.AddRowF(fmt.Sprintf("%d", bits), "%.1f%%", res.SavingsByBits[bits])
@@ -126,13 +126,13 @@ func (s *Suite) Sampling() SamplingResult {
 	tb := stats.NewTable("Section 4.2: metadata traffic with/without time-based sampling",
 		"bench", "meta share of L2 accesses (sampled)", "(always)", "meta share of DRAM (sampled)")
 	for _, name := range s.opts.Benchmarks {
-		sys := s.Run(name, hier.SLIPABP)
+		run := s.Run(name, hier.SLIPABP)
 		always := s.RunS(noSampleSpec(name))
-		l2acc := float64(sys.L2(0).Stats.Accesses.Value())
-		l2accA := float64(always.L2(0).Stats.Accesses.Value())
-		w := stats.Pct(float64(sys.L2MetaAccesses), l2acc)
+		l2acc := float64(run.Cores[0].L2.Accesses.Value())
+		l2accA := float64(always.Cores[0].L2.Accesses.Value())
+		w := stats.Pct(float64(run.L2MetaAccesses), l2acc)
 		wo := stats.Pct(float64(always.L2MetaAccesses), l2accA)
-		dm := stats.Pct(float64(sys.DRAMTraffic()-sys.DRAMDemandTraffic()), float64(sys.DRAMTraffic()))
+		dm := stats.Pct(float64(run.DRAMTraffic()-run.DRAMDemandTraffic()), float64(run.DRAMTraffic()))
 		with = append(with, w)
 		without = append(without, wo)
 		dramShare = append(dramShare, dm)

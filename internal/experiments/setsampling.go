@@ -64,16 +64,16 @@ type sampleRunMetrics struct {
 }
 
 // levelMissRatio aggregates a level's demand miss ratio across cores.
-func levelMissRatio(sys *hier.System, level int) float64 {
+func levelMissRatio(res *hier.Result, level int) float64 {
 	var acc, miss uint64
 	if level == 2 {
-		for i := 0; i < sys.Config().NumCores; i++ {
-			acc += sys.L2(i).Stats.Accesses.Value()
-			miss += sys.L2(i).Stats.Misses.Value()
+		for i := range res.Cores {
+			acc += res.Cores[i].L2.Accesses.Value()
+			miss += res.Cores[i].L2.Misses.Value()
 		}
 	} else {
-		acc = sys.L3().Stats.Accesses.Value()
-		miss = sys.L3().Stats.Misses.Value()
+		acc = res.L3.Accesses.Value()
+		miss = res.L3.Misses.Value()
 	}
 	if acc == 0 {
 		return 0
@@ -81,15 +81,15 @@ func levelMissRatio(sys *hier.System, level int) float64 {
 	return float64(miss) / float64(acc)
 }
 
-func metricsOf(sys *hier.System) sampleRunMetrics {
+func metricsOf(res *hier.Result) sampleRunMetrics {
 	m := sampleRunMetrics{
-		l2MissRatio: levelMissRatio(sys, 2),
-		l3MissRatio: levelMissRatio(sys, 3),
-		energyPJ:    sys.ScaledFullSystemPJ(),
-		edp:         sys.ScaledEDP(),
+		l2MissRatio: levelMissRatio(res, 2),
+		l3MissRatio: levelMissRatio(res, 3),
+		energyPJ:    res.ScaledFullSystemPJ(),
+		edp:         res.ScaledEDP(),
 	}
-	if driven := sys.SampledAccesses + sys.SkippedAccesses; driven > 0 {
-		m.sampledShare = float64(sys.SampledAccesses) / float64(driven)
+	if driven := res.SampledAccesses + res.SkippedAccesses; driven > 0 {
+		m.sampledShare = float64(res.SampledAccesses) / float64(driven)
 	} else {
 		m.sampledShare = 1 // sampling off: everything was simulated
 	}
@@ -175,9 +175,9 @@ func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*Sa
 
 	pass := func(k int) ([]sampleRunMetrics, float64, error) {
 		// A fresh memo per pass over the warmer's trace cache: the pass
-		// replays the pre-warmed streams, and its systems are dropped with
+		// replays the pre-warmed streams, and its results are dropped with
 		// it once their metrics are read.
-		su := &Suite{opts: opts, runs: lru.New[*hier.System](0, nil), traces: warmer.traces}
+		su := &Suite{opts: opts, runs: lru.New[*hier.Result](0, nil), traces: warmer.traces}
 		var specs []RunSpec
 		for _, wl := range opts.Benchmarks {
 			for _, p := range pols {

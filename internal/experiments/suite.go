@@ -4,13 +4,15 @@
 // sampling traffic). Each experiment prints the same rows/series the paper
 // reports and returns the numbers for programmatic checks.
 //
-// The Suite memoizes simulated systems, so figures that share runs (9, 10,
-// 11, 12, 13, 14, 15 all read the same 14 benchmark x 5 policy matrix) pay
-// for each simulation once. The memo cache is goroutine-safe with
-// singleflight semantics: concurrent requests for the same run block on a
-// single simulation instead of duplicating it, and Prefetch/RunAll fan the
-// run matrix over a bounded worker pool. Each simulated system is built and
-// driven by exactly one goroutine, so parallel results are bit-identical to
+// The Suite memoizes each run's hier.Result, captured when its measured
+// window ends, so figures that share runs (9, 10, 11, 12, 13, 14, 15 all
+// read the same 14 benchmark x 5 policy matrix) pay for each simulation
+// once, and a finished run retains its statistics but not its simulated
+// caches. The memo cache is goroutine-safe with singleflight semantics:
+// concurrent requests for the same run block on a single simulation
+// instead of duplicating it, and Prefetch/RunAll fan the run matrix over a
+// bounded worker pool. Each simulated system is built and driven by
+// exactly one goroutine, so parallel results are bit-identical to
 // sequential ones.
 package experiments
 
@@ -105,19 +107,21 @@ func (o *Options) normalize() {
 }
 
 // Suite memoizes runs across experiments. All methods are safe for
-// concurrent use; a completed *hier.System is never written again, by the
-// Suite or by any experiment (callers must not drive it further), so
-// renders only read the memo.
+// concurrent use. The memo holds each run's *hier.Result, captured once at
+// the end of its measured window; the simulated System is dropped there,
+// so its cache arrays, page tables and policy state do not outlive the
+// run. A Result is never written after capture, so renders only read the
+// memo.
 type Suite struct {
 	opts   Options
-	runs   *lru.Cache[*hier.System] // the memo, keyed by KeyFor; never evicts
+	runs   *lru.Cache[*hier.Result] // the memo, keyed by KeyFor; never evicts
 	traces *TraceCache              // nil when TraceCacheBytes < 0
 }
 
 // NewSuite builds a suite with the given options and its own trace cache.
 func NewSuite(opts Options) *Suite {
 	opts.normalize()
-	s := &Suite{opts: opts, runs: lru.New[*hier.System](0, nil)}
+	s := &Suite{opts: opts, runs: lru.New[*hier.Result](0, nil)}
 	if opts.TraceCacheBytes >= 0 {
 		s.traces = NewTraceCache(opts.TraceCacheBytes)
 	}
@@ -194,26 +198,26 @@ func (s *Suite) progressFor(key string, base uint64) func(uint64) {
 	return func(n uint64) { s.opts.Progress(key, base+n) }
 }
 
-// Run returns the memoized single-core system for a workload and policy
+// Run returns the memoized single-core result for a workload and policy
 // under the default configuration.
-func (s *Suite) Run(wl string, p hier.PolicyKind) *hier.System {
+func (s *Suite) Run(wl string, p hier.PolicyKind) *hier.Result {
 	return s.RunS(spec.Single(wl, p))
 }
 
-// RunMix returns the memoized two-core system for a Figure 16 mix. Core
+// RunMix returns the memoized two-core result for a Figure 16 mix. Core
 // B's trace is seeded with Seed+1 so the two cores draw independent
 // streams; mix specs canonicalize distinctly from every single-core spec,
 // so their memo keys can never collide.
-func (s *Suite) RunMix(m workloads.Mix, p hier.PolicyKind) *hier.System {
+func (s *Suite) RunMix(m workloads.Mix, p hier.PolicyKind) *hier.Result {
 	return s.RunS(spec.ForMix(m.A, m.B, p))
 }
 
-// RunS returns the memoized system for a declarative spec. Invalid specs
+// RunS returns the memoized result for a declarative spec. Invalid specs
 // panic before the memo slot is claimed, so a bad request never poisons
 // the cache for a later correct one.
-func (s *Suite) RunS(sp RunSpec) *hier.System {
-	sys, _ := s.RunSpecContext(context.Background(), sp)
-	return sys
+func (s *Suite) RunS(sp RunSpec) *hier.Result {
+	res, _ := s.RunSpecContext(context.Background(), sp)
+	return res
 }
 
 // TraceCache exposes the suite's trace materialization cache (nil when
@@ -253,9 +257,10 @@ func (s *Suite) source(ctx context.Context, name string, seed, total uint64) (tr
 // simulate drives one canonical spec: per-core trace sources (core 0 runs
 // the workload with the spec seed, core i runs MixWith — or the workload
 // again — with seed+i), warmup, statistics reset, then the measured
-// window. For mixes, statistics are collected only while both benchmarks
-// execute, as in the paper's overlap-window methodology.
-func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.System, error) {
+// window, and returns the run's captured Result; the System itself is
+// garbage from then on. For mixes, statistics are collected only while
+// both benchmarks execute, as in the paper's overlap-window methodology.
+func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Result, error) {
 	cfg, err := c.Build()
 	if err != nil {
 		return nil, err // unreachable: c is canonical
@@ -282,27 +287,26 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 	switch wc := s.opts.WarmCache; {
 	case warm > 0 && wc != nil:
 		// Warm-state path: fetch (or build, under the cache's singleflight)
-		// the post-warmup snapshot for this run's warmup identity and start
-		// from an independent clone of it.
-		ran := false
+		// the post-warmup snapshot for this run's warmup identity. The
+		// caller that ran the warmup drives the System it warmed, which the
+		// snapshot copied; every other caller starts from a clone.
 		snap, err := wc.Get(ctx, warmCacheKey(c), func(ctx context.Context) (*hier.Snapshot, error) {
-			ran = true
-			ws := hier.New(cfg)
-			if err := ws.RunContext(ctx, s.progressFor(key, 0), limit(warm)...); err != nil {
+			sys = hier.New(cfg)
+			if err := sys.RunContext(ctx, s.progressFor(key, 0), limit(warm)...); err != nil {
 				return nil, err
 			}
-			ws.ResetStats()
-			return ws.Snapshot(), nil
+			sys.ResetStats()
+			return sys.Snapshot(), nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		sys = snap.System()
-		if !ran {
+		if sys == nil {
 			// Served from the cache: this caller's sources still stand at
 			// access zero, so skip them past the warmup the snapshot already
 			// embodies. Draining costs only trace decoding/generation, not
 			// simulation.
+			sys = snap.System()
 			for _, src := range srcs {
 				trace.Drain(src, warm)
 			}
@@ -319,5 +323,5 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Sy
 	if err := sys.RunContext(ctx, s.progressFor(key, uint64(len(srcs))*warm), limit(c.Accesses)...); err != nil {
 		return nil, err
 	}
-	return sys, nil
+	return sys.Result(), nil
 }

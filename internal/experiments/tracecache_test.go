@@ -18,35 +18,33 @@ import (
 // comparable string: all level counters and energies, DRAM traffic, MMU
 // activity, timing, the NR histogram and the demand/metadata counters. Two
 // runs with equal digests took the same decisions access by access.
-func digest(sys *hier.System) string {
+func digest(res *hier.Result) string {
 	var b strings.Builder
-	level := func(name string, l *cache.Level) {
-		st := &l.Stats
+	level := func(name string, st *cache.Stats) {
 		fmt.Fprintf(&b, "%s a=%d h=%d m=%d f=%d by=%d mv=%d ev=%d wb=%d sub=%v apj=%v mpj=%v metapj=%v\n",
 			name, st.Accesses.Value(), st.Hits.Value(), st.Misses.Value(), st.Fills.Value(),
 			st.Bypasses.Value(), st.Movements.Value(), st.Evictions.Value(), st.Writebacks.Value(),
 			st.HitsPerSublevel, st.AccessPJ.PJ(), st.MovementPJ.PJ(), st.MetadataPJ.PJ())
 	}
-	cfg := sys.Config()
-	for c := 0; c < cfg.NumCores; c++ {
-		level(fmt.Sprintf("l1[%d]", c), sys.L1(c))
-		level(fmt.Sprintf("l2[%d]", c), sys.L2(c))
-		if m := sys.MMU(c); m != nil { // only SLIP policies carry an MMU
-			fmt.Fprintf(&b, "mmu[%d] th=%d tm=%d pf=%d pw=%d ts=%d tsa=%d rc=%d\n",
-				c, m.Stats.TLBHits.Value(), m.Stats.TLBMisses.Value(),
-				m.Stats.ProfileFetches.Value(), m.Stats.ProfileWrites.Value(),
-				m.Stats.ToStable.Value(), m.Stats.ToSampling.Value(), m.Stats.PolicyRecomputs.Value())
-		}
-		fmt.Fprintf(&b, "core[%d] i=%d cyc=%v\n", c, sys.Instrs(c), sys.Cycles(c))
+	for c := range res.Cores {
+		cr := &res.Cores[c]
+		level(fmt.Sprintf("l1[%d]", c), &cr.L1)
+		level(fmt.Sprintf("l2[%d]", c), &cr.L2)
+		m := &cr.MMU // zero for policies without an MMU
+		fmt.Fprintf(&b, "mmu[%d] th=%d tm=%d pf=%d pw=%d ts=%d tsa=%d rc=%d\n",
+			c, m.TLBHits.Value(), m.TLBMisses.Value(),
+			m.ProfileFetches.Value(), m.ProfileWrites.Value(),
+			m.ToStable.Value(), m.ToSampling.Value(), m.PolicyRecomputs.Value())
+		fmt.Fprintf(&b, "core[%d] i=%d cyc=%v\n", c, res.Instrs(c), res.Cycles(c))
 	}
-	level("l3", sys.L3())
-	d := sys.DRAM()
+	level("l3", &res.L3)
+	d := &res.DRAM
 	fmt.Fprintf(&b, "dram r=%d w=%d mr=%d mw=%d pj=%v\n",
-		d.Stats.Reads.Value(), d.Stats.Writes.Value(),
-		d.Stats.MetadataReads.Value(), d.Stats.MetadataWrites.Value(), d.Stats.EnergyPJ.PJ())
-	fmt.Fprintf(&b, "nr=%v l2d=%d l2ma=%d l2mm=%d l3d=%d l3ma=%d l3mm=%d eou=%v full=%v\n",
-		sys.NRHist, sys.L2DemandMisses, sys.L2MetaAccesses, sys.L2MetaMisses,
-		sys.L3DemandMisses, sys.L3MetaAccesses, sys.L3MetaMisses, sys.EOUPJ(), sys.FullSystemPJ())
+		d.Reads.Value(), d.Writes.Value(),
+		d.MetadataReads.Value(), d.MetadataWrites.Value(), d.EnergyPJ.PJ())
+	fmt.Fprintf(&b, "nr=%v+%v l2d=%d l2ma=%d l2mm=%d l3d=%d l3ma=%d l3mm=%d eou=%v full=%v\n",
+		res.NRHist, res.NRResident, res.L2DemandMisses, res.L2MetaAccesses, res.L2MetaMisses,
+		res.L3DemandMisses, res.L3MetaAccesses, res.L3MetaMisses, res.EOUPJ(), res.FullSystemPJ())
 	return b.String()
 }
 

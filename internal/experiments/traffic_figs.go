@@ -45,18 +45,18 @@ func (s *Suite) Fig12() Fig12Result {
 		var cells []float64
 		for _, lvl := range []int{2, 3} {
 			for _, p := range pols {
-				sys := s.Run(name, p)
+				run := s.Run(name, p)
 				var baseMiss, demand, meta uint64
 				if lvl == 2 {
 					baseMiss = base.L2Misses(false)
-					demand = sys.L2Misses(false)
-					meta = sys.L2Misses(true) - demand
+					demand = run.L2Misses(false)
+					meta = run.L2Misses(true) - demand
 					res.L2Demand[p][name] = stats.Pct(float64(demand), float64(baseMiss))
 					res.L2Meta[p][name] = stats.Pct(float64(meta), float64(baseMiss))
 				} else {
 					baseMiss = base.L3Misses(false)
-					demand = sys.L3Misses(false)
-					meta = sys.L3Misses(true) - demand
+					demand = run.L3Misses(false)
+					meta = run.L3Misses(true) - demand
 					res.L3Demand[p][name] = stats.Pct(float64(demand), float64(baseMiss))
 					res.L3Meta[p][name] = stats.Pct(float64(meta), float64(baseMiss))
 				}
@@ -149,9 +149,9 @@ func (s *Suite) Fig14() Fig14Result {
 		"L3 ABP", "L3 partial", "L3 default", "L3 other")
 	n := float64(len(s.opts.Benchmarks))
 	for _, name := range s.opts.Benchmarks {
-		sys := s.Run(name, hier.SLIPABP)
-		f2 := sys.InsertionClassFractions(2)
-		f3 := sys.InsertionClassFractions(3)
+		run := s.Run(name, hier.SLIPABP)
+		f2 := run.InsertionClassFractions(2)
+		f3 := run.InsertionClassFractions(3)
 		res.L2[name] = f2
 		res.L3[name] = f3
 		for i := 0; i < 4; i++ {
@@ -187,9 +187,9 @@ func (s *Suite) Fig15() Fig15Result {
 	for _, p := range pols {
 		var v2, v3 [3]float64
 		for _, name := range s.opts.Benchmarks {
-			sys := s.Run(name, p)
-			f2 := sys.SublevelHitFractions(2)
-			f3 := sys.SublevelHitFractions(3)
+			run := s.Run(name, p)
+			f2 := run.SublevelHitFractions(2)
+			f3 := run.SublevelHitFractions(3)
 			for i := 0; i < 3; i++ {
 				v2[i] += f2[i] / n
 				v3[i] += f3[i] / n

@@ -18,7 +18,8 @@ const DefaultWarmCacheBytes = 256 << 20
 // warmup-determining identity (workload/mix, seed, policy, knobs, sizing,
 // warmup length — everything in the canonical spec except the measured
 // window) matches a cached entry skips its warmup simulation entirely and
-// starts from an independent clone of the snapshot. Snapshot+clone runs are
+// starts from an independent clone of the snapshot (the run that took the
+// snapshot drives the System it warmed). Snapshot+clone runs are
 // bit-identical to straight-through runs (proven by the hier digest tests),
 // so the cache is purely a wall-clock optimization. Entries are sized by
 // their estimated snapshot bytes.

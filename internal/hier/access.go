@@ -67,6 +67,7 @@ type runBuffers struct {
 // uncancelled RunContext performs exactly the access sequence Run does, so
 // results are bit-identical.
 func (s *System) RunContext(ctx context.Context, progress func(done uint64), srcs ...trace.Source) error {
+	s.mustBeLive("Run")
 	if len(srcs) != len(s.cores) {
 		panic("hier: Run needs exactly one source per core")
 	}

@@ -26,13 +26,13 @@ func TestRunContextMatchesRun(t *testing.T) {
 	if reported != n {
 		t.Errorf("final progress %d, want %d", reported, n)
 	}
-	if a, b := plain.FullSystemPJ(), hooked.FullSystemPJ(); a != b {
+	if a, b := plain.Result().FullSystemPJ(), hooked.Result().FullSystemPJ(); a != b {
 		t.Errorf("energy %v (Run) != %v (RunContext)", a, b)
 	}
-	if a, b := plain.DRAMTraffic(), hooked.DRAMTraffic(); a != b {
+	if a, b := plain.Result().DRAMTraffic(), hooked.Result().DRAMTraffic(); a != b {
 		t.Errorf("DRAM traffic %d != %d", a, b)
 	}
-	if a, b := plain.MaxCycles(), hooked.MaxCycles(); a != b {
+	if a, b := plain.Result().MaxCycles(), hooked.Result().MaxCycles(); a != b {
 		t.Errorf("cycles %v != %v", a, b)
 	}
 }

@@ -160,6 +160,10 @@ type System struct {
 	// simulated sample and the short-circuited remainder (both zero when
 	// sampling is off).
 	SampledAccesses, SkippedAccesses uint64
+
+	// view is the Result a stats-only view answers from (see view.go);
+	// nil for a live system.
+	view *Result
 }
 
 // New builds a system.
@@ -315,11 +319,13 @@ func (s *System) SLIPDriverL3() *policy.SLIP { return s.slipL3 }
 
 // CheckInvariants checks the structures every cache level and every
 // core's MMU keep redundantly (cache.Level.CheckInvariants,
-// mmu.MMU.CheckInvariants) and returns every inconsistency found, joined.
-// It expects the system at rest, between runs. It is a test aid; nothing
-// on the simulation path calls it.
+// mmu.MMU.CheckInvariants) and the counter identities of the system's
+// captured Result (Result.CheckInvariants), and returns every
+// inconsistency found, joined. It expects the system at rest, between
+// runs. It is a test aid; nothing on the simulation path calls it.
 func (s *System) CheckInvariants() error {
-	errs := []error{s.l3.CheckInvariants()}
+	s.mustBeLive("CheckInvariants")
+	errs := []error{s.l3.CheckInvariants(), s.Result().CheckInvariants()}
 	for c, cn := range s.cores {
 		errs = append(errs, cn.l1.CheckInvariants(), cn.l2.CheckInvariants())
 		if cn.mmu != nil {

@@ -48,7 +48,7 @@ func TestBaselineStreamMissesEverywhere(t *testing.T) {
 	if s.DRAM().Stats.Reads.Value() == 0 {
 		t.Error("no DRAM reads for a streaming workload")
 	}
-	if s.L2TotalPJ() <= 0 || s.L3TotalPJ() <= 0 || s.FullSystemPJ() <= 0 {
+	if s.Result().L2TotalPJ() <= 0 || s.Result().L3TotalPJ() <= 0 || s.Result().FullSystemPJ() <= 0 {
 		t.Error("energies must be positive")
 	}
 }
@@ -69,10 +69,10 @@ func TestBaselineLoopHitsInL2(t *testing.T) {
 func TestRunIsDeterministic(t *testing.T) {
 	a := run(t, Config{Policy: SLIPABP, Seed: 7}, mixedSource(3), 150_000)
 	b := run(t, Config{Policy: SLIPABP, Seed: 7}, mixedSource(3), 150_000)
-	if a.FullSystemPJ() != b.FullSystemPJ() || a.DRAMTraffic() != b.DRAMTraffic() {
+	if a.Result().FullSystemPJ() != b.Result().FullSystemPJ() || a.Result().DRAMTraffic() != b.Result().DRAMTraffic() {
 		t.Error("identical configs+seeds diverged")
 	}
-	if a.Cycles(0) != b.Cycles(0) {
+	if a.Result().Cycles(0) != b.Result().Cycles(0) {
 		t.Error("timing diverged")
 	}
 }
@@ -90,15 +90,15 @@ func TestSLIPSavesL2EnergyOnMixedWorkload(t *testing.T) {
 	}
 	base := runWarm(Config{Policy: Baseline, Seed: 7})
 	slip := runWarm(Config{Policy: SLIPABP, Seed: 7})
-	if slip.L2TotalPJ() >= base.L2TotalPJ() {
+	if slip.Result().L2TotalPJ() >= base.Result().L2TotalPJ() {
 		t.Errorf("SLIP+ABP L2 energy %.0f pJ did not beat baseline %.0f pJ",
-			slip.L2TotalPJ(), base.L2TotalPJ())
+			slip.Result().L2TotalPJ(), base.Result().L2TotalPJ())
 	}
 	// Bypassing must actually happen on the random region's pages.
 	if slip.L2(0).Stats.Bypasses.Value() == 0 {
 		t.Error("no L2 bypasses on a miss-heavy mix")
 	}
-	cls := slip.InsertionClassFractions(2)
+	cls := slip.Result().InsertionClassFractions(2)
 	if cls[0] == 0 {
 		t.Errorf("no ABP insertions recorded: %v", cls)
 	}
@@ -123,7 +123,7 @@ func TestNUCAPoliciesBurnMovementEnergy(t *testing.T) {
 	base := run(t, Config{Policy: Baseline, Seed: 5}, hotSource(2), 300_000)
 	nur := run(t, Config{Policy: NuRAPID, Seed: 5}, hotSource(2), 300_000)
 	pea := run(t, Config{Policy: LRUPEA, Seed: 5}, hotSource(2), 300_000)
-	if nur.L2MovementPJ() <= base.L2MovementPJ() {
+	if nur.Result().L2MovementPJ() <= base.Result().L2MovementPJ() {
 		t.Error("NuRAPID should move far more than baseline")
 	}
 	if pea.L2(0).Stats.Movements.Value() == 0 {
@@ -131,8 +131,8 @@ func TestNUCAPoliciesBurnMovementEnergy(t *testing.T) {
 	}
 	// Promotion pays off in access energy: more near-sublevel hits on the
 	// hot region than the no-movement baseline gets.
-	fr := nur.SublevelHitFractions(2)
-	frBase := base.SublevelHitFractions(2)
+	fr := nur.Result().SublevelHitFractions(2)
+	frBase := base.Result().SublevelHitFractions(2)
 	if fr[0] <= frBase[0] {
 		t.Errorf("NuRAPID sublevel-0 hit share %.2f not above baseline %.2f", fr[0], frBase[0])
 	}
@@ -190,7 +190,7 @@ func TestNRHistogramStreamIsAllZeroReuse(t *testing.T) {
 	s := run(t, Config{Policy: Baseline, Seed: 1},
 		trace.NewMix(1, 2, trace.MixItem{Region: trace.NewStream(1<<32, 64*mem.MB, 1, 0), Weight: 1, Burst: 16}),
 		300_000)
-	fr := s.NRFractions()
+	fr := s.Result().NRFractions()
 	if fr[0] < 0.98 {
 		t.Errorf("stream NR=0 fraction = %.3f, want ≈ 1", fr[0])
 	}
@@ -198,7 +198,7 @@ func TestNRHistogramStreamIsAllZeroReuse(t *testing.T) {
 
 func TestNRHistogramLoopLinesReused(t *testing.T) {
 	s := run(t, Config{Policy: Baseline, Seed: 1}, loopSource(1, 512*mem.KB), 400_000)
-	fr := s.NRFractions()
+	fr := s.Result().NRFractions()
 	if fr[3] < 0.5 {
 		t.Errorf("resident loop NR>2 fraction = %.3f, want > 0.5", fr[3])
 	}
@@ -206,14 +206,15 @@ func TestNRHistogramLoopLinesReused(t *testing.T) {
 
 func TestTimingAndIPC(t *testing.T) {
 	s := run(t, Config{Policy: Baseline, Seed: 1}, mixedSource(7), 100_000)
-	if s.Instrs(0) == 0 || s.Cycles(0) <= 0 {
+	r := s.Result()
+	if r.Instrs(0) == 0 || r.Cycles(0) <= 0 {
 		t.Fatal("no timing recorded")
 	}
-	ipc := s.IPC(0)
+	ipc := r.IPC(0)
 	if ipc <= 0 || ipc > 1/s.Config().Core.BaseCPI {
 		t.Errorf("IPC = %v out of range", ipc)
 	}
-	if s.MaxCycles() != s.Cycles(0) {
+	if r.MaxCycles() != r.Cycles(0) {
 		t.Error("MaxCycles mismatch for single core")
 	}
 }
@@ -224,7 +225,8 @@ func TestMulticoreSharedL3(t *testing.T) {
 		trace.Limit(mixedSource(10), 150_000),
 		trace.Limit(streamSource(11), 150_000),
 	)
-	if s.Instrs(0) == 0 || s.Instrs(1) == 0 {
+	r := s.Result()
+	if r.Instrs(0) == 0 || r.Instrs(1) == 0 {
 		t.Fatal("a core retired nothing")
 	}
 	if s.L2(0) == s.L2(1) {
@@ -234,10 +236,10 @@ func TestMulticoreSharedL3(t *testing.T) {
 	if s.L3().Stats.Fills.Value() == 0 {
 		t.Error("shared L3 never filled")
 	}
-	if s.TotalInstrs() != s.Instrs(0)+s.Instrs(1) {
+	if r.TotalInstrs() != r.Instrs(0)+r.Instrs(1) {
 		t.Error("TotalInstrs mismatch")
 	}
-	if s.MaxCycles() < s.Cycles(0) || s.MaxCycles() < s.Cycles(1) {
+	if r.MaxCycles() < r.Cycles(0) || r.MaxCycles() < r.Cycles(1) {
 		t.Error("MaxCycles below a core's cycles")
 	}
 }
@@ -267,14 +269,15 @@ func TestRunWantsOneSourcePerCore(t *testing.T) {
 
 func TestFullSystemEnergyComposition(t *testing.T) {
 	s := run(t, Config{Policy: SLIPABP, Seed: 1}, mixedSource(8), 100_000)
-	sum := s.CorePJ() + s.L1TotalPJ() + s.L2TotalPJ() + s.L3TotalPJ() + s.DRAMPJ()
-	if math.Abs(sum-s.FullSystemPJ()) > 1e-6 {
+	r := s.Result()
+	sum := r.CorePJ() + r.L1TotalPJ() + r.L2TotalPJ() + r.L3TotalPJ() + r.DRAMPJ()
+	if math.Abs(sum-r.FullSystemPJ()) > 1e-6 {
 		t.Error("FullSystemPJ does not sum its parts")
 	}
-	if s.CorePJ() <= 0 || s.L1TotalPJ() <= 0 {
+	if r.CorePJ() <= 0 || r.L1TotalPJ() <= 0 {
 		t.Error("core/L1 energy missing")
 	}
-	if s.EOUPJ() <= 0 {
+	if r.EOUPJ() <= 0 {
 		t.Error("EOU energy never charged despite stable transitions")
 	}
 }
@@ -319,7 +322,7 @@ func TestSLIPWithoutABPNeverBypasses(t *testing.T) {
 	if s.L2(0).Stats.Bypasses.Value() != 0 || s.L3().Stats.Bypasses.Value() != 0 {
 		t.Error("SLIP without ABP bypassed lines")
 	}
-	cls := s.InsertionClassFractions(2)
+	cls := s.Result().InsertionClassFractions(2)
 	if cls[0] != 0 {
 		t.Errorf("ABP class nonzero without ABP: %v", cls)
 	}

@@ -95,8 +95,8 @@ func TestSampleKOneIsOff(t *testing.T) {
 		t.Errorf("SampleK=1 touched sampling counters: sampled=%d skipped=%d",
 			one.SampledAccesses, one.SkippedAccesses)
 	}
-	if one.SampleK() != 1 || off.SampleK() != 1 {
-		t.Errorf("SampleK() = %d / %d, want 1 / 1", one.SampleK(), off.SampleK())
+	if one.Result().SampleK() != 1 || off.Result().SampleK() != 1 {
+		t.Errorf("SampleK() = %d / %d, want 1 / 1", one.Result().SampleK(), off.Result().SampleK())
 	}
 }
 
@@ -119,27 +119,29 @@ func TestSampledRunAccounting(t *testing.T) {
 		t.Errorf("sampled share = %.3f, want ≈ 1/%d", share, k)
 	}
 
-	if got, want := s.ScaledL2Misses(true), s.L2Misses(true)*uint64(k); got != want {
+	r := s.Result()
+
+	if got, want := r.ScaledL2Misses(true), r.L2Misses(true)*uint64(k); got != want {
 		t.Errorf("ScaledL2Misses = %d, want %d", got, want)
 	}
-	if got, want := s.ScaledL3Misses(true), s.L3Misses(true)*uint64(k); got != want {
+	if got, want := r.ScaledL3Misses(true), r.L3Misses(true)*uint64(k); got != want {
 		t.Errorf("ScaledL3Misses = %d, want %d", got, want)
 	}
-	if got, want := s.ScaledDRAMTraffic(), s.DRAMTraffic()*uint64(k); got != want {
+	if got, want := r.ScaledDRAMTraffic(), r.DRAMTraffic()*uint64(k); got != want {
 		t.Errorf("ScaledDRAMTraffic = %d, want %d", got, want)
 	}
-	if got, want := s.ScaledL2TotalPJ(), s.L2TotalPJ()*float64(k); got != want {
+	if got, want := r.ScaledL2TotalPJ(), r.L2TotalPJ()*float64(k); got != want {
 		t.Errorf("ScaledL2TotalPJ = %g, want %g", got, want)
 	}
 	// Cycles: skipped accesses contributed their base-CPI issue cost
 	// directly, so only stalls extrapolate.
-	if got, want := s.ScaledCycles(0), s.Cycles(0)+float64(k-1)*float64(s.cores[0].stalls()); got != want {
+	if got, want := r.ScaledCycles(0), r.Cycles(0)+float64(k-1)*float64(s.cores[0].stalls()); got != want {
 		t.Errorf("ScaledCycles = %g, want %g", got, want)
 	}
 	for name, v := range map[string]float64{
-		"ScaledFullSystemPJ": s.ScaledFullSystemPJ(),
-		"ScaledEDP":          s.ScaledEDP(),
-		"ScaledMaxCycles":    s.ScaledMaxCycles(),
+		"ScaledFullSystemPJ": r.ScaledFullSystemPJ(),
+		"ScaledEDP":          r.ScaledEDP(),
+		"ScaledMaxCycles":    r.ScaledMaxCycles(),
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
 			t.Errorf("%s = %v, want finite positive", name, v)
@@ -148,7 +150,7 @@ func TestSampledRunAccounting(t *testing.T) {
 	// Extrapolation must land in the neighborhood of the raw counters
 	// times K — it IS the raw counters times K — and of a full-fidelity
 	// run; the calibration harness quantifies the latter.
-	if s.ScaledFullSystemPJ() <= s.FullSystemPJ() {
+	if r.ScaledFullSystemPJ() <= r.FullSystemPJ() {
 		t.Error("scaled energy not above raw sampled energy")
 	}
 }

@@ -21,6 +21,7 @@ type Snapshot struct {
 
 // Snapshot captures the system's current state.
 func (s *System) Snapshot() *Snapshot {
+	s.mustBeLive("Snapshot")
 	frozen := s.clone()
 	sz := 512 // struct overhead
 	for _, cn := range frozen.cores {

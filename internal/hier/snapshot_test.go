@@ -38,7 +38,7 @@ func stateDigest(s *System) string {
 				m.Stats.PolicyRecomputs.Value(), m.NumPages())
 		}
 		fmt.Fprintf(&b, "core[%d] i=%d cyc=%v ds=%d ps=%d\n",
-			c, s.Instrs(c), s.Cycles(c), s.cores[c].demandStalls, s.cores[c].policyStalls)
+			c, s.Result().Instrs(c), s.Result().Cycles(c), s.cores[c].demandStalls, s.cores[c].policyStalls)
 	}
 	level("l3", s.L3())
 	d := s.DRAM()
@@ -47,8 +47,8 @@ func stateDigest(s *System) string {
 		d.Stats.MetadataReads.Value(), d.Stats.MetadataWrites.Value(), d.Stats.EnergyPJ.PJ())
 	fmt.Fprintf(&b, "nr=%v l2d=%d l2ma=%d l2mm=%d l3d=%d l3ma=%d l3mm=%d eou=%v full=%v\n",
 		s.NRHist, s.L2DemandMisses, s.L2MetaAccesses, s.L2MetaMisses,
-		s.L3DemandMisses, s.L3MetaAccesses, s.L3MetaMisses, s.EOUPJ(), s.FullSystemPJ())
-	fmt.Fprintf(&b, "ic2=%v ic3=%v\n", s.InsertionClassFractions(2), s.InsertionClassFractions(3))
+		s.L3DemandMisses, s.L3MetaAccesses, s.L3MetaMisses, s.Result().EOUPJ(), s.Result().FullSystemPJ())
+	fmt.Fprintf(&b, "ic2=%v ic3=%v\n", s.Result().InsertionClassFractions(2), s.Result().InsertionClassFractions(3))
 	return b.String()
 }
 

@@ -351,12 +351,12 @@ func (s *Server) runJob(j *Job) {
 	})
 
 	// j.Spec is canonical, so the suite memoizes it under exactly j.Key.
-	sys, err := suite.RunSpecContext(ctx, j.Spec)
+	run, err := suite.RunSpecContext(ctx, j.Spec)
 	if err != nil {
 		s.finishJob(j, nil, err)
 		return
 	}
-	s.finishJob(j, resultFrom(sys, j.Spec, time.Since(j.Started)), nil)
+	s.finishJob(j, resultFrom(run, j.Spec, time.Since(j.Started)), nil)
 }
 
 // finishJob records a terminal state, publishes the result, and updates

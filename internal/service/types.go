@@ -159,16 +159,16 @@ func hitRate(hits, accesses uint64) float64 {
 	return float64(hits) / float64(accesses)
 }
 
-// resultFrom flattens a finished system into the wire result. c must be
+// resultFrom flattens a finished run into the wire result. c must be
 // the job's canonical spec.
-func resultFrom(sys *hier.System, c spec.Spec, elapsed time.Duration) *RunResult {
-	cores := sys.Config().NumCores
+func resultFrom(run *hier.Result, c spec.Spec, elapsed time.Duration) *RunResult {
 	var l1Hits, l1Acc, l2Hits, l2Acc uint64
-	for i := 0; i < cores; i++ {
-		l1Hits += sys.L1(i).Stats.Hits.Value()
-		l1Acc += sys.L1(i).Stats.Accesses.Value()
-		l2Hits += sys.L2(i).Stats.Hits.Value()
-		l2Acc += sys.L2(i).Stats.Accesses.Value()
+	for i := range run.Cores {
+		core := &run.Cores[i]
+		l1Hits += core.L1.Hits.Value()
+		l1Acc += core.L1.Accesses.Value()
+		l2Hits += core.L2.Hits.Value()
+		l2Acc += core.L2.Accesses.Value()
 	}
 	res := &RunResult{
 		Workload: c.Workload,
@@ -181,35 +181,35 @@ func resultFrom(sys *hier.System, c spec.Spec, elapsed time.Duration) *RunResult
 
 		L1HitRate: hitRate(l1Hits, l1Acc),
 		L2HitRate: hitRate(l2Hits, l2Acc),
-		L3HitRate: hitRate(sys.L3().Stats.Hits.Value(), sys.L3().Stats.Accesses.Value()),
+		L3HitRate: hitRate(run.L3.Hits.Value(), run.L3.Accesses.Value()),
 
 		// Scaled accessors return the raw values verbatim for full-fidelity
 		// runs and K-extrapolated estimates for set-sampled ones, so one
 		// wire shape covers both.
-		CorePJ:       sys.CorePJ(),
-		L1PJ:         sys.ScaledL1TotalPJ(),
-		L2PJ:         sys.ScaledL2TotalPJ(),
-		L3PJ:         sys.ScaledL3TotalPJ(),
-		DRAMPJ:       sys.ScaledDRAMPJ(),
-		EOUPJ:        sys.EOUPJ() * float64(sys.SampleK()),
-		FullSystemPJ: sys.ScaledFullSystemPJ(),
+		CorePJ:       run.CorePJ(),
+		L1PJ:         run.ScaledL1TotalPJ(),
+		L2PJ:         run.ScaledL2TotalPJ(),
+		L3PJ:         run.ScaledL3TotalPJ(),
+		DRAMPJ:       run.ScaledDRAMPJ(),
+		EOUPJ:        run.EOUPJ() * float64(run.SampleK()),
+		FullSystemPJ: run.ScaledFullSystemPJ(),
 
-		L2Misses:          sys.ScaledL2Misses(true),
-		L3Misses:          sys.ScaledL3Misses(true),
-		DRAMTraffic:       sys.ScaledDRAMTraffic(),
-		DRAMDemandTraffic: sys.DRAMDemandTraffic() * uint64(sys.SampleK()),
+		L2Misses:          run.ScaledL2Misses(true),
+		L3Misses:          run.ScaledL3Misses(true),
+		DRAMTraffic:       run.ScaledDRAMTraffic(),
+		DRAMDemandTraffic: run.DRAMDemandTraffic() * uint64(run.SampleK()),
 
-		Instrs: sys.TotalInstrs(),
-		Cycles: sys.ScaledMaxCycles(),
+		Instrs: run.TotalInstrs(),
+		Cycles: run.ScaledMaxCycles(),
 
 		SimSeconds: elapsed.Seconds(),
 
 		Spec: c,
 	}
-	if k := sys.SampleK(); k > 1 {
+	if k := run.SampleK(); k > 1 {
 		res.Sampling = k
-		res.SampledAccesses = sys.SampledAccesses
-		res.SkippedAccesses = sys.SkippedAccesses
+		res.SampledAccesses = run.SampledAccesses
+		res.SkippedAccesses = run.SkippedAccesses
 	}
 	if res.Cycles > 0 {
 		res.IPC = float64(res.Instrs) / res.Cycles

@@ -85,7 +85,7 @@ func TestRegistryPoliciesBuildAndRun(t *testing.T) {
 		if sys.L2(0).Stats.Accesses.Value() == 0 {
 			t.Errorf("%s: run drove no L2 accesses", name)
 		}
-		if sys.FullSystemPJ() <= 0 {
+		if sys.Result().FullSystemPJ() <= 0 {
 			t.Errorf("%s: no energy accounted", name)
 		}
 		if sys.MMU(0) != nil {

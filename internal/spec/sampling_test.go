@@ -213,6 +213,7 @@ func FuzzSampledScaledStats(f *testing.F) {
 			sys.Run(trace.Limit(src, warm))
 			sys.ResetStats()
 			sys.Run(trace.Limit(src, measured))
+			r := sys.Result()
 
 			if k == 1 {
 				if sys.SampledAccesses != 0 || sys.SkippedAccesses != 0 {
@@ -236,30 +237,30 @@ func FuzzSampledScaledStats(f *testing.F) {
 			// retire their instructions, so every K sees the full-fidelity
 			// instruction count exactly.
 			if k == 1 {
-				fullInstrs = sys.TotalInstrs()
+				fullInstrs = r.TotalInstrs()
 				if fullInstrs == 0 {
 					t.Fatal("no instructions retired")
 				}
-			} else if got := sys.TotalInstrs(); got != fullInstrs {
+			} else if got := r.TotalInstrs(); got != fullInstrs {
 				t.Fatalf("k=%d: instrs %d != full-fidelity %d", k, got, fullInstrs)
 			}
 
 			for name, v := range map[string]float64{
-				"ScaledMaxCycles":    sys.ScaledMaxCycles(),
-				"ScaledFullSystemPJ": sys.ScaledFullSystemPJ(),
-				"ScaledEDP":          sys.ScaledEDP(),
-				"ScaledL1TotalPJ":    sys.ScaledL1TotalPJ(),
-				"ScaledL2TotalPJ":    sys.ScaledL2TotalPJ(),
-				"ScaledL3TotalPJ":    sys.ScaledL3TotalPJ(),
-				"ScaledDRAMPJ":       sys.ScaledDRAMPJ(),
+				"ScaledMaxCycles":    r.ScaledMaxCycles(),
+				"ScaledFullSystemPJ": r.ScaledFullSystemPJ(),
+				"ScaledEDP":          r.ScaledEDP(),
+				"ScaledL1TotalPJ":    r.ScaledL1TotalPJ(),
+				"ScaledL2TotalPJ":    r.ScaledL2TotalPJ(),
+				"ScaledL3TotalPJ":    r.ScaledL3TotalPJ(),
+				"ScaledDRAMPJ":       r.ScaledDRAMPJ(),
 			} {
 				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 					t.Fatalf("k=%d: %s = %v, want finite non-negative", k, name, v)
 				}
 			}
-			if sys.ScaledMaxCycles() < sys.MaxCycles() {
+			if r.ScaledMaxCycles() < r.MaxCycles() {
 				t.Fatalf("k=%d: scaled cycles %v below raw %v",
-					k, sys.ScaledMaxCycles(), sys.MaxCycles())
+					k, r.ScaledMaxCycles(), r.MaxCycles())
 			}
 		}
 	})

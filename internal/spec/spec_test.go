@@ -356,11 +356,12 @@ func driveMilc(t *testing.T, cfg hier.Config, seed uint64, accesses uint64) simN
 	}
 	sys := hier.New(cfg)
 	sys.Run(trace.Limit(wl.Build(seed), accesses))
+	r := sys.Result()
 	return simNumbers{
-		full:   sys.FullSystemPJ(),
-		l2:     sys.L2TotalPJ(),
-		l3:     sys.L3TotalPJ(),
-		cycles: sys.MaxCycles(),
-		dram:   sys.DRAMTraffic(),
+		full:   r.FullSystemPJ(),
+		l2:     r.L2TotalPJ(),
+		l3:     r.L3TotalPJ(),
+		cycles: r.MaxCycles(),
+		dram:   r.DRAMTraffic(),
 	}
 }
