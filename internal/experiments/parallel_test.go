@@ -27,27 +27,22 @@ func detOptions(parallelism int) Options {
 // the benchmark x policy matrix over a worker pool must produce numerically
 // identical results to running the same matrix one at a time. Exact float
 // equality is intentional — each simulation is single-goroutine and seeded,
-// so parallelism may not perturb a single bit. Every memoized Result must
-// also keep its counter identities.
+// so parallelism may not perturb a single bit. Every memoized Result, read
+// through the view RunAll returns, must also keep its counter identities.
 func TestParallelRunAllMatchesSequential(t *testing.T) {
 	pols := []hier.PolicyKind{hier.Baseline, hier.SLIPABP}
 
 	seq := NewSuite(detOptions(1))
 	par := NewSuite(detOptions(8))
-	var specs []RunSpec
-	for _, wl := range par.Options().Benchmarks {
-		for _, p := range pols {
-			specs = append(specs, spec.Single(wl, p))
-		}
-	}
-	par.Prefetch(specs)
-	if got, want := len(par.Keys()), len(specs); got != want {
-		t.Fatalf("prefetch memoized %d runs, want %d", got, want)
-	}
+	views := par.RunAll(pols...)
 
 	for _, wl := range seq.Options().Benchmarks {
 		for _, p := range pols {
-			want, got := seq.Run(wl, p), par.Run(wl, p)
+			v := views[wl][p]
+			if v == nil {
+				t.Fatalf("%s/%v: missing parallel run", wl, p)
+			}
+			want, got := seq.Run(wl, p), v.Result()
 			for _, r := range []*hier.Result{want, got} {
 				if err := r.CheckWindow(detOptions(1).Accesses); err != nil {
 					t.Errorf("%s/%v: %v", wl, p, err)

@@ -21,8 +21,7 @@ func warmRun(cfg Config, warm, measured uint64) *System {
 }
 
 // TestResultHoldsEveryIdentity checks the counter identities on every
-// policy, at full fidelity and under 1/8 set sampling, and that a Result
-// answers each accessor with the bits the live system's delegate returns.
+// policy, at full fidelity and under 1/8 set sampling.
 func TestResultHoldsEveryIdentity(t *testing.T) {
 	const warm, measured = 60_000, 90_000
 	for _, p := range allPolicies {
@@ -31,19 +30,12 @@ func TestResultHoldsEveryIdentity(t *testing.T) {
 			if k > 1 {
 				cfg.SampleK, cfg.SampleMask = k, sampleMaskLow(k)
 			}
-			s := warmRun(cfg, warm, measured)
-			r := s.Result()
+			r := warmRun(cfg, warm, measured).Result()
 			if err := r.CheckWindow(measured); err != nil {
 				t.Errorf("%v K=%d: %v", p, k, err)
 			}
 			if r.CheckWindow(measured+1) == nil {
 				t.Errorf("%v K=%d: a wrong driven count passes", p, k)
-			}
-			if got, want := r.ScaledFullSystemPJ(), s.ScaledFullSystemPJ(); got != want {
-				t.Errorf("%v K=%d: Result energy %v, System delegate %v", p, k, got, want)
-			}
-			if got, want := r.NRFractions(), s.NRFractions(); got != want {
-				t.Errorf("%v K=%d: Result NR fractions %v, System delegate %v", p, k, got, want)
 			}
 		}
 	}

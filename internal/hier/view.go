@@ -7,13 +7,14 @@ import (
 
 // This file is a shim. perfbench reads *System from experiments.Suite's
 // RunAll, which memoizes Results; until it reads Results, RunAll hands it
-// stats-only views, and System keeps every accessor as a delegate.
+// stats-only views, and System keeps the accessors perfbench calls as
+// delegates.
 
 // View returns a stats-only System over r. Its Config, its L1, L2 and L3
 // (stats-only levels that answer Name and Stats), the exported counters
-// perfbench reads (EOUOps, SampledAccesses, SkippedAccesses) and every
-// accessor answer from r; running, resetting, snapshotting or checking it
-// panics.
+// perfbench reads (EOUOps, SampledAccesses, SkippedAccesses) and the
+// accessor delegates answer from r; running, resetting, snapshotting or
+// checking it panics.
 func (r *Result) View() *System {
 	cfg := r.Config
 	s := &System{
@@ -45,34 +46,25 @@ func (s *System) mustBeLive(op string) {
 	}
 }
 
-// The accessor delegates: each captures the run's Result and asks it.
+// The accessor delegates, one for each accessor perfbench calls. On a live
+// System each call is a full capture (an allocation and a pass over every
+// L3 line), so a caller that needs several statistics calls Result once and
+// reads them from it; on a view each call returns the memoized Result.
 
-func (s *System) Instrs(i int) uint64                  { return s.Result().Instrs(i) }
-func (s *System) Cycles(i int) float64                 { return s.Result().Cycles(i) }
-func (s *System) TotalInstrs() uint64                  { return s.Result().TotalInstrs() }
-func (s *System) MaxCycles() float64                   { return s.Result().MaxCycles() }
-func (s *System) IPC(i int) float64                    { return s.Result().IPC(i) }
-func (s *System) EOUPJ() float64                       { return s.Result().EOUPJ() }
-func (s *System) L2TotalPJ() float64                   { return s.Result().L2TotalPJ() }
-func (s *System) L3TotalPJ() float64                   { return s.Result().L3TotalPJ() }
-func (s *System) L2AccessPJ() float64                  { return s.Result().L2AccessPJ() }
-func (s *System) L2MovementPJ() float64                { return s.Result().L2MovementPJ() }
-func (s *System) L3AccessPJ() float64                  { return s.Result().L3AccessPJ() }
-func (s *System) L3MovementPJ() float64                { return s.Result().L3MovementPJ() }
-func (s *System) L1TotalPJ() float64                   { return s.Result().L1TotalPJ() }
-func (s *System) CorePJ() float64                      { return s.Result().CorePJ() }
-func (s *System) DRAMPJ() float64                      { return s.Result().DRAMPJ() }
-func (s *System) FullSystemPJ() float64                { return s.Result().FullSystemPJ() }
-func (s *System) L2Misses(withMetadata bool) uint64    { return s.Result().L2Misses(withMetadata) }
-func (s *System) L3Misses(withMetadata bool) uint64    { return s.Result().L3Misses(withMetadata) }
-func (s *System) DRAMTraffic() uint64                  { return s.Result().DRAMTraffic() }
-func (s *System) DRAMDemandTraffic() uint64            { return s.Result().DRAMDemandTraffic() }
-func (s *System) SublevelHitFractions(l int) []float64 { return s.Result().SublevelHitFractions(l) }
-func (s *System) InsertionClassFractions(l int) [4]float64 {
-	return s.Result().InsertionClassFractions(l)
-}
+func (s *System) TotalInstrs() uint64                 { return s.Result().TotalInstrs() }
+func (s *System) MaxCycles() float64                  { return s.Result().MaxCycles() }
+func (s *System) IPC(i int) float64                   { return s.Result().IPC(i) }
+func (s *System) EOUPJ() float64                      { return s.Result().EOUPJ() }
+func (s *System) L2TotalPJ() float64                  { return s.Result().L2TotalPJ() }
+func (s *System) L3TotalPJ() float64                  { return s.Result().L3TotalPJ() }
+func (s *System) L1TotalPJ() float64                  { return s.Result().L1TotalPJ() }
+func (s *System) CorePJ() float64                     { return s.Result().CorePJ() }
+func (s *System) DRAMPJ() float64                     { return s.Result().DRAMPJ() }
+func (s *System) FullSystemPJ() float64               { return s.Result().FullSystemPJ() }
+func (s *System) L2Misses(withMetadata bool) uint64   { return s.Result().L2Misses(withMetadata) }
+func (s *System) L3Misses(withMetadata bool) uint64   { return s.Result().L3Misses(withMetadata) }
+func (s *System) DRAMTraffic() uint64                 { return s.Result().DRAMTraffic() }
 func (s *System) SampleK() int                        { return s.Result().SampleK() }
-func (s *System) ScaledCycles(i int) float64          { return s.Result().ScaledCycles(i) }
 func (s *System) ScaledMaxCycles() float64            { return s.Result().ScaledMaxCycles() }
 func (s *System) ScaledL2Misses(withMeta bool) uint64 { return s.Result().ScaledL2Misses(withMeta) }
 func (s *System) ScaledL3Misses(withMeta bool) uint64 { return s.Result().ScaledL3Misses(withMeta) }
@@ -82,5 +74,3 @@ func (s *System) ScaledL2TotalPJ() float64            { return s.Result().Scaled
 func (s *System) ScaledL3TotalPJ() float64            { return s.Result().ScaledL3TotalPJ() }
 func (s *System) ScaledDRAMPJ() float64               { return s.Result().ScaledDRAMPJ() }
 func (s *System) ScaledFullSystemPJ() float64         { return s.Result().ScaledFullSystemPJ() }
-func (s *System) ScaledEDP() float64                  { return s.Result().ScaledEDP() }
-func (s *System) NRFractions() [4]float64             { return s.Result().NRFractions() }
