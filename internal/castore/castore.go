@@ -1,8 +1,8 @@
 // Package castore implements a disk-backed content-addressed store of
 // finished run results: spec hash -> result JSON. It is the durable tier
 // under the slipd in-memory result store — results written here survive a
-// daemon restart, so a fleet node answering for a key it simulated last
-// week serves it from disk instead of re-simulating.
+// daemon restart, so a daemon asked for a key it simulated last week
+// serves it from disk instead of re-simulating.
 //
 // Layout under the store directory:
 //

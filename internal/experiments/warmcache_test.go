@@ -276,7 +276,8 @@ func TestWarmCacheSingleflight(t *testing.T) {
 // FuzzSnapshotWarmSplit is the snapshot/restore equivalence fuzz: any valid
 // spec (seeded from the spec JSON fuzz corpus) with any warmup split point
 // must produce the same digest through the warm-state path as straight
-// through. Footprints and run lengths are bounded to keep each case fast.
+// through, and both Results must hold every counter identity of their
+// window. Footprints and run lengths are bounded to keep each case fast.
 func FuzzSnapshotWarmSplit(f *testing.F) {
 	f.Add([]byte(`{"workload":"milc","policy":"baseline"}`), uint16(1000))
 	f.Add([]byte(`{"workload":"soplex","policy":"slip-abp","bin_bits":6,"use_rrip":true}`), uint16(0))
@@ -321,6 +322,12 @@ func FuzzSnapshotWarmSplit(f *testing.F) {
 		if digest(got) != digest(ref) {
 			t.Errorf("warm-path digest diverged for spec %s split %d:\n--- cold ---\n%s--- warm ---\n%s",
 				c.Label(), split, digest(ref), digest(got))
+		}
+		if err := ref.CheckWindow(c.Accesses); err != nil {
+			t.Errorf("cold result of spec %s split %d: %v", c.Label(), split, err)
+		}
+		if err := got.CheckWindow(c.Accesses); err != nil {
+			t.Errorf("warm result of spec %s split %d: %v", c.Label(), split, err)
 		}
 	})
 }

@@ -1,10 +1,10 @@
 // Package lru is the in-memory cache every layer shares: the experiment
-// suite's run memo, its trace and warm-state caches, slipd's result store
-// and the gateway's route table. A Cache maps string keys to completed
-// values, keeps them in least-recently-used order under a size budget,
-// and fills missing keys with a context-aware singleflight: concurrent
-// Gets for one key run one fill, and a fill that fails or is cancelled
-// leaves no entry behind, so the next live caller simply runs a fresh one.
+// suite's run memo, its trace and warm-state caches and slipd's result
+// store. A Cache maps string keys to completed values, keeps them in
+// least-recently-used order under a size budget, and fills missing keys
+// with a context-aware singleflight: concurrent Gets for one key run one
+// fill, and a fill that fails or is cancelled leaves no entry behind, so
+// the next live caller simply runs a fresh one.
 package lru
 
 import (

@@ -401,7 +401,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 // TestSizeBytesCoversClone requires the snapshot charge to cover what a
 // clone retains: its page-table map, flat PTE array and TLB arrays. The
 // page counts include each side of the map's growth points, where its
-// load is lowest, and soplex's and lbm's page counts.
+// load is lowest, and soplex's and lbm's page counts. Each count retains
+// enough clones to total at least 1 MiB and compares their summed charge
+// with their summed retention: the heap delta around them also counts
+// whatever else the runtime allocated meanwhile, and a few KiB of that
+// must not decide the one-page case.
 func TestSizeBytesCoversClone(t *testing.T) {
 	live := func() uint64 {
 		var ms runtime.MemStats
@@ -416,12 +420,21 @@ func TestSizeBytesCoversClone(t *testing.T) {
 		for p := 0; p < pages; p++ {
 			m.Translate(mem.PageID(p))
 		}
+		clones := make([]*MMU, (1<<20)/m.SizeBytes()+1)
 		before := live()
-		c := m.Clone()
-		retained := live() - before
-		if size := c.SizeBytes(); uint64(size) < retained {
-			t.Errorf("%d pages: SizeBytes %d below the %d bytes a clone retains", pages, size, retained)
+		for i := range clones {
+			clones[i] = m.Clone()
 		}
+		retained := live() - before
+		size := 0
+		for _, c := range clones {
+			size += c.SizeBytes()
+		}
+		if uint64(size) < retained {
+			t.Errorf("%d pages: %d clones' SizeBytes total %d, below the %d bytes they retain",
+				pages, len(clones), size, retained)
+		}
+		runtime.KeepAlive(clones)
 		runtime.KeepAlive(m)
 	}
 }

@@ -59,8 +59,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxRunBody bounds a POST /v1/runs body, as the gateway's default
-// MaxBodyBytes does; a full canonical spec needs well under 1 KiB.
+// maxRunBody bounds a POST /v1/runs body; a full canonical spec needs
+// well under 1 KiB.
 const maxRunBody = 1 << 20
 
 // handlePostRun admits one simulation request.
@@ -75,7 +75,7 @@ func (s *Server) handlePostRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
-	req, c, key, err := ParseRunRequest(body, s.cfg.Defaults)
+	req, c, key, err := parseRunRequest(body, s.cfg.Defaults)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -171,21 +171,15 @@ type PolicyList struct {
 	Policies []policy.Descriptor `json:"policies"`
 }
 
-// Policies lists the policy table in wire form — shared by the daemon's
-// /v1/policies and the gateway's local answer to the same path.
-func Policies() PolicyList {
-	list := PolicyList{}
-	for _, p := range hier.AllPolicies() {
-		list.Policies = append(list.Policies, *p.Descriptor())
-	}
-	return list
-}
-
 // handlePolicies serves the policy table: the daemon-side source of truth
 // for the valid -policy set, per-policy aliases and capability metadata.
 // It needs no server state — the table is fixed at compile time.
 func handlePolicies(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, Policies())
+	list := PolicyList{}
+	for _, p := range hier.AllPolicies() {
+		list.Policies = append(list.Policies, *p.Descriptor())
+	}
+	writeJSON(w, http.StatusOK, list)
 }
 
 // handleGetResult serves a stored result by its canonical spec hash —
@@ -211,8 +205,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz is the readiness probe; draining flips it to 503 so load
-// balancers and the slipd-gateway health checker stop routing new work
-// while in-flight jobs finish.
+// balancers stop routing new work while in-flight jobs finish.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)

@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -88,13 +92,13 @@ func TestStorePutRefreshesExisting(t *testing.T) {
 // testDefaults are the request defaults of the parser tests below.
 var testDefaults = Defaults{Accesses: 1000, Seed: 42}
 
-// parse runs ParseRunRequest over the JSON encoding of s.
+// parse runs parseRunRequest over the JSON encoding of s.
 func parse(s spec.Spec) (spec.Spec, string, error) {
 	body, err := json.Marshal(s)
 	if err != nil {
 		return spec.Spec{}, "", err
 	}
-	_, c, key, err := ParseRunRequest(body, testDefaults)
+	_, c, key, err := parseRunRequest(body, testDefaults)
 	return c, key, err
 }
 
@@ -141,7 +145,7 @@ func TestSpecOfRejectsBadRequests(t *testing.T) {
 		`{"workload":"milc","policy":"slip","acesses":5}`,
 		`[]`,
 	} {
-		if _, _, _, err := ParseRunRequest([]byte(body), testDefaults); err == nil {
+		if _, _, _, err := parseRunRequest([]byte(body), testDefaults); err == nil {
 			t.Errorf("body %s: no error", body)
 		}
 	}
@@ -197,25 +201,28 @@ func TestMixRequestWithKnobs(t *testing.T) {
 	}
 }
 
-// FuzzRunRequest drives arbitrary POST bodies through the parser slipd and
-// the gateway share: no input may panic it, and an accepted body's
-// canonical spec, posted back, must parse to the same key.
+// runRequestCorpus seeds both POST /v1/runs fuzzers.
+var runRequestCorpus = []string{
+	`{"workload":"milc","policy":"slip"}`,
+	`{"workload":"milc","policy":"slip-abp","accesses":5000,"warmup":0,"seed":9}`,
+	`{"workload":"milc","mix_with":"sphinx3","policy":"lru-pea","bin_bits":3,"use_rrip":true}`,
+	`{"workload":"soplex","policy":"slip+abp","sampling":8,"tech":"22nm","topology":"h-tree","cores":3}`,
+	`{"workload":"milc","policy":"baseline","dram":{"latency_cycles":100,"pj_per_bit":10},"timeout_ms":5}`,
+	`{"workload":"milc","policy":"slip","disable_sampling":true,"l2_bytes":131072}`,
+	`{"workload":"milc","policy":"slip","acesses":5}`,
+	`{"workload":"milc","policy":"slip"} trailing`,
+	`{`, `[]`, `null`, ``,
+}
+
+// FuzzRunRequest drives arbitrary POST bodies through slipd's parser: no
+// input may panic it, and an accepted body's canonical spec, posted back,
+// must parse to the same key.
 func FuzzRunRequest(f *testing.F) {
-	for _, body := range []string{
-		`{"workload":"milc","policy":"slip"}`,
-		`{"workload":"milc","policy":"slip-abp","accesses":5000,"warmup":0,"seed":9}`,
-		`{"workload":"milc","mix_with":"sphinx3","policy":"lru-pea","bin_bits":3,"use_rrip":true}`,
-		`{"workload":"soplex","policy":"slip+abp","sampling":8,"tech":"22nm","topology":"h-tree","cores":3}`,
-		`{"workload":"milc","policy":"baseline","dram":{"latency_cycles":100,"pj_per_bit":10},"timeout_ms":5}`,
-		`{"workload":"milc","policy":"slip","disable_sampling":true,"l2_bytes":131072}`,
-		`{"workload":"milc","policy":"slip","acesses":5}`,
-		`{"workload":"milc","policy":"slip"} trailing`,
-		`{`, `[]`, `null`, ``,
-	} {
+	for _, body := range runRequestCorpus {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		_, c, key, err := ParseRunRequest(body, testDefaults)
+		_, c, key, err := parseRunRequest(body, testDefaults)
 		if err != nil {
 			return
 		}
@@ -223,9 +230,56 @@ func FuzzRunRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("canonical spec of %q does not encode: %v", body, err)
 		}
-		_, _, again, err := ParseRunRequest(canon, testDefaults)
+		_, _, again, err := parseRunRequest(canon, testDefaults)
 		if err != nil || again != key {
 			t.Fatalf("body %q keyed %s; its canonical spec %s keyed %s, %v", body, key, canon, again, err)
+		}
+	})
+}
+
+// FuzzPostRun drives arbitrary bodies through slipd's POST /v1/runs
+// handler on a server that is never started, so nothing simulates and
+// admitted jobs stay queued until the queue answers 429. The handler may
+// answer only 200, 202, 400, 413 or 429, never a 500 or a panic. A body
+// over maxRunBody must answer 413; below it, the handler admits a body
+// exactly when the parser accepts it, under the parser's key.
+func FuzzPostRun(f *testing.F) {
+	for _, body := range runRequestCorpus {
+		f.Add([]byte(body))
+	}
+	f.Add(append(bytes.Repeat([]byte(" "), maxRunBody), runRequestCorpus[0]...))
+	srv := New(Config{QueueDepth: 4, Defaults: testDefaults})
+	f.Cleanup(func() { _ = srv.Shutdown(context.Background()) })
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body)))
+		code := rec.Code
+		switch code {
+		case http.StatusOK, http.StatusAccepted, http.StatusBadRequest,
+			http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("POST of %d bytes answered %d: %s", len(body), code, rec.Body)
+		}
+		if len(body) > maxRunBody {
+			if code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("POST of %d bytes answered %d, want 413", len(body), code)
+			}
+			return
+		}
+		_, _, key, err := parseRunRequest(body, testDefaults)
+		if admitted := code != http.StatusBadRequest && code != http.StatusRequestEntityTooLarge; admitted != (err == nil) {
+			t.Fatalf("body %q answered %d, parser error %v", body, code, err)
+		}
+		if code != http.StatusOK && code != http.StatusAccepted {
+			return
+		}
+		var v JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+			t.Fatalf("body %q: %d answer does not decode: %v", body, code, err)
+		}
+		if v.Key != key {
+			t.Fatalf("body %q answered key %s, parser keys it %s", body, v.Key, key)
 		}
 	})
 }

@@ -29,9 +29,8 @@ type RunRequest struct {
 }
 
 // Defaults are the sizing values stamped into unset request fields before
-// key derivation. The gateway applies the same defaults as its backends so
-// both sides derive the same key — and therefore the same shard — for the
-// same request body.
+// key derivation, so a request that spells out the defaults and one that
+// leaves them unset share one key.
 type Defaults struct {
 	Accesses uint64
 	Warmup   *uint64 // nil = same as the (possibly defaulted) Accesses
@@ -56,14 +55,13 @@ func (r *RunRequest) applyDefaults(d Defaults) {
 	}
 }
 
-// ParseRunRequest is the one POST /v1/runs parser, shared by slipd and the
-// gateway so a key always routes to the backend that stores it under that
-// key. It decodes body strictly, requires workload and policy, stamps d
-// into unset sizing fields and canonicalizes. It returns the request, the
-// canonical spec the job will simulate and its content hash: the
-// result-store key, identical to the experiments memo key for the same
-// run, so every layer of the stack addresses one simulation one way.
-func ParseRunRequest(body []byte, d Defaults) (RunRequest, spec.Spec, string, error) {
+// parseRunRequest is the POST /v1/runs parser. It decodes body strictly,
+// requires workload and policy, stamps d into unset sizing fields and
+// canonicalizes. It returns the request, the canonical spec the job will
+// simulate and its content hash: the result-store key, identical to the
+// experiments memo key for the same run, so every layer of the stack
+// addresses one simulation one way.
+func parseRunRequest(body []byte, d Defaults) (RunRequest, spec.Spec, string, error) {
 	var req RunRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()

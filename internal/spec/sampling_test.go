@@ -175,10 +175,11 @@ func TestSamplingBuild(t *testing.T) {
 var samplingKs = [...]int{1, 2, 4, 8, 16}
 
 // FuzzSampledScaledStats drives one workload × policy × seed across every
-// sampling factor and asserts the extrapolation contract: instruction
-// counts are exact at any K, raw counters partition the driven accesses,
-// scaled statistics stay finite and non-negative, and the sampled access
-// count is monotone non-increasing in K.
+// sampling factor and asserts the extrapolation contract: every Result
+// holds the counter identities of its window, instruction counts are
+// exact at any K, raw counters partition the driven accesses, scaled
+// statistics stay finite and non-negative, and the sampled access count
+// is monotone non-increasing in K.
 func FuzzSampledScaledStats(f *testing.F) {
 	f.Add(uint8(0), uint8(0), uint64(7))
 	f.Add(uint8(1), uint8(2), uint64(3))
@@ -214,6 +215,9 @@ func FuzzSampledScaledStats(f *testing.F) {
 			sys.ResetStats()
 			sys.Run(trace.Limit(src, measured))
 			r := sys.Result()
+			if err := r.CheckWindow(measured); err != nil {
+				t.Fatalf("k=%d: %v", k, err)
+			}
 
 			if k == 1 {
 				if sys.SampledAccesses != 0 || sys.SkippedAccesses != 0 {

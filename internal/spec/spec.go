@@ -38,7 +38,7 @@ const (
 
 // DefaultAccesses and DefaultSeed are the sizing a spec takes when it
 // leaves Accesses or Seed unset (Warmup then defaults to Accesses). CLI
-// flags, experiments.Options, slipd and the gateway all read them here.
+// flags, experiments.Options and slipd all read them here.
 const (
 	DefaultAccesses = 2_000_000
 	DefaultSeed     = 42

@@ -1,31 +1,40 @@
 #!/usr/bin/env bash
-# Smoke test for the slipd daemon: build, start, health-check, submit one
-# run, poll to completion, assert a non-empty result, verify the result
-# store answers an identical POST, check that jobs record no traces while
-# the experiments suite's trace cache replays, the warm-state snapshot
-# cache and the pprof listener, and drain cleanly on SIGTERM.
+# Smoke test for the slipd daemon: build, start over a durable -store-dir,
+# health-check, submit one run, poll to completion, assert a non-empty
+# result, verify the result store answers an identical POST, check that
+# jobs record no traces while the experiments suite's trace cache replays,
+# the warm-state snapshot cache and the pprof listener, drain cleanly on
+# SIGTERM, then restart over the same -store-dir and require the repeat
+# POST to be answered from disk with byte-identical result JSON.
 set -euo pipefail
 
 ADDR="${SLIPD_ADDR:-127.0.0.1:18080}"
 PPROF_ADDR="${SLIPD_PPROF_ADDR:-127.0.0.1:18081}"
 BASE="http://$ADDR"
-BIN="$(mktemp -d)/slipd"
+TMP="$(mktemp -d)"
+BIN="$TMP/slipd"
 
 cd "$(dirname "$0")/.."
 go build -o "$BIN" ./cmd/slipd
 
-"$BIN" -addr "$ADDR" -accesses 20000 -warmup 20000 -queue 8 -store 16 \
-  -pprof-addr "$PPROF_ADDR" &
-PID=$!
-cleanup() { kill "$PID" 2>/dev/null || true; }
+# start_slipd [flags...] starts the daemon over $TMP/store and waits for it.
+start_slipd() {
+  "$BIN" -addr "$ADDR" -accesses 20000 -warmup 20000 -queue 8 -store 16 \
+    -store-dir "$TMP/store" "$@" &
+  PID=$!
+  for _ in $(seq 1 100); do
+    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
+    sleep 0.1
+  done
+  curl -fsS "$BASE/healthz" | grep -q ok
+}
+cleanup() {
+  kill "${PID:-}" 2>/dev/null && wait "$PID" 2>/dev/null || true
+  rm -rf "$TMP"
+}
 trap cleanup EXIT
 
-# Wait for the daemon to come up.
-for _ in $(seq 1 100); do
-  if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-  sleep 0.1
-done
-curl -fsS "$BASE/healthz" | grep -q ok
+start_slipd -pprof-addr "$PPROF_ADDR"
 echo "healthz ok"
 
 REQ='{"workload":"milc","policy":"slip+abp","seed":7}'
@@ -59,6 +68,8 @@ echo "$METRICS" | grep -q '^slipd_result_cache_hits_total 1$' || {
   echo "cache hit not visible in /metrics"; exit 1
 }
 echo "result store hit confirmed via /metrics"
+RESULT1=$(curl -fsS "$BASE/v1/results/$FULLKEY")
+echo "$RESULT1" | grep -q '"full_system_pj"' || { echo "bad result fetch: $RESULT1"; exit 1; }
 
 # Jobs record no traces: each brings its own stream (its seed and measured
 # window are part of the trace key), so a different policy over the same
@@ -196,6 +207,28 @@ curl -fsS -X POST -d '{"workload":"milc","policy":"slip","acesses":5}' "$BASE/v1
 echo "unknown-field rejection confirmed"
 
 # SIGTERM must drain cleanly (exit 0).
+kill -TERM "$PID"
+wait "$PID"
+echo "SIGTERM drain clean"
+
+# Restarted over the same -store-dir, the daemon's memory store is empty,
+# so the durable store must answer the repeat POST: cached, counted as a
+# castore hit, and the stored result byte-identical to the one served
+# before the restart.
+start_slipd
+CACHED=$(curl -fsS -X POST -d "$REQ" "$BASE/v1/runs")
+echo "$CACHED" | grep -q '"cached":true' || {
+  echo "post-restart POST re-simulated instead of reading disk: $CACHED"; exit 1
+}
+METRICS=$(curl -fsS "$BASE/metrics")
+echo "$METRICS" | grep -Eq '^slip_castore_hits [1-9]' || {
+  echo "restart served the result without a castore hit"; exit 1
+}
+RESULT2=$(curl -fsS "$BASE/v1/results/$FULLKEY")
+[ "$RESULT2" = "$RESULT1" ] || {
+  echo "result changed across restart:"; echo "before: $RESULT1"; echo "after:  $RESULT2"; exit 1
+}
+echo "restart answered from disk with byte-identical result JSON"
 kill -TERM "$PID"
 wait "$PID"
 echo "slipd smoke test passed"
