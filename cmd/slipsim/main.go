@@ -288,7 +288,7 @@ func report(w io.Writer, res *hier.Result) {
 	fmt.Fprintf(w, "DRAM: %d reads, %d writes, %d metadata transfers, %.1f uJ\n",
 		d.Reads.Value(), d.Writes.Value(),
 		d.MetadataReads.Value()+d.MetadataWrites.Value(),
-		d.EnergyPJ.PJ()/1e6)
+		res.DRAMPJ()/1e6)
 	for c := 0; c < cfg.NumCores; c++ {
 		fmt.Fprintf(w, "core%d: %d instrs, %.0f cycles, IPC %.2f\n",
 			c, res.Instrs(c), res.Cycles(c), res.IPC(c))

@@ -6,23 +6,25 @@
 //
 // Layout under the store directory:
 //
-//	objects/<fan>/<sha256(key)>.entry   one entry per key (fan = first 2 hex)
-//	tmp/                                staging for atomic writes
-//	index.json                          LRU order + sizes (MRU first)
+//	objects/<fan>/<name>.entry   one entry per key (name = sha256(key) hex, fan = its first 2 hex)
+//	tmp/                         staging for atomic writes
 //
 // Every write goes tmp file -> optional fsync -> rename, so a crash leaves
 // either the old entry or the new one, never a torn file; leftover tmp
 // files are deleted on reopen. Every read re-verifies the entry's embedded
 // key and payload checksum — a truncated or corrupted file is detected,
 // deleted, counted in Stats.Errors and reported as a miss, never returned.
-// The index file bounds the store to a byte budget with LRU eviction; a
-// missing or corrupt index is rebuilt from a directory scan (mtime order),
-// so the index is a cache of the truth on disk, not the truth itself.
+//
+// The object tree is the store's only index. Open walks objects/ once,
+// stats each entry and orders the LRU by modification time, newest first;
+// it never reads an entry, so a bad one is found by the Get that reads it.
+// A Get that serves an entry refreshes its mtime, so recency survives a
+// restart, a kill -9 included. The byte budget evicts from the LRU's tail.
 package castore
 
 import (
-	"bufio"
 	"bytes"
+	"cmp"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -31,8 +33,10 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
+	"time"
 )
 
 // Options tune one store. The zero value is a valid unlimited-budget,
@@ -68,21 +72,9 @@ type header struct {
 	Sum string `json:"sum"` // sha256 hex of the payload bytes
 }
 
-// indexEntry is one persisted LRU slot.
-type indexEntry struct {
-	Key  string `json:"key"`
-	Size int64  `json:"size"`
-}
-
-// indexFile is the persisted LRU order, most recently used first.
-type indexFile struct {
-	V       int          `json:"v"`
-	Entries []indexEntry `json:"entries"`
-}
-
-// item is one in-memory LRU node.
+// item is one in-memory LRU node, named like its entry file.
 type item struct {
-	key  string
+	name string
 	size int64
 }
 
@@ -93,8 +85,8 @@ type Store struct {
 	opts Options
 
 	mu    sync.Mutex
-	ll    *list.List // front = most recently used
-	items map[string]*list.Element
+	ll    *list.List               // front = most recently used
+	items map[string]*list.Element // by object name
 	bytes int64
 
 	hits, misses, errs, evictions uint64
@@ -103,14 +95,12 @@ type Store struct {
 const (
 	objectsDir = "objects"
 	tmpDir     = "tmp"
-	indexName  = "index.json"
 	entryExt   = ".entry"
 )
 
 // Open opens (creating if needed) the store rooted at dir. Leftover
-// temporary files from interrupted writes are removed; the LRU index is
-// loaded from index.json or, when that is missing or unreadable, rebuilt
-// by scanning the object tree.
+// temporary files from interrupted writes are removed, and the LRU is
+// built from one walk of the object tree.
 func Open(dir string, opts Options) (*Store, error) {
 	for _, d := range []string{filepath.Join(dir, objectsDir), filepath.Join(dir, tmpDir)} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -130,109 +120,52 @@ func Open(dir string, opts Options) (*Store, error) {
 			_ = os.Remove(filepath.Join(dir, tmpDir, e.Name()))
 		}
 	}
-	if !s.loadIndex() {
-		if err := s.rebuildIndex(); err != nil {
-			return nil, err
-		}
-	}
-	s.mu.Lock()
-	s.evictLocked()
-	s.mu.Unlock()
-	return s, nil
-}
-
-// entryPath maps a key to its fanned-out object path. Hashing the key
-// keeps arbitrary key strings (prefixes, colons) filesystem-safe.
-func (s *Store) entryPath(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.dir, objectsDir, name[:2], name+entryExt)
-}
-
-// loadIndex restores the LRU from index.json, dropping entries whose file
-// has vanished. It reports false when the index is missing or corrupt, in
-// which case the caller rebuilds from a scan.
-func (s *Store) loadIndex() bool {
-	raw, err := os.ReadFile(filepath.Join(s.dir, indexName))
-	if err != nil {
-		return false
-	}
-	var idx indexFile
-	if json.Unmarshal(raw, &idx) != nil || idx.V != 1 {
-		return false
-	}
-	for _, e := range idx.Entries { // MRU first: PushBack keeps the order
-		if e.Key == "" || s.items[e.Key] != nil {
-			continue
-		}
-		if fi, err := os.Stat(s.entryPath(e.Key)); err != nil || fi.Size() != e.Size {
-			continue // entry vanished or changed size behind the index
-		}
-		s.items[e.Key] = s.ll.PushBack(&item{key: e.Key, size: e.Size})
-		s.bytes += e.Size
-	}
-	return true
-}
-
-// rebuildIndex reconstructs the LRU by scanning the object tree, ordering
-// entries by file modification time (newest = most recently used). Files
-// whose header does not parse are deleted and counted as errors.
-func (s *Store) rebuildIndex() error {
 	type found struct {
-		key   string
-		size  int64
+		item
 		mtime int64
 	}
 	var entries []found
-	root := filepath.Join(s.dir, objectsDir)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != entryExt {
+	err := filepath.WalkDir(filepath.Join(dir, objectsDir), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
 			return err
+		}
+		name, ok := strings.CutSuffix(d.Name(), entryExt)
+		// Only a file at the path its own name maps to is an entry, so no
+		// name is indexed twice and eviction deletes the file it counted.
+		if !ok || len(name) != 2*sha256.Size || path != s.objectPath(name) {
+			return nil
 		}
 		fi, err := d.Info()
 		if err != nil {
-			return nil
+			return nil // deleted mid-walk
 		}
-		key, ok := readEntryKey(path)
-		if !ok {
-			s.errs++
-			_ = os.Remove(path)
-			return nil
-		}
-		entries = append(entries, found{key: key, size: fi.Size(), mtime: fi.ModTime().UnixNano()})
+		entries = append(entries, found{item{name, fi.Size()}, fi.ModTime().UnixNano()})
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("castore: rebuilding index: %w", err)
+		return nil, fmt.Errorf("castore: scanning objects: %w", err)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].mtime > entries[j].mtime })
+	slices.SortFunc(entries, func(a, b found) int {
+		return cmp.Or(cmp.Compare(b.mtime, a.mtime), strings.Compare(a.name, b.name))
+	})
 	for _, e := range entries {
-		if s.items[e.key] != nil {
-			continue
-		}
-		s.items[e.key] = s.ll.PushBack(&item{key: e.key, size: e.size})
+		s.items[e.name] = s.ll.PushBack(&item{e.name, e.size})
 		s.bytes += e.size
 	}
-	return s.persistIndexLocked()
+	s.evictLocked()
+	return s, nil
 }
 
-// readEntryKey parses just the header line of an entry file.
-func readEntryKey(path string) (string, bool) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", false
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 4096)
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return "", false
-	}
-	var h header
-	if json.Unmarshal(line, &h) != nil || h.V != 1 || h.Key == "" {
-		return "", false
-	}
-	return h.Key, true
+// objectName is the file name stem of key's entry. Hashing the key keeps
+// arbitrary key strings (prefixes, colons) filesystem-safe.
+func objectName(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return hex.EncodeToString(sum[:])
+}
+
+// objectPath maps an object name to its fanned-out entry path.
+func (s *Store) objectPath(name string) string {
+	return filepath.Join(s.dir, objectsDir, name[:2], name+entryExt)
 }
 
 // Get returns the stored payload for key. A missing entry is a plain
@@ -240,29 +173,34 @@ func readEntryKey(path string) (string, bool) {
 // payload, checksum mismatch) is deleted, counted as an error and
 // reported as a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
+	name := objectName(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.items[key]
+	el, ok := s.items[name]
 	if !ok {
 		s.misses++
 		return nil, false
 	}
-	payload, err := s.readVerified(key)
+	path := s.objectPath(name)
+	payload, err := readVerified(path, key)
 	if err != nil {
 		s.errs++
 		s.misses++
 		s.dropLocked(el)
-		_ = s.persistIndexLocked()
 		return nil, false
 	}
+	// The mtime is the recency a reopen sees. It is only a hint, so a
+	// failure to set it costs ordering, never data.
+	now := time.Now()
+	_ = os.Chtimes(path, now, now)
 	s.ll.MoveToFront(el)
 	s.hits++
 	return payload, true
 }
 
-// readVerified reads and fully verifies one entry file.
-func (s *Store) readVerified(key string) ([]byte, error) {
-	raw, err := os.ReadFile(s.entryPath(key))
+// readVerified reads and fully verifies key's entry file at path.
+func readVerified(path, key string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -290,10 +228,21 @@ func (s *Store) readVerified(key string) ([]byte, error) {
 
 // Put stores payload under key, replacing any existing entry, then
 // evicts least-recently-used entries until the byte budget holds. A
-// payload that alone exceeds the budget is not stored.
+// payload whose entry alone exceeds the budget is not stored, and
+// nothing is evicted for it.
 func (s *Store) Put(key string, payload []byte) error {
-	size, err := s.writeEntry(key, payload)
+	sum := sha256.Sum256(payload)
+	head, err := json.Marshal(header{V: 1, Key: key, Len: int64(len(payload)), Sum: hex.EncodeToString(sum[:])})
 	if err != nil {
+		return fmt.Errorf("castore: %w", err)
+	}
+	head = append(head, '\n')
+	size := int64(len(head) + len(payload))
+	if s.opts.MaxBytes > 0 && size > s.opts.MaxBytes {
+		return nil
+	}
+	name := objectName(key)
+	if err := s.writeEntry(s.objectPath(name), head, payload); err != nil {
 		s.mu.Lock()
 		s.errs++
 		s.mu.Unlock()
@@ -301,41 +250,33 @@ func (s *Store) Put(key string, payload []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.items[key]; ok {
+	if el, ok := s.items[name]; ok {
 		it := el.Value.(*item)
 		s.bytes += size - it.size
 		it.size = size
 		s.ll.MoveToFront(el)
 	} else {
-		s.items[key] = s.ll.PushFront(&item{key: key, size: size})
+		s.items[name] = s.ll.PushFront(&item{name, size})
 		s.bytes += size
 	}
 	s.evictLocked()
-	return s.persistIndexLocked()
+	return nil
 }
 
-// writeEntry stages header+payload in tmp/ and renames it into place;
-// the rename is the commit point.
-func (s *Store) writeEntry(key string, payload []byte) (int64, error) {
-	sum := sha256.Sum256(payload)
-	head, err := json.Marshal(header{V: 1, Key: key, Len: int64(len(payload)), Sum: hex.EncodeToString(sum[:])})
-	if err != nil {
-		return 0, fmt.Errorf("castore: %w", err)
-	}
+// writeEntry stages head+payload in tmp/ and renames it to dst; the
+// rename is the commit point.
+func (s *Store) writeEntry(dst string, head, payload []byte) error {
 	f, err := os.CreateTemp(filepath.Join(s.dir, tmpDir), "put-*.tmp")
 	if err != nil {
-		return 0, fmt.Errorf("castore: %w", err)
+		return fmt.Errorf("castore: %w", err)
 	}
 	tmpName := f.Name()
-	cleanup := func(err error) (int64, error) {
+	cleanup := func(err error) error {
 		f.Close()
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("castore: %w", err)
+		return fmt.Errorf("castore: %w", err)
 	}
 	if _, err := f.Write(head); err != nil {
-		return cleanup(err)
-	}
-	if _, err := f.Write([]byte{'\n'}); err != nil {
 		return cleanup(err)
 	}
 	if _, err := f.Write(payload); err != nil {
@@ -348,30 +289,29 @@ func (s *Store) writeEntry(key string, payload []byte) (int64, error) {
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("castore: %w", err)
+		return fmt.Errorf("castore: %w", err)
 	}
-	dst := s.entryPath(key)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("castore: %w", err)
+		return fmt.Errorf("castore: %w", err)
 	}
 	if err := os.Rename(tmpName, dst); err != nil {
 		os.Remove(tmpName)
-		return 0, fmt.Errorf("castore: %w", err)
+		return fmt.Errorf("castore: %w", err)
 	}
 	if s.opts.Fsync {
 		syncDir(filepath.Dir(dst))
 	}
-	return int64(len(head)) + 1 + int64(len(payload)), nil
+	return nil
 }
 
-// dropLocked removes one entry from the index and disk.
+// dropLocked removes one entry from the LRU and disk.
 func (s *Store) dropLocked(el *list.Element) {
 	it := el.Value.(*item)
 	s.ll.Remove(el)
-	delete(s.items, it.key)
+	delete(s.items, it.name)
 	s.bytes -= it.size
-	_ = os.Remove(s.entryPath(it.key))
+	_ = os.Remove(s.objectPath(it.name))
 }
 
 // evictLocked deletes LRU entries until the byte budget holds.
@@ -385,45 +325,12 @@ func (s *Store) evictLocked() {
 	}
 }
 
-// persistIndexLocked atomically rewrites index.json in MRU-first order.
-func (s *Store) persistIndexLocked() error {
-	idx := indexFile{V: 1, Entries: make([]indexEntry, 0, s.ll.Len())}
-	for el := s.ll.Front(); el != nil; el = el.Next() {
-		it := el.Value.(*item)
-		idx.Entries = append(idx.Entries, indexEntry{Key: it.key, Size: it.size})
-	}
-	raw, err := json.Marshal(idx)
-	if err != nil {
-		return fmt.Errorf("castore: %w", err)
-	}
-	tmp := filepath.Join(s.dir, tmpDir, "index.tmp")
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		return fmt.Errorf("castore: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, indexName)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("castore: %w", err)
-	}
-	if s.opts.Fsync {
-		syncDir(s.dir)
-	}
-	return nil
-}
-
 // syncDir best-effort fsyncs a directory so a rename survives power loss.
 func syncDir(dir string) {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()
 		_ = d.Close()
 	}
-}
-
-// Close persists the final LRU order. The store holds no open files
-// between calls, so Close is the only shutdown obligation.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.persistIndexLocked()
 }
 
 // Len is the number of indexed entries.

@@ -3,10 +3,12 @@ package castore
 import (
 	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 )
 
 // open is the test helper for a fresh store over dir.
@@ -17,6 +19,19 @@ func open(t *testing.T, dir string, opts Options) *Store {
 		t.Fatalf("Open(%q) = %v", dir, err)
 	}
 	return s
+}
+
+// entryPath is the file that holds key's entry.
+func (s *Store) entryPath(key string) string { return s.objectPath(objectName(key)) }
+
+// entryFiles lists the entry files under dir's object tree.
+func entryFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, objectsDir, "*", "*"+entryExt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestPutGetRoundTrip: payloads come back byte-identical, hits/misses
@@ -43,16 +58,13 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSurvivesReopen: entries written before Close (and even without a
-// clean Close) are served after reopening the same directory.
+// TestSurvivesReopen: an entry is durable once Put returns; a second
+// store over the same directory serves it with no shutdown step between.
 func TestSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 	payload := []byte(`{"result":"durable"}`)
 	if err := s.Put("s1:deadbeef", payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -141,9 +153,7 @@ func TestTruncatedEntryDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-100], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The in-memory index still lists the old size; reopening exercises the
-	// stat-mismatch path, a live Get exercises the length check. Cover the
-	// live path first.
+	// The LRU still counts the old size; the Get's length check catches it.
 	if _, ok := s.Get("k"); ok {
 		t.Fatal("truncated entry served as a hit")
 	}
@@ -187,7 +197,6 @@ func TestPartialTmpIgnoredOnReopen(t *testing.T) {
 	if err := s.Put("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	_ = s.Close()
 	partial := filepath.Join(dir, tmpDir, "put-123.tmp")
 	if err := os.WriteFile(partial, []byte("half an ent"), 0o644); err != nil {
 		t.Fatal(err)
@@ -205,15 +214,15 @@ func TestPartialTmpIgnoredOnReopen(t *testing.T) {
 	}
 }
 
-// TestIndexRebuiltFromScan: deleting (or corrupting) index.json must not
-// lose data — the index is rebuilt by scanning the object tree, and a
-// corrupt entry discovered during the scan is removed.
+// TestIndexRebuiltFromScan: the object tree is the only index. Open
+// stats entries but reads none, so a headerless entry is indexed and
+// counted as an error by the first Get that reads it, and an index.json
+// left in the directory, valid or corrupt, is neither read nor written.
 func TestIndexRebuiltFromScan(t *testing.T) {
-	for name, breakIndex := range map[string]func(string) error{
-		"missing": func(dir string) error { return os.Remove(filepath.Join(dir, indexName)) },
-		"corrupt": func(dir string) error {
-			return os.WriteFile(filepath.Join(dir, indexName), []byte("{not json"), 0o644)
-		},
+	for name, stray := range map[string]string{
+		"missing": "",
+		"corrupt": "{not json",
+		"valid":   `{"v":1,"entries":[{"key":"k0","size":1}]}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -223,31 +232,123 @@ func TestIndexRebuiltFromScan(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// One entry loses its header so the scan must drop it.
+			// One entry loses its header; only a read can tell.
 			if err := os.WriteFile(s.entryPath("k3"), []byte("garbage with no newline"), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_ = s.Close()
-			if err := breakIndex(dir); err != nil {
-				t.Fatal(err)
+			index := filepath.Join(dir, "index.json")
+			if stray != "" {
+				if err := os.WriteFile(index, []byte(stray), 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			s2 := open(t, dir, Options{})
-			if s2.Len() != 4 {
-				t.Fatalf("rebuilt Len = %d, want 4 (k3 dropped)", s2.Len())
+			if st := s2.Stats(); st.Entries != 5 || st.Errors != 0 {
+				t.Fatalf("after Open stats = %+v, want 5 entries / 0 errors", st)
 			}
 			for _, k := range []string{"k0", "k1", "k2", "k4"} {
 				if got, ok := s2.Get(k); !ok || !bytes.Equal(got, []byte("payload-"+k[1:])) {
-					t.Fatalf("after rebuild Get(%q) = %q, %v", k, got, ok)
+					t.Fatalf("after reopen Get(%q) = %q, %v", k, got, ok)
 				}
 			}
 			if _, ok := s2.Get("k3"); ok {
-				t.Fatal("headerless entry survived the rebuild")
+				t.Fatal("headerless entry served as a hit")
 			}
-			if st := s2.Stats(); st.Errors == 0 {
-				t.Fatal("scan did not count the unparsable entry as an error")
+			if st := s2.Stats(); st.Entries != 4 || st.Errors != 1 {
+				t.Fatalf("after Get(k3) stats = %+v, want 4 entries / 1 error", st)
+			}
+			if err := s2.Put("k5", []byte("payload-5")); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(index)
+			if stray == "" && !os.IsNotExist(err) {
+				t.Fatalf("index.json written: %v", err)
+			}
+			if stray != "" && string(raw) != stray {
+				t.Fatalf("stray index.json rewritten to %q", raw)
 			}
 		})
+	}
+}
+
+// TestStoreLayout: after N Puts the directory holds exactly N entry
+// files, an empty tmp/ and nothing else.
+func TestStoreLayout(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	const n = 12
+	for i := 0; i < n; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if err := s.Put(k, []byte("payload-"+k)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Get(k); !ok {
+			t.Fatalf("Get(%q) missed", k)
+		}
+	}
+	var other []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		fan := d.IsDir() && filepath.Dir(rel) == objectsDir
+		entry := !d.IsDir() && filepath.Ext(rel) == entryExt && filepath.Dir(filepath.Dir(rel)) == objectsDir
+		if rel != "." && rel != objectsDir && rel != tmpDir && !fan && !entry {
+			other = append(other, rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(other) != 0 {
+		t.Fatalf("store holds more than its entries: %v", other)
+	}
+	if got := len(entryFiles(t, dir)); got != n {
+		t.Fatalf("%d entry files after %d Puts", got, n)
+	}
+	if tmps, err := os.ReadDir(filepath.Join(dir, tmpDir)); err != nil || len(tmps) != 0 {
+		t.Fatalf("tmp/ = %v, %v; want empty", tmps, err)
+	}
+}
+
+// TestRecencySurvivesReopen: a Get refreshes its entry's mtime, so after
+// a reopen with no shutdown step (as after kill -9) the promoted entry
+// outlives the least recently used one.
+func TestRecencySurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	payload := bytes.Repeat([]byte("x"), 200)
+	// Each entry is ~200 payload + ~130 header bytes; budget for ~3.
+	s := open(t, dir, Options{MaxBytes: 1100})
+	base := time.Now().Add(-time.Hour)
+	for i := 0; i < 3; i++ {
+		k := fmt.Sprintf("k%d", i)
+		if err := s.Put(k, payload); err != nil {
+			t.Fatal(err)
+		}
+		// Distinct write times, oldest first, whatever the clock's grain.
+		at := base.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(s.entryPath(k), at, at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := s.Get("k0"); !ok {
+		t.Fatal("k0 missing before the reopen")
+	}
+
+	s2 := open(t, dir, Options{MaxBytes: 1100})
+	if err := s2.Put("k3", payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s2.Get("k1"); ok {
+		t.Fatal("least recently used k1 survived the eviction")
+	}
+	for _, k := range []string{"k0", "k2", "k3"} {
+		if _, ok := s2.Get(k); !ok {
+			t.Fatalf("%q evicted; the Get before the reopen did not promote k0", k)
+		}
 	}
 }
 
@@ -281,7 +382,6 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 	if st := s.Stats(); st.Evictions == 0 || st.Bytes > 1100 {
 		t.Fatalf("stats = %+v, want evictions > 0 and bytes within budget", st)
 	}
-	_ = s.Close()
 
 	// The budget also applies at open time if the directory outgrew it.
 	s2 := open(t, dir, Options{MaxBytes: 400})
@@ -290,6 +390,70 @@ func TestByteBudgetEvictsLRU(t *testing.T) {
 	}
 	if s2.Len() == 0 {
 		t.Fatal("reopen evicted everything despite budget for one entry")
+	}
+}
+
+// TestOversizePutKeepsStore: an entry larger than the whole budget is
+// refused before it is written, so it evicts nothing.
+func TestOversizePutKeepsStore(t *testing.T) {
+	s := open(t, t.TempDir(), Options{MaxBytes: 1100})
+	payload := bytes.Repeat([]byte("x"), 200)
+	for i := 0; i < 3; i++ {
+		if err := s.Put(fmt.Sprintf("k%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Put("huge", bytes.Repeat([]byte("x"), 5000)); err != nil {
+		t.Fatalf("oversize Put = %v", err)
+	}
+	if st := s.Stats(); st.Entries != 3 || st.Evictions != 0 {
+		t.Fatalf("stats = %+v, want 3 entries / 0 evictions", st)
+	}
+	if _, err := os.Stat(s.entryPath("huge")); !os.IsNotExist(err) {
+		t.Fatalf("oversize entry written: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, ok := s.Get(fmt.Sprintf("k%d", i)); !ok {
+			t.Fatalf("k%d lost to an oversize Put", i)
+		}
+	}
+}
+
+// TestUnwritableStoreFailsSoft: with tmp/ replaced by a regular file no
+// entry can be staged (unlike a chmod, this stops root too). Put returns
+// and counts the error, nothing reaches objects/ for its key, and the
+// entries written before still read back verified.
+func TestUnwritableStoreFailsSoft(t *testing.T) {
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	for _, k := range []string{"k0", "k1"} {
+		if err := s.Put(k, []byte("payload-"+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tmp := filepath.Join(dir, tmpDir)
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("k2", []byte("payload-k2")); err == nil {
+		t.Fatal("Put into an unwritable store reported success")
+	}
+	if st := s.Stats(); st.Errors != 1 || st.Entries != 2 {
+		t.Fatalf("stats = %+v, want 1 error / 2 entries", st)
+	}
+	if _, err := os.Stat(s.entryPath("k2")); !os.IsNotExist(err) {
+		t.Fatalf("failed Put left an entry: %v", err)
+	}
+	if files := entryFiles(t, dir); len(files) != 2 {
+		t.Fatalf("objects/ holds %v, want the 2 earlier entries", files)
+	}
+	for _, k := range []string{"k0", "k1"} {
+		if got, ok := s.Get(k); !ok || !bytes.Equal(got, []byte("payload-"+k)) {
+			t.Fatalf("Get(%q) = %q, %v after a failed Put", k, got, ok)
+		}
 	}
 }
 
@@ -330,7 +494,4 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 }

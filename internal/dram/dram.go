@@ -12,13 +12,13 @@ import (
 
 // Stats counts DRAM events. Reads and writes are full cache-line transfers;
 // MetadataReads/Writes are the 32b distribution-profile transfers that the
-// sampling machinery generates.
+// sampling machinery generates. Each one costs AccessPJ, so energy is a
+// price on TotalAccesses, not a counter of its own.
 type Stats struct {
 	Reads          stats.Counter
 	Writes         stats.Counter
 	MetadataReads  stats.Counter
 	MetadataWrites stats.Counter
-	EnergyPJ       stats.Energy
 }
 
 // TotalAccesses returns all line-granularity transfers (the "DRAM traffic"
@@ -45,14 +45,12 @@ func New(p energy.DRAMParams) *DRAM {
 // Read services a demand line read and returns its latency in cycles.
 func (d *DRAM) Read() int {
 	d.Stats.Reads.Inc()
-	d.Stats.EnergyPJ.AddPJ(d.p.AccessPJ())
 	return d.p.LatencyCycles
 }
 
 // Write services a writeback of a full line.
 func (d *DRAM) Write() {
 	d.Stats.Writes.Inc()
-	d.Stats.EnergyPJ.AddPJ(d.p.AccessPJ())
 }
 
 // MetadataRead services a 32-bit profile fetch and returns its latency.
@@ -61,14 +59,12 @@ func (d *DRAM) Write() {
 // "metadata traffic below 1.5% of DRAM accesses" claim meaningful.
 func (d *DRAM) MetadataRead() int {
 	d.Stats.MetadataReads.Inc()
-	d.Stats.EnergyPJ.AddPJ(d.p.AccessPJ())
 	return d.p.LatencyCycles
 }
 
 // MetadataWrite services a 32-bit profile writeback.
 func (d *DRAM) MetadataWrite() {
 	d.Stats.MetadataWrites.Inc()
-	d.Stats.EnergyPJ.AddPJ(d.p.AccessPJ())
 }
 
 // LatencyCycles returns the access latency.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/stats"
 )
 
 func TestReadWriteAccounting(t *testing.T) {
@@ -16,8 +17,8 @@ func TestReadWriteAccounting(t *testing.T) {
 		t.Errorf("stats: %+v", d.Stats)
 	}
 	// 2 line transfers at 20 pJ/bit * 512 bits.
-	if d.Stats.EnergyPJ.PJ() != 2*10240 {
-		t.Errorf("energy = %v", d.Stats.EnergyPJ.PJ())
+	if pj := stats.ChargePJ(d.Stats.TotalAccesses(), d.AccessPJ()); pj != 2*10240 {
+		t.Errorf("energy = %v", pj)
 	}
 }
 

@@ -41,7 +41,7 @@ func digest(res *hier.Result) string {
 	d := &res.DRAM
 	fmt.Fprintf(&b, "dram r=%d w=%d mr=%d mw=%d pj=%v\n",
 		d.Reads.Value(), d.Writes.Value(),
-		d.MetadataReads.Value(), d.MetadataWrites.Value(), d.EnergyPJ.PJ())
+		d.MetadataReads.Value(), d.MetadataWrites.Value(), res.DRAMPJ())
 	fmt.Fprintf(&b, "nr=%v+%v l2d=%d l2ma=%d l2mm=%d l3d=%d l3ma=%d l3mm=%d eou=%v full=%v\n",
 		res.NRHist, res.NRResident, res.L2DemandMisses, res.L2MetaAccesses, res.L2MetaMisses,
 		res.L3DemandMisses, res.L3MetaAccesses, res.L3MetaMisses, res.EOUPJ(), res.FullSystemPJ())

@@ -44,7 +44,7 @@ func stateDigest(s *System) string {
 	d := s.DRAM()
 	fmt.Fprintf(&b, "dram r=%d w=%d mr=%d mw=%d pj=%v\n",
 		d.Stats.Reads.Value(), d.Stats.Writes.Value(),
-		d.Stats.MetadataReads.Value(), d.Stats.MetadataWrites.Value(), d.Stats.EnergyPJ.PJ())
+		d.Stats.MetadataReads.Value(), d.Stats.MetadataWrites.Value(), s.Result().DRAMPJ())
 	fmt.Fprintf(&b, "nr=%v l2d=%d l2ma=%d l2mm=%d l3d=%d l3ma=%d l3mm=%d eou=%v full=%v\n",
 		s.NRHist, s.L2DemandMisses, s.L2MetaAccesses, s.L2MetaMisses,
 		s.L3DemandMisses, s.L3MetaAccesses, s.L3MetaMisses, s.Result().EOUPJ(), s.Result().FullSystemPJ())

@@ -4,7 +4,11 @@ package hier
 // run's Result, shaped after the metrics the paper's figures report.
 // Energies are picojoules.
 
-import "repro/internal/energy"
+import (
+	"repro/internal/dram"
+	"repro/internal/energy"
+	"repro/internal/stats"
+)
 
 // ResetStats discards everything accumulated so far — energies, hit/miss
 // and traffic counters, timing, NR histogram, insertion classes — while
@@ -21,11 +25,7 @@ func (s *System) ResetStats() {
 		c.policyStalls = 0
 	}
 	s.l3.Stats.Reset()
-	s.dram.Stats.Reads.Reset()
-	s.dram.Stats.Writes.Reset()
-	s.dram.Stats.MetadataReads.Reset()
-	s.dram.Stats.MetadataWrites.Reset()
-	s.dram.Stats.EnergyPJ.Reset()
+	s.dram.Stats = dram.Stats{}
 	s.NRHist = [4]uint64{}
 	s.L2DemandMisses, s.L2MetaAccesses, s.L2MetaMisses = 0, 0, 0
 	s.L3DemandMisses, s.L3MetaAccesses, s.L3MetaMisses = 0, 0, 0
@@ -133,8 +133,11 @@ func (r *Result) CorePJ() float64 {
 	return float64(r.TotalInstrs()) * r.Config.Core.PJPerInstr
 }
 
-// DRAMPJ returns main-memory energy.
-func (r *Result) DRAMPJ() float64 { return r.DRAM.EnergyPJ.PJ() }
+// DRAMPJ returns main-memory energy: one line transfer's price per DRAM
+// access, each rounded as the level energies round their charges.
+func (r *Result) DRAMPJ() float64 {
+	return stats.ChargePJ(r.DRAM.TotalAccesses(), r.Config.DRAM.AccessPJ())
+}
 
 // FullSystemPJ is the Figure 10 denominator: core + L1 + L2 + L3 + DRAM
 // dynamic energy (EOU energy is inside the level totals).

@@ -6,11 +6,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/castore"
+	"repro/internal/lru"
 	"repro/internal/spec"
 )
 
@@ -90,9 +93,7 @@ func TestStoreDiskTier(t *testing.T) {
 	st := NewStoreWithDisk(2, disk)
 	want := sampleResult(3)
 	st.Put("s1:abc", want.Clone())
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
+	st.Close()
 
 	disk2, err := castore.Open(dir, castore.Options{})
 	if err != nil {
@@ -145,9 +146,8 @@ func TestResultsSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// "Restart": drain the first daemon (flushing the write-behind queue
-	// and persisting the castore index) before the second one opens the
-	// same directory.
+	// "Restart": drain the first daemon (flushing the write-behind queue)
+	// before the second one opens the same directory.
 	ts1.Close()
 	shutCtx, shutCancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer shutCancel()
@@ -198,5 +198,75 @@ func TestResultsSurviveRestart(t *testing.T) {
 	// Nothing was ever enqueued on the second daemon.
 	if n := srv2.Metrics().CacheHits(); n == 0 {
 		t.Error("repeat POST not counted as a result-store hit")
+	}
+}
+
+// TestStorePutNeverBlocks: a full write-behind queue drops the disk write
+// and counts it in DiskStats().Errors (slip_castore_errors) instead of
+// blocking the worker that finished the job.
+func TestStorePutNeverBlocks(t *testing.T) {
+	disk, err := castore.Open(t.TempDir(), castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One queue slot and no writer draining it.
+	st := &Store{mem: lru.New[*RunResult](4, nil), disk: disk, diskCh: make(chan diskWrite, 1)}
+	done := make(chan struct{})
+	go func() {
+		st.Put("a", sampleResult(1))
+		st.Put("b", sampleResult(2))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Put blocked on a full write-behind queue")
+	}
+	if ds := st.DiskStats(); ds.Errors != 1 {
+		t.Fatalf("disk stats = %+v, want the dropped write as 1 error", ds)
+	}
+	if len(st.diskCh) != 1 {
+		t.Fatalf("%d writes queued, want the first one", len(st.diskCh))
+	}
+	if _, ok := st.Get("b"); !ok {
+		t.Fatal("the dropped write's result is not served from memory")
+	}
+}
+
+// TestUnwritableDiskServesFromMemory: a store whose tmp/ is a regular
+// file can stage no entry. The failed write-behind is counted, nothing
+// reaches objects/, and the daemon answers the repeat POST from memory.
+func TestUnwritableDiskServesFromMemory(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := castore.Open(dir, castore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := testServer(t, Config{Workers: 1, QueueDepth: 4, DiskStore: disk}, nil)
+	body := `{"workload":"milc","policy":"slip","accesses":20000,"warmup":20000,"seed":17}`
+	code, v, _ := postRun(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST = %d", code)
+	}
+	if done := pollJob(t, ts, v.ID); done.State != StateCompleted {
+		t.Fatalf("job finished %s (%s)", done.State, done.Error)
+	}
+	code2, v2, _ := postRun(t, ts, body)
+	if code2 != http.StatusOK || !v2.Cached || v2.State != StateCompleted {
+		t.Fatalf("repeat POST = %d %+v, want 200 cached completed", code2, v2)
+	}
+	waitFor(t, func() bool { return srv.Store().DiskStats().Errors > 0 })
+	if ds := srv.Store().DiskStats(); ds.Errors != 1 || ds.Entries != 0 {
+		t.Fatalf("disk stats = %+v, want 1 error / 0 entries", ds)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "objects", "*", "*")); len(files) != 0 {
+		t.Fatalf("failed write left %v under objects/", files)
 	}
 }

@@ -190,8 +190,8 @@ func (s *Server) Start() {
 // flips), queued and in-flight jobs run to completion, queued disk writes
 // flush, then workers exit. If ctx expires first, running simulations are
 // cancelled (their jobs report cancelled) and Shutdown returns ctx.Err()
-// once the workers finish unwinding — the disk tier still flushes so every
-// completed result is durable.
+// once the workers finish unwinding — the disk tier still flushes every
+// queued write.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	s.queue.Close()
@@ -200,20 +200,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		if err := s.store.Close(); err != nil {
-			s.cfg.Log.Printf("result store close: %v", err)
-		}
-		return nil
 	case <-ctx.Done():
 		s.cancel() // abort in-flight simulations
 		<-done
-		if err := s.store.Close(); err != nil {
-			s.cfg.Log.Printf("result store close: %v", err)
-		}
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.store.Close()
+	return err
 }
 
 // Draining reports whether shutdown has begun.

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/castore"
 	"repro/internal/lru"
@@ -23,11 +24,13 @@ type Store struct {
 
 	// disk is the durable tier; nil runs memory-only. Writes flow through
 	// diskCh to a single writer goroutine so simulation workers never
-	// block on disk IO or the castore lock.
+	// block on disk IO or the castore lock; a write that finds the queue
+	// full is dropped and counted in dropped.
 	disk      *castore.Store
 	diskCh    chan diskWrite
 	diskDone  chan struct{}
 	diskClose sync.Once
+	dropped   atomic.Uint64
 }
 
 // diskWrite is one queued write-behind operation.
@@ -41,7 +44,7 @@ func NewStore(capacity int) *Store { return NewStoreWithDisk(capacity, nil) }
 
 // NewStoreWithDisk builds a store layered over disk (which may be nil for
 // memory-only). The caller hands ownership of disk to the store; Close
-// flushes pending writes and closes it.
+// flushes pending writes into it.
 func NewStoreWithDisk(capacity int, disk *castore.Store) *Store {
 	if capacity < 1 {
 		capacity = 1
@@ -91,8 +94,10 @@ func (st *Store) Get(key string) (*RunResult, bool) {
 }
 
 // Put inserts (or refreshes) a result in memory and queues the durable
-// write. The store keeps its own copy, so later caller-side mutation of
-// res cannot corrupt the cache.
+// write without waiting: when the queue is full the write is dropped and
+// counted, and the result stays memory-only until re-simulated. The store
+// keeps its own copy, so later caller-side mutation of res cannot corrupt
+// the cache.
 func (st *Store) Put(key string, res *RunResult) {
 	kept := res.Clone()
 	st.mem.Put(key, kept)
@@ -100,31 +105,37 @@ func (st *Store) Put(key string, res *RunResult) {
 		return
 	}
 	if payload, err := json.Marshal(kept); err == nil {
-		st.diskCh <- diskWrite{key: key, payload: payload}
+		select {
+		case st.diskCh <- diskWrite{key: key, payload: payload}:
+		default:
+			st.dropped.Add(1)
+		}
 	}
 }
 
-// Close flushes queued disk writes and closes the disk tier (persisting
-// its index). Memory-only stores close trivially. Callers must not Put
-// after Close; the server only closes once its workers have exited.
-func (st *Store) Close() error {
+// Close flushes queued disk writes. Memory-only stores close trivially.
+// Callers must not Put after Close; the server only closes once its
+// workers have exited.
+func (st *Store) Close() {
 	if st.disk == nil {
-		return nil
+		return
 	}
 	st.diskClose.Do(func() {
 		close(st.diskCh)
 	})
 	<-st.diskDone
-	return st.disk.Close()
 }
 
-// DiskStats snapshots the durable tier's counters; all zeros when the
-// store is memory-only.
+// DiskStats snapshots the durable tier's counters, with writes dropped on
+// a full queue counted in Errors; all zeros when the store is
+// memory-only.
 func (st *Store) DiskStats() castore.Stats {
 	if st.disk == nil {
 		return castore.Stats{}
 	}
-	return st.disk.Stats()
+	ds := st.disk.Stats()
+	ds.Errors += st.dropped.Load()
+	return ds
 }
 
 // Len is the current number of memory-cached results.

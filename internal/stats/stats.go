@@ -40,8 +40,15 @@ type Energy struct {
 	units uint64
 }
 
+// units rounds pj to the nearest whole 1/65536 pJ unit.
+func units(pj float64) uint64 { return uint64(pj*energyUnitsPerPJ + 0.5) }
+
 // AddPJ adds pj picojoules (rounded to the nearest 1/65536 pJ unit).
-func (e *Energy) AddPJ(pj float64) { e.units += uint64(pj*energyUnitsPerPJ + 0.5) }
+func (e *Energy) AddPJ(pj float64) { e.units += units(pj) }
+
+// ChargePJ returns the picojoules of n events priced pj each, every one
+// rounded as AddPJ rounds it: the PJ of n AddPJ(pj) calls, bit for bit.
+func ChargePJ(n uint64, pj float64) float64 { return float64(n*units(pj)) / energyUnitsPerPJ }
 
 // PJ returns the accumulated energy in picojoules.
 func (e *Energy) PJ() float64 { return float64(e.units) / energyUnitsPerPJ }

@@ -30,6 +30,20 @@ func TestEnergyUnits(t *testing.T) {
 	}
 }
 
+// TestChargePJMatchesAddPJ: pricing n events at once equals charging them
+// one by one, for prices that do not fall on a whole unit.
+func TestChargePJMatchesAddPJ(t *testing.T) {
+	for _, pj := range []float64{0.3, 1.27, 2.5, 10240, 12.0 / 7} {
+		var e Energy
+		for n := uint64(0); n <= 1000; n++ {
+			if got := ChargePJ(n, pj); got != e.PJ() {
+				t.Fatalf("ChargePJ(%d, %v) = %v, want %v", n, pj, got, e.PJ())
+			}
+			e.AddPJ(pj)
+		}
+	}
+}
+
 func TestRatioPctSavings(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Error("Ratio with zero denominator should be 0")

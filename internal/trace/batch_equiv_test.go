@@ -68,6 +68,22 @@ func TestWorkloadBatchEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecordKeepsNoSlack: a recorded buffer holds exactly the Size a
+// cache charges for it, for every shipped workload, and replays the
+// stream it recorded.
+func TestRecordKeepsNoSlack(t *testing.T) {
+	const n = 20_000
+	for _, name := range workloads.Names() {
+		buf := trace.Record(wl(name, 7), n)
+		if c := trace.BufferCap(buf); c != buf.Size() {
+			t.Errorf("%s: buffer holds %d bytes for Size %d", name, c, buf.Size())
+		}
+		if !slices.Equal(trace.Collect(buf.Replay(), n+1), trace.Collect(wl(name, 7), n)) {
+			t.Errorf("%s: replay differs from the recorded stream", name)
+		}
+	}
+}
+
 // TestLimitBatchEquivalence checks limits that end the stream at, just
 // before and just after the hierarchy's 4096-access batch boundary.
 func TestLimitBatchEquivalence(t *testing.T) {

@@ -37,6 +37,10 @@ func Record(src Source, max uint64) *Buffer {
 			break
 		}
 	}
+	// Keep exactly the bytes Size charges, not append's growth slack.
+	data := make([]byte, len(b.data))
+	copy(data, b.data)
+	b.data = data
 	return b
 }
 
