@@ -69,7 +69,7 @@ func readSpecs(path string) ([]spec.Spec, error) {
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: fig1,fig3,table2,htree,fig9,fig10,fig11,fig12,fig13,fig14,fig15,fig16,tech22,binwidth,sampling")
+		exp      = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments.ExperimentNames(), ","))
 		acc      = flag.Uint64("accesses", spec.DefaultAccesses, "measured accesses per benchmark")
 		warmup   = flag.Int64("warmup", -1, "warmup accesses before measurement (-1 = same as -accesses)")
 		seed     = flag.Uint64("seed", spec.DefaultSeed, "random seed")
@@ -176,7 +176,8 @@ func main() {
 	for i, n := range names {
 		names[i] = strings.TrimSpace(n)
 		if !experiments.ValidExperiment(names[i]) {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", n)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: all, %s)\n",
+				n, strings.Join(experiments.ExperimentNames(), ", "))
 			os.Exit(1)
 		}
 	}

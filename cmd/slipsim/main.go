@@ -10,7 +10,8 @@
 //	        [-sampling 8]
 //	slipsim -spec run.json                       # run a declarative spec file
 //	slipsim -workload mcf -dump-spec             # print the canonical spec
-//	slipsim -trace file.trc -policy baseline     # replay a tracegen file
+//	slipsim -workload mcf -write-trace mcf.trc   # write a trace file
+//	slipsim -trace mcf.trc -policy baseline      # replay a trace file
 //	slipsim -list-policies                       # enumerate the policy table
 //
 // The flags and the -spec file describe the same canonical simulation spec
@@ -20,7 +21,12 @@
 // /dev/stdin` is the identity. The run itself goes through the same
 // experiments.Suite pipeline slipbench and slipd use.
 //
-// -trace replays a file instead of generating the workload; every
+// -warmup defaults to -accesses, as slipbench's does and as a spec file
+// without a warmup canonicalizes.
+//
+// -write-trace writes core 0's first -accesses accesses of -workload at
+// -seed to a binary trace file and exits without simulating. -trace
+// replays such a file instead of generating the workload; every
 // configuration flag applies except -warmup, since a replay has no warmup
 // phase.
 //
@@ -43,6 +49,7 @@ import (
 	"repro/internal/spec"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // errUsage reports a command line slipsim refuses, after run has printed
@@ -69,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		policyFl = fs.String("policy", "slip+abp",
 			"policy name, one of: "+strings.Join(hier.PolicyNames(), "|")+" (see -list-policies)")
 		acc      = fs.Uint64("accesses", spec.DefaultAccesses, "measured accesses")
-		warm     = fs.Uint64("warmup", spec.DefaultAccesses, "warmup accesses before stats reset")
+		warm     = fs.Uint64("warmup", 0, "warmup accesses before stats reset (default: -accesses)")
 		seed     = fs.Uint64("seed", spec.DefaultSeed, "random seed")
 		cores    = fs.Int("cores", 1, "number of cores (private L2s, shared L3)")
 		rrip     = fs.Bool("rrip", false, "use SRRIP replacement instead of LRU")
@@ -79,6 +86,7 @@ func run(args []string, stdout io.Writer) error {
 		specIn   = fs.String("spec", "", "run a canonical spec JSON file instead of the flags ('-' for stdin)")
 		dumpSpec = fs.Bool("dump-spec", false, "print the canonical spec JSON for the given flags and exit")
 		traceIn  = fs.String("trace", "", "replay a binary trace file instead of a workload (no warmup phase)")
+		traceOut = fs.String("write-trace", "", "write core 0's first -accesses accesses to this trace file and exit without simulating")
 		sampling = fs.Int("sampling", 0, "set-sampling factor K: simulate 1/K of the cache sets and extrapolate (1 = full fidelity; valid: 1, 2, 4, 8, 16)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		listPol  = fs.Bool("list-policies", false, "list the registered policies with their metadata and exit")
@@ -89,13 +97,15 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return errUsage // flag has printed the error and the usage
 	}
-	if *traceIn != "" {
-		warmSet := false
-		fs.Visit(func(f *flag.Flag) { warmSet = warmSet || f.Name == "warmup" })
-		if warmSet {
-			fmt.Fprintln(fs.Output(), "-warmup does not apply to -trace: a replay has no warmup phase")
-			return errUsage
-		}
+	warmSet := false
+	fs.Visit(func(f *flag.Flag) { warmSet = warmSet || f.Name == "warmup" })
+	if *traceIn != "" && warmSet {
+		fmt.Fprintln(fs.Output(), "-warmup does not apply to -trace: a replay has no warmup phase")
+		return errUsage
+	}
+	if *traceIn != "" && *traceOut != "" {
+		fmt.Fprintln(fs.Output(), "-write-trace and -trace are exclusive: write a trace or replay one")
+		return errUsage
 	}
 
 	if *listPol {
@@ -126,13 +136,15 @@ func run(args []string, stdout io.Writer) error {
 			MixWith:  *wl2,
 			Cores:    *cores,
 			Accesses: *acc,
-			Warmup:   warm,
 			Seed:     *seed,
 			BinBits:  uint8(*binBits),
 			UseRRIP:  *rrip,
 			Tech:     *tech,
 			Topology: *topology,
 			Sampling: *sampling,
+		}
+		if warmSet {
+			sp.Warmup = warm
 		}
 	}
 
@@ -146,6 +158,9 @@ func run(args []string, stdout io.Writer) error {
 	c, err := sp.Canonical()
 	if err != nil {
 		return err
+	}
+	if *traceOut != "" {
+		return writeTraceFile(stdout, *traceOut, c)
 	}
 
 	if *cpuProf != "" {
@@ -204,7 +219,48 @@ func listPolicies(w io.Writer) {
 	fmt.Fprintln(w, tb.String())
 }
 
-// replay drives a tracegen file through the single-core system c
+// writeTraceFile writes the first c.Accesses accesses of core 0's stream (the
+// workload at the spec seed) to path in the trace file format.
+func writeTraceFile(stdout io.Writer, path string, c spec.Spec) error {
+	wl, _ := workloads.ByName(c.Workload) // canonical specs name valid workloads
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	w, err := trace.NewWriter(f)
+	if err != nil {
+		return err
+	}
+	src := trace.Limit(wl.Build(c.Seed), c.Accesses)
+	batch := make([]trace.Access, 4096)
+	for {
+		k := src.NextBatch(batch)
+		for _, a := range batch[:k] {
+			if err := w.Write(a); err != nil {
+				return err
+			}
+		}
+		if k < len(batch) {
+			break
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "wrote %d accesses to %s (%d bytes, %.2f B/access)\n",
+		w.Count(), path, info.Size(), float64(info.Size())/float64(w.Count()))
+	return nil
+}
+
+// replay drives a trace file through the single-core system c
 // describes. There is no warmup: statistics cover the first c.Accesses
 // accesses of the file. A malformed record among them is an error.
 func replay(path string, c spec.Spec) (*hier.Result, error) {

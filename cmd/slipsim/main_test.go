@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -84,6 +85,52 @@ func TestTraceReplayRejectsCorruptTrace(t *testing.T) {
 	}
 }
 
+// TestWriteTraceReplays checks -write-trace writes the same bytes as
+// writeTrace for the same stream, that -trace replays the file, and that
+// asking for both is a usage error.
+func TestWriteTraceReplays(t *testing.T) {
+	dir := t.TempDir()
+	got, want := filepath.Join(dir, "got.trc"), filepath.Join(dir, "want.trc")
+	runOK(t, "-workload", "milc", "-accesses", "20000", "-seed", "1", "-write-trace", got)
+	writeTrace(t, want, "milc", 20000)
+	gotB, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := os.ReadFile(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotB, wantB) {
+		t.Errorf("-write-trace wrote %d bytes that differ from writeTrace's %d", len(gotB), len(wantB))
+	}
+	if !strings.Contains(runOK(t, "-trace", got, "-accesses", "20000"), "full-system dynamic energy") {
+		t.Error("-trace replay of a -write-trace file printed no report")
+	}
+
+	err = run([]string{"-trace", got, "-write-trace", filepath.Join(dir, "again.trc")}, io.Discard)
+	if !errors.Is(err, errUsage) {
+		t.Errorf("-trace with -write-trace: err = %v, want a usage error", err)
+	}
+}
+
+// TestWarmupDefaultsToAccesses pins the spec the flags denote when
+// -warmup is not given: warmup equals -accesses, as in slipbench and a
+// spec file without a warmup. -warmup 0 still means no warmup.
+func TestWarmupDefaultsToAccesses(t *testing.T) {
+	base := []string{"-workload", "milc", "-accesses", "20000", "-dump-spec"}
+	got := runOK(t, base...)
+	if want := runOK(t, append(base, "-warmup", "20000")...); got != want {
+		t.Errorf("dump without -warmup:\n%s\nwant the dump with -warmup 20000:\n%s", got, want)
+	}
+	if !strings.Contains(got, `"warmup": 20000,`) {
+		t.Errorf("dump without -warmup does not pin warmup 20000:\n%s", got)
+	}
+	if zero := runOK(t, append(base, "-warmup", "0")...); !strings.Contains(zero, `"warmup": 0,`) {
+		t.Errorf("-warmup 0 does not pin a zero warmup:\n%s", zero)
+	}
+}
+
 func runOK(t *testing.T, args ...string) string {
 	t.Helper()
 	var out bytes.Buffer
@@ -93,7 +140,8 @@ func runOK(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-// writeTrace records n accesses of a workload in the tracegen file format.
+// writeTrace records n accesses of a workload at seed 1 in the trace file
+// format.
 func writeTrace(t *testing.T, path, workload string, n uint64) {
 	t.Helper()
 	wl, ok := workloads.ByName(workload)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/hier"
+	"repro/internal/stats"
 )
 
 // smallSuite builds a fast suite over a representative benchmark subset.
@@ -280,6 +281,52 @@ func TestSamplingReducesMetadata(t *testing.T) {
 	if res.WithSamplingPct >= res.WithoutSamplingPct {
 		t.Errorf("sampling metadata %.2f%% not below always-on %.2f%%",
 			res.WithSamplingPct, res.WithoutSamplingPct)
+	}
+}
+
+// TestPoliciesRows checks the policies experiment's result: one row per
+// policy of hier's table, in table order; each row's energy mean taken
+// over its runs; and savings of the means against the baseline row's,
+// which saves 0%.
+func TestPoliciesRows(t *testing.T) {
+	s := NewSuite(Options{
+		Accesses: 20_000, Warmup: 20_000, Seed: 7,
+		Benchmarks: []string{"milc", "sphinx3"},
+	})
+	rows := s.Policies()
+	pols := hier.AllPolicies()
+	if len(rows) != len(pols) {
+		t.Fatalf("%d rows, want one per policy of the table (%d)", len(rows), len(pols))
+	}
+	var base PolicyRow
+	for _, r := range rows {
+		if r.Policy == hier.Baseline {
+			base = r
+		}
+	}
+	if base.MeanEnergyUJ <= 0 || base.MeanEDP <= 0 {
+		t.Fatalf("baseline row has no energy or EDP: %+v", base)
+	}
+	for i, r := range rows {
+		if r.Policy != pols[i] {
+			t.Errorf("row %d is %v, want %v", i, r.Policy, pols[i])
+		}
+		var energy []float64
+		for _, wl := range s.Options().Benchmarks {
+			energy = append(energy, s.Run(wl, r.Policy).ScaledFullSystemPJ()/1e6)
+		}
+		if want := stats.Mean(energy); r.MeanEnergyUJ != want {
+			t.Errorf("%v: mean energy %v uJ, want %v from its runs", r.Policy, r.MeanEnergyUJ, want)
+		}
+		if want := stats.Savings(base.MeanEnergyUJ, r.MeanEnergyUJ); r.EnergySavePct != want {
+			t.Errorf("%v: energy saving %v%%, want %v%% of the means", r.Policy, r.EnergySavePct, want)
+		}
+		if want := stats.Savings(base.MeanEDP, r.MeanEDP); r.EDPSavePct != want {
+			t.Errorf("%v: EDP saving %v%%, want %v%% of the means", r.Policy, r.EDPSavePct, want)
+		}
+	}
+	if base.EnergySavePct != 0 || base.EDPSavePct != 0 {
+		t.Errorf("baseline saves %v%% energy and %v%% EDP against itself, want 0", base.EnergySavePct, base.EDPSavePct)
 	}
 }
 

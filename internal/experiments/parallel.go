@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/hier"
 	"repro/internal/spec"
-	"repro/internal/workloads"
 )
 
 // RunSpec is the declarative description of one simulation the Suite can
@@ -118,95 +116,6 @@ func (s *Suite) RunAllContext(ctx context.Context, policies ...hier.PolicyKind) 
 		out[wl] = row
 	}
 	return out, nil
-}
-
-// SpecsFor returns the simulations an experiment will consume, in a
-// deterministic order, so a driver can Prefetch the union for several
-// experiments before printing any of them. Experiments that simulate
-// nothing (fig3, table2) return nil; unknown names panic with the valid
-// set.
-func (s *Suite) SpecsFor(exp string) []RunSpec {
-	matrix := func(pols ...hier.PolicyKind) []RunSpec {
-		var specs []RunSpec
-		for _, wl := range s.opts.Benchmarks {
-			for _, p := range pols {
-				specs = append(specs, spec.Single(wl, p))
-			}
-		}
-		return specs
-	}
-	withEval := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
-	switch exp {
-	case "fig1":
-		var specs []RunSpec
-		for _, wl := range workloads.Fig1Set() {
-			specs = append(specs, spec.Single(wl, hier.Baseline))
-		}
-		return specs
-	case "fig3", "table2":
-		return nil
-	case "htree":
-		specs := matrix(hier.Baseline)
-		for _, wl := range s.opts.Benchmarks {
-			specs = append(specs, htreeSpec(wl))
-		}
-		return specs
-	case "fig9", "fig11", "fig13", "fig15":
-		return matrix(withEval...)
-	case "fig10", "fig12":
-		return matrix(hier.Baseline, hier.SLIP, hier.SLIPABP)
-	case "fig14":
-		return matrix(hier.SLIPABP)
-	case "fig16":
-		var specs []RunSpec
-		for _, m := range workloads.Mixes() {
-			for _, p := range []hier.PolicyKind{hier.Baseline, hier.SLIPABP} {
-				specs = append(specs, spec.ForMix(m.A, m.B, p))
-			}
-		}
-		return specs
-	case "tech22":
-		var specs []RunSpec
-		for _, wl := range s.opts.Benchmarks {
-			for _, p := range []hier.PolicyKind{hier.Baseline, hier.SLIPABP} {
-				specs = append(specs, tech22Spec(wl, p))
-			}
-		}
-		return specs
-	case "binwidth":
-		specs := matrix(hier.Baseline)
-		for _, b := range binWidths {
-			for _, wl := range s.opts.Benchmarks {
-				specs = append(specs, bitsSpec(wl, b))
-			}
-		}
-		return specs
-	case "sampling":
-		specs := matrix(hier.SLIPABP)
-		for _, wl := range s.opts.Benchmarks {
-			specs = append(specs, noSampleSpec(wl))
-		}
-		return specs
-	default:
-		panic(fmt.Sprintf("experiments: unknown experiment %q (valid: %s)",
-			exp, "fig1, fig3, table2, htree, fig9, fig10, fig11, fig12, fig13, fig14, fig15, fig16, tech22, binwidth, sampling"))
-	}
-}
-
-// SpecsForAll unions SpecsFor over several experiments, dropping duplicate
-// memo keys while keeping first-seen order stable.
-func (s *Suite) SpecsForAll(exps []string) []RunSpec {
-	seen := make(map[string]bool)
-	var specs []RunSpec
-	for _, exp := range exps {
-		for _, sp := range s.SpecsFor(exp) {
-			if k := s.KeyFor(sp); !seen[k] {
-				seen[k] = true
-				specs = append(specs, sp)
-			}
-		}
-	}
-	return specs
 }
 
 // Keys reports the memoized run keys, sorted — a test/debug aid. Runs

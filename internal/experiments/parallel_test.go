@@ -100,21 +100,25 @@ func TestSingleflightCollapsesConcurrentRuns(t *testing.T) {
 	}
 }
 
-// TestPrefetchCoversFigureRuns checks SpecsFor stays in sync with what a
-// figure actually consumes: after prefetching, producing the figure must
-// not simulate anything new.
+// TestPrefetchCoversFigureRuns checks every row's specs stay in sync with
+// what its render consumes: after prefetching SpecsFor(name), rendering
+// must not simulate anything new. Each row gets a fresh suite, so runs an
+// earlier row prefetched cannot hide a stale later row.
 func TestPrefetchCoversFigureRuns(t *testing.T) {
-	s := NewSuite(Options{
-		Accesses: 20_000, Warmup: 20_000, Seed: 7,
-		Benchmarks: []string{"milc", "sphinx3"}, Parallelism: 4,
-	})
-	s.Prefetch(s.SpecsForAll([]string{"fig10", "fig14"}))
-	before := len(s.Keys())
-	s.Fig10()
-	s.Fig14()
-	if after := len(s.Keys()); after != before {
-		t.Errorf("figures simulated %d extra runs after prefetch (%d -> %d): SpecsFor is stale",
-			after-before, before, after)
+	for _, name := range ExperimentNames() {
+		s := NewSuite(Options{
+			Accesses: 10_000, Warmup: 10_000, Seed: 7,
+			Benchmarks: []string{"milc", "sphinx3"}, Parallelism: 4,
+		})
+		s.Prefetch(s.SpecsFor(name))
+		before := len(s.Keys())
+		if err := s.RunNamed(name); err != nil {
+			t.Fatal(err)
+		}
+		if after := len(s.Keys()); after != before {
+			t.Errorf("%s simulated %d extra runs after prefetch (%d -> %d): its specs are stale",
+				name, after-before, before, after)
+		}
 	}
 }
 

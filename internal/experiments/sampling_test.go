@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -141,43 +140,36 @@ func TestSampledFiguresExtrapolate(t *testing.T) {
 	}
 }
 
-// TestCalibrateSetSamplingSmoke runs the calibration harness at toy sizes
-// and checks the report shape: one entry per factor, sane speedups, finite
-// error statistics.
-func TestCalibrateSetSamplingSmoke(t *testing.T) {
-	rep, err := CalibrateSetSampling(context.Background(), Options{
-		Accesses:   30_000,
-		Warmup:     20_000,
-		WarmupSet:  true,
-		Seed:       7,
+// TestSetSamplingRow renders the setsampling experiment at toy sizes and
+// checks its result's shape: one entry per factor, a simulated share near
+// 1/K, finite error statistics.
+func TestSetSamplingRow(t *testing.T) {
+	s := NewSuite(Options{
+		Accesses: 30_000, Warmup: 20_000, WarmupSet: true, Seed: 7,
 		Benchmarks: []string{"milc", "mcf"},
-	}, []int{4})
-	if err != nil {
-		t.Fatal(err)
+	})
+	s.Prefetch(s.SpecsFor("setsampling"))
+	got := s.SetSampling()
+	if len(got) != len(SamplingFactors) {
+		t.Fatalf("%d factor results, want one per factor of %v", len(got), SamplingFactors)
 	}
-	if rep.Runs != 2*len(evalPolicies)+2 {
-		t.Errorf("Runs = %d, want %d (2 benchmarks x policies)", rep.Runs, 2*len(evalPolicies)+2)
-	}
-	if len(rep.Factors) != 1 || rep.Factors[0].Factor != 4 {
-		t.Fatalf("Factors = %+v, want exactly factor 4", rep.Factors)
-	}
-	f := rep.Factors[0]
-	if f.WallSeconds <= 0 || rep.FullWallSeconds <= 0 || f.Speedup <= 0 {
-		t.Errorf("non-positive timings: full=%v factor=%v speedup=%v",
-			rep.FullWallSeconds, f.WallSeconds, f.Speedup)
-	}
-	if f.SampledShare <= 0 || f.SampledShare >= 1 {
-		t.Errorf("SampledShare = %v, want in (0, 1)", f.SampledShare)
-	}
-	for name, st := range map[string]SamplingErrorStat{
-		"L2MissRatio": f.L2MissRatio,
-		"L3MissRatio": f.L3MissRatio,
-		"EnergyPJ":    f.EnergyPJ,
-		"EDP":         f.EDP,
-	} {
-		if math.IsNaN(st.MeanAbsPct) || math.IsNaN(st.MaxAbsPct) ||
-			st.MeanAbsPct < 0 || st.MaxAbsPct < st.MeanAbsPct {
-			t.Errorf("%s error stat malformed: %+v", name, st)
+	for i, f := range got {
+		if f.Factor != SamplingFactors[i] {
+			t.Errorf("result %d is factor %d, want %d", i, f.Factor, SamplingFactors[i])
+		}
+		if share := f.SampledShare; share <= 0 || share >= 1 || math.Abs(share*float64(f.Factor)-1) > 0.1 {
+			t.Errorf("1/%d: simulated share %v, want in (0, 1) and within 10%% of 1/%d", f.Factor, share, f.Factor)
+		}
+		for name, st := range map[string]SamplingErrorStat{
+			"L2MissRatio": f.L2MissRatio,
+			"L3MissRatio": f.L3MissRatio,
+			"EnergyPJ":    f.EnergyPJ,
+			"EDP":         f.EDP,
+		} {
+			if math.IsNaN(st.MeanAbsPct) || math.IsInf(st.MaxAbsPct, 0) ||
+				st.MeanAbsPct < 0 || st.MaxAbsPct < st.MeanAbsPct {
+				t.Errorf("1/%d: %s error stat malformed: %+v", f.Factor, name, st)
+			}
 		}
 	}
 }

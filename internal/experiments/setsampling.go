@@ -1,54 +1,36 @@
 package experiments
 
 import (
-	"context"
+	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/hier"
-	"repro/internal/lru"
-	"repro/internal/spec"
+	"repro/internal/stats"
 )
 
-// SamplingFactors are the default set-sampling calibration points: the
-// sampled passes CalibrateSetSampling compares against full fidelity.
+// SamplingFactors are the set-sampling factors the setsampling experiment
+// calibrates against full fidelity.
 var SamplingFactors = []int{2, 4, 8, 16}
 
-// SamplingErrorStat summarizes the relative error of one extrapolated
-// metric over the run matrix, in percent.
+// SamplingErrorStat summarizes the absolute relative error of one
+// extrapolated metric over the run matrix, in percent.
 type SamplingErrorStat struct {
-	MeanAbsPct float64 `json:"mean_abs_pct"`
-	MaxAbsPct  float64 `json:"max_abs_pct"`
+	MeanAbsPct float64
+	MaxAbsPct  float64
 }
 
 // SamplingFactorResult is the calibration outcome of one sampling factor:
-// wall-clock speedup over the full-fidelity pass and the extrapolation
-// error of each headline metric across the matrix.
+// the share of accesses it simulated and the extrapolation error of each
+// headline metric across the matrix.
 type SamplingFactorResult struct {
-	Factor      int     `json:"factor"`
-	WallSeconds float64 `json:"wall_seconds"`
-	Speedup     float64 `json:"speedup"`
+	Factor int
 	// SampledShare is the mean fraction of accesses actually simulated
 	// (~1/Factor by construction).
-	SampledShare float64           `json:"sampled_share"`
-	L2MissRatio  SamplingErrorStat `json:"l2_miss_ratio"`
-	L3MissRatio  SamplingErrorStat `json:"l3_miss_ratio"`
-	EnergyPJ     SamplingErrorStat `json:"energy_pj"`
-	EDP          SamplingErrorStat `json:"edp"`
-}
-
-// SamplingReport is the full calibration artifact (BENCH_sampling.json):
-// the fig9 matrix run at full fidelity and at each sampling factor, with
-// speedup and per-metric extrapolation error.
-type SamplingReport struct {
-	Benchmarks      []string               `json:"benchmarks"`
-	Policies        []string               `json:"policies"`
-	Runs            int                    `json:"runs"`
-	Accesses        uint64                 `json:"accesses"`
-	Warmup          uint64                 `json:"warmup"`
-	Seed            uint64                 `json:"seed"`
-	FullWallSeconds float64                `json:"full_wall_seconds"`
-	Factors         []SamplingFactorResult `json:"factors"`
+	SampledShare float64
+	L2MissRatio  SamplingErrorStat
+	L3MissRatio  SamplingErrorStat
+	EnergyPJ     SamplingErrorStat
+	EDP          SamplingErrorStat
 }
 
 // sampleRunMetrics are the per-run observables calibration compares. Miss
@@ -125,104 +107,34 @@ func (e *SamplingErrorStat) finish(n int) {
 	}
 }
 
-// CalibrateSetSampling runs the fig9 matrix (every configured benchmark
-// against baseline + the four evaluated policies) at full fidelity and at
-// each of the given sampling factors, and reports wall-clock speedup plus
-// the extrapolation error of per-level miss ratios, full-system energy and
-// EDP. All passes share one trace materialization cache, pre-warmed before
-// any pass is timed, so the comparison measures simulation cost, not trace
-// generation.
-func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*SamplingReport, error) {
-	if opts.TraceCacheBytes == 0 {
-		// Size the shared budget to keep every pre-warmed stream resident
-		// for the whole calibration: an evicted trace would be regenerated
-		// silently inside a timed pass, polluting the speedup the pass is
-		// supposed to measure. 4 bytes/access upper-bounds the varint
-		// encoding (~3.4 observed across the fig9 workloads).
-		sized := opts
-		sized.normalize()
-		need := int64(sized.Accesses+sized.Warmup) * 4 * int64(len(sized.Benchmarks))
-		if need > DefaultTraceCacheBytes {
-			opts.TraceCacheBytes = need
-		}
-	}
-	opts.normalize()
-	if len(factors) == 0 {
-		factors = SamplingFactors
-	}
-	pols := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
+// String renders the stat as one table cell: mean / max.
+func (e SamplingErrorStat) String() string {
+	return fmt.Sprintf("%.2f%% / %.2f%%", e.MeanAbsPct, e.MaxAbsPct)
+}
 
-	rep := &SamplingReport{
-		Benchmarks: opts.Benchmarks,
-		Accesses:   opts.Accesses,
-		Warmup:     opts.Warmup,
-		Seed:       opts.Seed,
-		Runs:       len(opts.Benchmarks) * len(pols),
-	}
-	for _, p := range pols {
-		rep.Policies = append(rep.Policies, p.String())
-	}
-
-	// Pre-warm the trace cache every pass shares (one materialized stream
-	// per workload; the key is sampling-independent, so every pass replays
-	// the same buffers).
-	warmer := NewSuite(opts)
-	for _, wl := range opts.Benchmarks {
-		if _, err := warmer.source(ctx, wl, opts.Seed, opts.Warmup+opts.Accesses); err != nil {
-			return nil, err
+// SetSampling calibrates set sampling against full fidelity: the fig9
+// matrix (every configured benchmark under the baseline and the paper's
+// comparison policies) at each factor of SamplingFactors, against the same
+// matrix at full fidelity, reporting the extrapolation error of per-level
+// miss ratios, full-system energy and EDP. It prints no wall-clock; the
+// `[prefetched …]` banner of `slipbench -exp fig9 -sampling K` times a
+// sampled matrix.
+func (s *Suite) SetSampling() []SamplingFactorResult {
+	tb := stats.NewTable("Set sampling: extrapolation error vs full fidelity over the fig9 matrix (mean / max absolute relative error)",
+		"factor", "simulated", "L2 miss ratio", "L3 miss ratio", "energy", "EDP")
+	full := sampledSpecs(s, 1)
+	var out []SamplingFactorResult
+	for _, k := range SamplingFactors {
+		fr := SamplingFactorResult{Factor: k}
+		for i, sp := range sampledSpecs(s, k) {
+			got, want := metricsOf(s.RunS(sp)), metricsOf(s.RunS(full[i]))
+			fr.L2MissRatio.observe(got.l2MissRatio, want.l2MissRatio)
+			fr.L3MissRatio.observe(got.l3MissRatio, want.l3MissRatio)
+			fr.EnergyPJ.observe(got.energyPJ, want.energyPJ)
+			fr.EDP.observe(got.edp, want.edp)
+			fr.SampledShare += got.sampledShare
 		}
-	}
-
-	pass := func(k int) ([]sampleRunMetrics, float64, error) {
-		// A fresh memo per pass over the warmer's trace cache: the pass
-		// replays the pre-warmed streams, and its results are dropped with
-		// it once their metrics are read.
-		su := &Suite{opts: opts, runs: lru.New[*hier.Result](0, nil), traces: warmer.traces}
-		var specs []RunSpec
-		for _, wl := range opts.Benchmarks {
-			for _, p := range pols {
-				sp := spec.Single(wl, p)
-				if k > 1 {
-					sp.Sampling = k
-				}
-				specs = append(specs, sp)
-			}
-		}
-		start := time.Now()
-		if err := su.PrefetchContext(ctx, specs); err != nil {
-			return nil, 0, err
-		}
-		wall := time.Since(start).Seconds()
-		out := make([]sampleRunMetrics, len(specs))
-		for i, sp := range specs {
-			out[i] = metricsOf(su.RunS(sp))
-		}
-		return out, wall, nil
-	}
-
-	full, fullWall, err := pass(1)
-	if err != nil {
-		return nil, err
-	}
-	rep.FullWallSeconds = fullWall
-
-	for _, k := range factors {
-		got, wall, err := pass(k)
-		if err != nil {
-			return nil, err
-		}
-		fr := SamplingFactorResult{Factor: k, WallSeconds: wall}
-		if wall > 0 {
-			fr.Speedup = fullWall / wall
-		}
-		for i := range got {
-			fr.L2MissRatio.observe(got[i].l2MissRatio, full[i].l2MissRatio)
-			fr.L3MissRatio.observe(got[i].l3MissRatio, full[i].l3MissRatio)
-			fr.EnergyPJ.observe(got[i].energyPJ, full[i].energyPJ)
-			fr.EDP.observe(got[i].edp, full[i].edp)
-			fr.SampledShare += got[i].sampledShare
-		}
-		n := len(got)
+		n := len(full)
 		fr.L2MissRatio.finish(n)
 		fr.L3MissRatio.finish(n)
 		fr.EnergyPJ.finish(n)
@@ -230,7 +142,10 @@ func CalibrateSetSampling(ctx context.Context, opts Options, factors []int) (*Sa
 		if n > 0 {
 			fr.SampledShare /= float64(n)
 		}
-		rep.Factors = append(rep.Factors, fr)
+		out = append(out, fr)
+		tb.AddRow(fmt.Sprintf("1/%d", k), fmt.Sprintf("%.2f%%", 100*fr.SampledShare),
+			fr.L2MissRatio.String(), fr.L3MissRatio.String(), fr.EnergyPJ.String(), fr.EDP.String())
 	}
-	return rep, nil
+	s.printf("%s\n", tb.String())
+	return out
 }

@@ -1,8 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6) plus the quantitative claims made in the text
 // (H-tree overhead, 22nm scaling, distribution bit-width sensitivity,
-// sampling traffic). Each experiment prints the same rows/series the paper
-// reports and returns the numbers for programmatic checks.
+// sampling traffic), and two tables the paper does not have: every policy
+// of the policy table side by side, and the set-sampling calibration. Each
+// experiment prints the same rows/series the paper reports and returns the
+// numbers for programmatic checks; the experiment table (named.go) lists
+// them in presentation order.
 //
 // The Suite memoizes each run's hier.Result, captured when its measured
 // window ends, so figures that share runs (9, 10, 11, 12, 13, 14, 15 all

@@ -38,10 +38,6 @@ func (s *System) Snapshot() *Snapshot {
 // snapshot itself is untouched and reusable.
 func (sn *Snapshot) System() *System { return sn.frozen.clone() }
 
-// Restore replaces s's entire state with an independent copy of the
-// snapshot, as if s had just executed whatever history the snapshot froze.
-func (s *System) Restore(sn *Snapshot) { *s = *sn.frozen.clone() }
-
 // SizeBytes estimates the retained footprint of the snapshot, charged by
 // byte-budgeted snapshot caches. Cache arrays and the MMU page table
 // dominate; the estimate is deliberately on the generous side.

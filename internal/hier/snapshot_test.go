@@ -104,23 +104,17 @@ func TestSnapshotRestoreBitIdentity(t *testing.T) {
 			}
 
 			// A snapshot is reusable: a second materialization after the first
-			// was driven must still match, as must an in-place Restore.
+			// was driven must still match.
 			again := snap.System()
 			again.Run(trace.Limit(drain(mixedSource(3), warm), measured))
 			if got := stateDigest(again); got != want {
 				t.Error("second materialization of the snapshot diverged")
 			}
-			restored := New(cfg)
-			restored.Restore(snap)
-			restored.Run(trace.Limit(drain(mixedSource(3), warm), measured))
-			if got := stateDigest(restored); got != want {
-				t.Error("Restore diverged from straight-through run")
-			}
 
 			if snap.SizeBytes() <= 0 {
 				t.Error("snapshot reports a non-positive size")
 			}
-			for _, s := range []*System{ref, clone, warmed, again, restored} {
+			for _, s := range []*System{ref, clone, warmed, again} {
 				if err := s.CheckInvariants(); err != nil {
 					t.Error(err)
 				}

@@ -16,7 +16,8 @@ import (
 //	record: varint(addrDelta zigzag) | varint(gap<<1 | store)
 //
 // Delta-encoding addresses keeps sequential traces around two bytes per
-// access. The format is consumed by cmd/tracegen and the replay path.
+// access. slipsim -write-trace writes the format and slipsim -trace
+// replays it.
 
 var traceMagic = [4]byte{'S', 'L', 'T', '1'}
 

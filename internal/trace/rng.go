@@ -66,7 +66,3 @@ func boolThreshold(p float64) uint64 {
 	}
 	return uint64(math.Ceil(p * (1 << 53)))
 }
-
-// Fork derives an independent generator, so subsystems can be given their
-// own streams without coupling their consumption rates.
-func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64() ^ 0xd1b54a32d192ed03) }
