@@ -159,10 +159,11 @@ func BenchmarkFig1(b *testing.B) {
 			Accesses: 300_000, Warmup: 300_000, Seed: 7,
 			Benchmarks: []string{"soplex", "omnetpp"},
 		})
-		res := s.Fig1()
+		tb := s.Fig1()
 		if i == 0 {
-			b.Logf("Fig1 average NR fractions: %.2f/%.2f/%.2f/%.2f",
-				res.Average[0], res.Average[1], res.Average[2], res.Average[3])
+			b.Logf("Fig1 average NR shares: %.1f%%/%.1f%%/%.1f%%/%.1f%%",
+				tb.Value("average", "NR=0"), tb.Value("average", "NR=1"),
+				tb.Value("average", "NR=2"), tb.Value("average", "NR>2"))
 		}
 	}
 }
@@ -185,8 +186,8 @@ func BenchmarkTable2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(experiments.Options{Benchmarks: []string{"milc"}})
-		if res := s.Table2(); res.MaxRelErr > 0.03 {
-			b.Fatalf("Table 2 deviation %.2f%%", 100*res.MaxRelErr)
+		if maxErr := s.Table2(); maxErr > 0.03 {
+			b.Fatalf("Table 2 deviation %.2f%%", 100*maxErr)
 		}
 	}
 }
@@ -199,9 +200,10 @@ func BenchmarkHTree(b *testing.B) {
 			Accesses: 200_000, Warmup: 200_000, Seed: 7,
 			Benchmarks: []string{"milc"},
 		})
-		res := s.HTree()
+		tb, _ := s.HTree()
 		if i == 0 {
-			b.Logf("H-tree overhead: L2 +%.0f%%, L3 +%.0f%%", res.L2OverheadPct, res.L3OverheadPct)
+			b.Logf("H-tree overhead: L2 +%.0f%%, L3 +%.0f%%",
+				tb.Value("average", "L2 overhead"), tb.Value("average", "L3 overhead"))
 		}
 	}
 }
@@ -211,11 +213,11 @@ func BenchmarkFig9(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s := experiments.NewSuite(benchOpts())
-		res := s.Fig9()
+		l2, l3 := s.Fig9()
 		if i == 0 {
 			b.Logf("Fig9 avg savings: SLIP %.1f%%/%.1f%%, SLIP+ABP %.1f%%/%.1f%%",
-				res.AvgL2[hier.SLIP], res.AvgL3[hier.SLIP],
-				res.AvgL2[hier.SLIPABP], res.AvgL3[hier.SLIPABP])
+				l2.Value("average", "SLIP"), l3.Value("average", "SLIP"),
+				l2.Value("average", "SLIP+ABP"), l3.Value("average", "SLIP+ABP"))
 		}
 	}
 }
@@ -281,10 +283,10 @@ func BenchmarkFig16(b *testing.B) {
 		s := experiments.NewSuite(experiments.Options{
 			Accesses: 150_000, Warmup: 250_000, Seed: 7,
 		})
-		res := s.Fig16()
+		tb := s.Fig16()
 		if i == 0 {
-			b.Logf("Fig16 avg: L3 %.1f%%, L2+L3 %.1f%%, DRAM %.1f%%",
-				res.AvgL3, res.AvgL2L3, res.AvgDRAM)
+			b.Logf("Fig16 avg: L3 %.1f%%, L2+L3 %.1f%%, DRAM %.1f%%", tb.Value("average", "L3 savings"),
+				tb.Value("average", "L2+L3 savings"), tb.Value("average", "DRAM traffic reduction"))
 		}
 	}
 }

@@ -92,6 +92,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "slipbench: -accesses must be > 0")
 		os.Exit(2)
 	}
+	if *warmup < -1 {
+		fmt.Fprintf(os.Stderr, "slipbench: -warmup must be >= 0, or -1 for the same as -accesses (got %d)\n", *warmup)
+		os.Exit(2)
+	}
 	if err := workloads.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -79,6 +79,9 @@ func main() {
 	if *acc == 0 {
 		fail("-accesses must be > 0")
 	}
+	if *warmup < -1 {
+		fail("-warmup must be >= 0, or -1 for the same as -accesses (got %d)", *warmup)
+	}
 	if *jobTO <= 0 {
 		fail("-job-timeout must be positive (got %v)", *jobTO)
 	}

@@ -107,6 +107,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(fs.Output(), "-write-trace and -trace are exclusive: write a trace or replay one")
 		return errUsage
 	}
+	if err := spec.CheckBinBits(*binBits); err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		return errUsage
+	}
 
 	if *listPol {
 		listPolicies(stdout)

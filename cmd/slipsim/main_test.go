@@ -131,6 +131,21 @@ func TestWarmupDefaultsToAccesses(t *testing.T) {
 	}
 }
 
+// TestBinBitsOutOfRange: a -binbits wider than the spec's 8-bit counters
+// is a usage error, not a width narrowed to uint8 (260 would run 4-bit
+// counters), while -binbits 8 still reaches the spec.
+func TestBinBitsOutOfRange(t *testing.T) {
+	for _, bits := range []string{"9", "260"} {
+		var out bytes.Buffer
+		if err := run([]string{"-binbits", bits, "-dump-spec"}, &out); !errors.Is(err, errUsage) {
+			t.Errorf("-binbits %s: err = %v, want a usage error; printed:\n%s", bits, err, out.String())
+		}
+	}
+	if got := runOK(t, "-binbits", "8", "-dump-spec"); !strings.Contains(got, `"bin_bits": 8,`) {
+		t.Errorf("-binbits 8 does not reach the spec:\n%s", got)
+	}
+}
+
 func runOK(t *testing.T, args ...string) string {
 	t.Helper()
 	var out bytes.Buffer

@@ -29,111 +29,71 @@ func EvalPolicies() []hier.PolicyKind {
 	return append([]hier.PolicyKind(nil), evalPolicies...)
 }
 
-// Fig9Result is the per-benchmark L2/L3 energy savings of every policy
-// versus the baseline (negative = overhead, as for NuRAPID and LRU-PEA).
-type Fig9Result struct {
-	// L2 and L3 map policy -> benchmark -> savings percent.
-	L2, L3 map[hier.PolicyKind]map[string]float64
-	// AvgL2 and AvgL3 map policy -> mean savings percent.
-	AvgL2, AvgL3 map[hier.PolicyKind]float64
+// evalColumns heads the figures that set evalPolicies side by side.
+var evalColumns = []string{"bench", "NuRAPID", "LRU-PEA", "SLIP", "SLIP+ABP"}
+
+// slipPolicies are the SLIP variants Figs. 10 and 12 set against the
+// baseline.
+var slipPolicies = []hier.PolicyKind{hier.SLIP, hier.SLIPABP}
+
+// benchTable adds one row per name, formatted with verb, then the average
+// row: each column's stats.Mean over the names.
+func benchTable(tb *stats.Table, verb string, names []string, row func(name string) []float64) *stats.Table {
+	cols := make([][]float64, len(tb.Columns)-1)
+	for _, name := range names {
+		vals := row(name)
+		tb.AddRowF(name, verb, vals...)
+		for i := range cols {
+			cols[i] = append(cols[i], vals[i])
+		}
+	}
+	avg := make([]float64, len(cols))
+	for i, c := range cols {
+		avg[i] = stats.Mean(c)
+	}
+	tb.AddRowF("average", verb, avg...)
+	return tb
+}
+
+// versusBaseline returns f(baseline run, policy run) on benchmark name for
+// each of pols.
+func (s *Suite) versusBaseline(name string, pols []hier.PolicyKind, f func(base, run *hier.Result) float64) []float64 {
+	base := s.Run(name, hier.Baseline)
+	out := make([]float64, len(pols))
+	for i, p := range pols {
+		out[i] = f(base, s.Run(name, p))
+	}
+	return out
 }
 
 // Fig9 reproduces Figure 9 (energy savings at L2 and L3 for SLIP and
 // SLIP+ABP) together with the quoted NuRAPID/LRU-PEA overheads the figure
 // omits for scale.
-func (s *Suite) Fig9() Fig9Result {
-	res := Fig9Result{
-		L2: map[hier.PolicyKind]map[string]float64{}, L3: map[hier.PolicyKind]map[string]float64{},
-		AvgL2: map[hier.PolicyKind]float64{}, AvgL3: map[hier.PolicyKind]float64{},
+func (s *Suite) Fig9() (l2, l3 *stats.Table) {
+	savings := func(title string, levelPJ func(*hier.Result) float64) *stats.Table {
+		return benchTable(stats.NewTable(title, evalColumns...), "%.1f%%", s.opts.Benchmarks, func(name string) []float64 {
+			return s.versusBaseline(name, evalPolicies, func(base, run *hier.Result) float64 {
+				return stats.Savings(levelPJ(base), levelPJ(run))
+			})
+		})
 	}
-	for _, p := range evalPolicies {
-		res.L2[p] = map[string]float64{}
-		res.L3[p] = map[string]float64{}
-	}
-	tb2 := stats.NewTable("Figure 9 (top): L2 energy savings vs baseline",
-		"bench", "NuRAPID", "LRU-PEA", "SLIP", "SLIP+ABP")
-	tb3 := stats.NewTable("Figure 9 (bottom): L3 energy savings vs baseline",
-		"bench", "NuRAPID", "LRU-PEA", "SLIP", "SLIP+ABP")
-	for _, name := range s.opts.Benchmarks {
-		base := s.Run(name, hier.Baseline)
-		var row2, row3 []float64
-		for _, p := range evalPolicies {
-			run := s.Run(name, p)
-			sv2 := stats.Savings(base.L2TotalPJ(), run.L2TotalPJ())
-			sv3 := stats.Savings(base.L3TotalPJ(), run.L3TotalPJ())
-			res.L2[p][name] = sv2
-			res.L3[p][name] = sv3
-			row2 = append(row2, sv2)
-			row3 = append(row3, sv3)
-		}
-		tb2.AddRowF(name, "%.1f%%", row2...)
-		tb3.AddRowF(name, "%.1f%%", row3...)
-	}
-	var avg2, avg3 []float64
-	for _, p := range evalPolicies {
-		var v2, v3 []float64
-		for _, name := range s.opts.Benchmarks {
-			v2 = append(v2, res.L2[p][name])
-			v3 = append(v3, res.L3[p][name])
-		}
-		res.AvgL2[p] = stats.Mean(v2)
-		res.AvgL3[p] = stats.Mean(v3)
-		avg2 = append(avg2, res.AvgL2[p])
-		avg3 = append(avg3, res.AvgL3[p])
-	}
-	tb2.AddRowF("average", "%.1f%%", avg2...)
-	tb3.AddRowF("average", "%.1f%%", avg3...)
-	s.printf("%s\n%s\n", tb2.String(), tb3.String())
-	return res
-}
-
-// Fig10Result is the full-system dynamic energy savings.
-type Fig10Result struct {
-	Rows map[hier.PolicyKind]map[string]float64
-	Avg  map[hier.PolicyKind]float64
+	l2 = savings("Figure 9 (top): L2 energy savings vs baseline", (*hier.Result).L2TotalPJ)
+	l3 = savings("Figure 9 (bottom): L3 energy savings vs baseline", (*hier.Result).L3TotalPJ)
+	s.printf("%s\n%s\n", l2.String(), l3.String())
+	return l2, l3
 }
 
 // Fig10 reproduces Figure 10: full-system (core + caches + DRAM) dynamic
 // energy savings for SLIP and SLIP+ABP.
-func (s *Suite) Fig10() Fig10Result {
-	pols := []hier.PolicyKind{hier.SLIP, hier.SLIPABP}
-	res := Fig10Result{Rows: map[hier.PolicyKind]map[string]float64{}, Avg: map[hier.PolicyKind]float64{}}
-	for _, p := range pols {
-		res.Rows[p] = map[string]float64{}
-	}
-	tb := stats.NewTable("Figure 10: full-system dynamic energy savings",
-		"bench", "SLIP", "SLIP+ABP")
-	for _, name := range s.opts.Benchmarks {
-		base := s.Run(name, hier.Baseline)
-		var row []float64
-		for _, p := range pols {
-			sv := stats.Savings(base.ScaledFullSystemPJ(), s.Run(name, p).ScaledFullSystemPJ())
-			res.Rows[p][name] = sv
-			row = append(row, sv)
-		}
-		tb.AddRowF(name, "%.2f%%", row...)
-	}
-	var avgs []float64
-	for _, p := range pols {
-		var v []float64
-		for _, name := range s.opts.Benchmarks {
-			v = append(v, res.Rows[p][name])
-		}
-		res.Avg[p] = stats.Mean(v)
-		avgs = append(avgs, res.Avg[p])
-	}
-	tb.AddRowF("average", "%.2f%%", avgs...)
+func (s *Suite) Fig10() *stats.Table {
+	tb := benchTable(stats.NewTable("Figure 10: full-system dynamic energy savings", "bench", "SLIP", "SLIP+ABP"),
+		"%.2f%%", s.opts.Benchmarks, func(name string) []float64 {
+			return s.versusBaseline(name, slipPolicies, func(base, run *hier.Result) float64 {
+				return stats.Savings(base.ScaledFullSystemPJ(), run.ScaledFullSystemPJ())
+			})
+		})
 	s.printf("%s\n", tb.String())
-	return res
-}
-
-// Fig11Result is the access/movement energy breakdown, normalized to the
-// baseline's total at each level.
-type Fig11Result struct {
-	// Access and Movement map policy -> normalized energy (baseline = the
-	// reference whose access+movement sums to 1).
-	L2Access, L2Movement map[hier.PolicyKind]float64
-	L3Access, L3Movement map[hier.PolicyKind]float64
+	return tb
 }
 
 // Fig11 reproduces Figure 11: the split of cache energy into access energy
@@ -141,12 +101,8 @@ type Fig11Result struct {
 // averaged over benchmarks and normalized to the baseline. It shows the
 // paper's central claim: the NUCA policies win on access energy but lose
 // far more on movement energy, while SLIP optimizes the sum.
-func (s *Suite) Fig11() Fig11Result {
+func (s *Suite) Fig11() *stats.Table {
 	pols := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
-	res := Fig11Result{
-		L2Access: map[hier.PolicyKind]float64{}, L2Movement: map[hier.PolicyKind]float64{},
-		L3Access: map[hier.PolicyKind]float64{}, L3Movement: map[hier.PolicyKind]float64{},
-	}
 	tb := stats.NewTable("Figure 11: access vs movement energy (normalized to baseline total, averaged over benchmarks)",
 		"policy", "L2 access", "L2 movement", "L3 access", "L3 movement")
 	for _, p := range pols {
@@ -161,13 +117,8 @@ func (s *Suite) Fig11() Fig11Result {
 			a3 = append(a3, stats.Ratio(run.L3AccessPJ(), n3))
 			m3 = append(m3, stats.Ratio(run.L3MovementPJ(), n3))
 		}
-		res.L2Access[p] = stats.Mean(a2)
-		res.L2Movement[p] = stats.Mean(m2)
-		res.L3Access[p] = stats.Mean(a3)
-		res.L3Movement[p] = stats.Mean(m3)
-		tb.AddRowF(p.String(), "%.2f",
-			res.L2Access[p], res.L2Movement[p], res.L3Access[p], res.L3Movement[p])
+		tb.AddRowF(p.String(), "%.2f", stats.Mean(a2), stats.Mean(m2), stats.Mean(a3), stats.Mean(m3))
 	}
 	s.printf("%s\n", tb.String())
-	return res
+	return tb
 }

@@ -112,7 +112,8 @@ func TestSampledRunThroughSuite(t *testing.T) {
 func TestSampledFiguresExtrapolate(t *testing.T) {
 	s := NewSuite(Options{Accesses: 60_000, Warmup: 60_000, Seed: 7, Sampling: 8,
 		Benchmarks: []string{"soplex", "milc"}})
-	fig10, fig13, htree := s.Fig10(), s.Fig13(), s.HTree()
+	fig10, fig13 := s.Fig10(), s.Fig13()
+	_, htreeSpeedup := s.HTree()
 	speedup := func(base, run *hier.Result) float64 {
 		return 100 * (base.ScaledMaxCycles()/run.ScaledMaxCycles() - 1)
 	}
@@ -122,21 +123,21 @@ func TestSampledFiguresExtrapolate(t *testing.T) {
 		if base.SampleK() != 8 {
 			t.Fatalf("%s ran at K=%d, want 8", name, base.SampleK())
 		}
-		for _, p := range []hier.PolicyKind{hier.SLIP, hier.SLIPABP} {
+		for i, p := range slipPolicies {
 			want := stats.Savings(base.ScaledFullSystemPJ(), s.Run(name, p).ScaledFullSystemPJ())
-			if got := fig10.Rows[p][name]; got != want {
+			if got := fig10.Value(name, fig10.Columns[i+1]); got != want {
 				t.Errorf("Fig. 10 %s %v = %.4f%%, want %.4f%% from extrapolated energy", name, p, got, want)
 			}
 		}
-		for _, p := range evalPolicies {
-			if got, want := fig13.Rows[p][name], speedup(base, s.Run(name, p)); got != want {
+		for i, p := range evalPolicies {
+			if got, want := fig13.Value(name, evalColumns[i+1]), speedup(base, s.Run(name, p)); got != want {
 				t.Errorf("Fig. 13 %s %v = %.4f%%, want %.4f%% from extrapolated cycles", name, p, got, want)
 			}
 		}
 		htreeSpeed = append(htreeSpeed, speedup(base, s.RunS(htreeSpec(name))))
 	}
-	if want := stats.Mean(htreeSpeed); htree.SpeedupPct != want {
-		t.Errorf("H-tree speedup = %.4f%%, want %.4f%% from extrapolated cycles", htree.SpeedupPct, want)
+	if want := stats.Mean(htreeSpeed); htreeSpeedup != want {
+		t.Errorf("H-tree speedup = %.4f%%, want %.4f%% from extrapolated cycles", htreeSpeedup, want)
 	}
 }
 

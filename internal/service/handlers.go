@@ -136,8 +136,9 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 
 // handleExperiment reproduces one paper experiment over HTTP: the runs it
 // needs are simulated under the request context (cancellable, deadline
-// s.cfg.JobTimeout) on the shared suite's worker pool, then the tables are
-// rendered to the response as text.
+// s.cfg.JobTimeout) on the shared suite's worker pool, one request's
+// prefetch at a time, then the tables are rendered to the response as
+// text.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !experiments.ValidExperiment(name) {
@@ -150,7 +151,15 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
 	defer cancel()
-	if err := s.expSuite.PrefetchContext(ctx, s.expSuite.SpecsFor(name)); err != nil {
+	var err error
+	select {
+	case s.expSlot <- struct{}{}:
+		err = s.expSuite.PrefetchContext(ctx, s.expSuite.SpecsFor(name))
+		<-s.expSlot
+	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	if err != nil {
 		writeError(w, http.StatusGatewayTimeout, "experiment %q timed out or was cancelled: %v", name, err)
 		return
 	}

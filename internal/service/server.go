@@ -102,6 +102,10 @@ type Server struct {
 	// share a warmup identity. Each render prints through its own
 	// WithOut view.
 	expSuite *experiments.Suite
+	// expSlot admits one /v1/experiments prefetch at a time: each starts
+	// up to Workers simulations beside the job workers, so concurrent
+	// prefetches would multiply them. Renders run outside it.
+	expSlot chan struct{}
 
 	// warmCache is shared by the per-job suites: jobs differing only in
 	// their measured window reuse one warm snapshot instead of
@@ -153,6 +157,7 @@ func New(cfg Config) *Server {
 			Parallelism:     cfg.Workers,
 			TraceCacheBytes: cfg.TraceCacheBytes,
 		}),
+		expSlot:   make(chan struct{}, 1),
 		warmCache: warmCache,
 		baseCtx:   ctx,
 		cancel:    cancel,

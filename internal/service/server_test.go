@@ -399,6 +399,37 @@ func TestExperimentRendersAgree(t *testing.T) {
 	}
 }
 
+// TestExperimentPrefetchesOneAtATime: while another render holds the
+// prefetch slot, a GET waits for it under its deadline and answers 504
+// without simulating anything; once the slot is free, the GET renders.
+func TestExperimentPrefetchesOneAtATime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates the fig1 workload set")
+	}
+	srv, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, JobTimeout: 2 * time.Second,
+		Defaults: Defaults{Accesses: 5_000}}, nil)
+	get := func() (int, string) {
+		resp, err := http.Get(ts.URL + "/v1/experiments/fig1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(raw)
+	}
+	srv.expSlot <- struct{}{}
+	if code, body := get(); code != http.StatusGatewayTimeout {
+		t.Errorf("GET fig1 with the slot held = %d, want 504: %s", code, body)
+	}
+	if keys := srv.expSuite.Keys(); len(keys) != 0 {
+		t.Errorf("GET fig1 with the slot held simulated %d runs, want none", len(keys))
+	}
+	<-srv.expSlot
+	if code, body := get(); code != http.StatusOK || !strings.Contains(body, "Figure 1") {
+		t.Errorf("GET fig1 with the slot free = %d, want 200 and the table:\n%s", code, body)
+	}
+}
+
 // TestJobsRecordNoTraces: every job brings its own stream, so a job
 // records no trace, and a second policy over the same workload and seed
 // generates its stream again. The daemon's trace cache belongs to the

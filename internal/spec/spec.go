@@ -159,8 +159,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: cores must be <= %d (got %d): the address map has room for %d per-core regions below the page-profile region",
 			hier.MaxCores, s.Cores, hier.MaxCores)
 	}
-	if s.BinBits > 8 {
-		return fmt.Errorf("spec: bin_bits must be <= 8 (got %d; counters are uint8)", s.BinBits)
+	if err := CheckBinBits(uint(s.BinBits)); err != nil {
+		return err
 	}
 	switch s.Tech {
 	case "", Tech45, Tech22:
@@ -188,6 +188,15 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("spec: dram.pj_per_bit must be positive (got %v); "+
 				"set both fields or omit dram to use the %s model", s.DRAM.PJPerBit, s.Tech)
 		}
+	}
+	return nil
+}
+
+// CheckBinBits is Validate's bin_bits check, over a width a command line
+// can check before narrowing it to the spec's uint8.
+func CheckBinBits(bits uint) error {
+	if bits > 8 {
+		return fmt.Errorf("spec: bin_bits must be <= 8 (got %d; counters are uint8)", bits)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -90,16 +91,18 @@ func Mean(xs []float64) float64 {
 }
 
 // Table renders rows of labelled values as an aligned text table, the way
-// every experiment in this repository prints its figure/table data.
+// every experiment in this repository prints its figure/table data, and
+// keeps the numbers it formats so a caller reads a cell by its labels.
 type Table struct {
 	Title   string
 	Columns []string
 	rows    [][]string
+	vals    [][]float64 // row i's AddRowF values; nil for an AddRow row
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, columns ...string) *Table {
-	return &Table{Title: title, Columns: columns}
+	return &Table{Title: title, Columns: slices.Clone(columns)}
 }
 
 // AddRow appends a row; cells beyond the column count are dropped and short
@@ -112,10 +115,11 @@ func (t *Table) AddRow(cells ...string) {
 		}
 	}
 	t.rows = append(t.rows, row)
+	t.vals = append(t.vals, nil)
 }
 
 // AddRowF formats each value with the given verb (e.g. "%.1f") after the
-// leading label cell.
+// leading label cell, and keeps the values for Value.
 func (t *Table) AddRowF(label, verb string, vals ...float64) {
 	cells := make([]string, 0, len(vals)+1)
 	cells = append(cells, label)
@@ -123,6 +127,24 @@ func (t *Table) AddRowF(label, verb string, vals ...float64) {
 		cells = append(cells, fmt.Sprintf(verb, v))
 	}
 	t.AddRow(cells...)
+	t.vals[len(t.vals)-1] = slices.Clone(vals)
+}
+
+// Value returns the number AddRowF kept for the first row labelled row, in
+// the column headed col. It panics on an unknown row or column and on a
+// row added by AddRow, so a mistyped label fails the caller that reads it.
+func (t *Table) Value(row, col string) float64 {
+	c := slices.Index(t.Columns, col) - 1 // vals skip the label column
+	for i, r := range t.rows {
+		if r[0] != row {
+			continue
+		}
+		if c < 0 || c >= len(t.vals[i]) {
+			panic(fmt.Sprintf("stats: table %q row %q has no value in column %q", t.Title, row, col))
+		}
+		return t.vals[i][c]
+	}
+	panic(fmt.Sprintf("stats: table %q has no row %q", t.Title, row))
 }
 
 // NumRows returns the number of data rows added so far.

@@ -90,3 +90,44 @@ func TestTableRendering(t *testing.T) {
 	tb.AddRow("only-label")
 	_ = tb.String()
 }
+
+// TestTableValue reads back what AddRowF kept, bit for bit, including an
+// average row; an unknown row or column, the label column and a text row
+// panic.
+func TestTableValue(t *testing.T) {
+	tb := NewTable("Fig. X", "bench", "L2", "L3")
+	tb.AddRowF("soplex", "%.1f%%", 35.04, -2.5)
+	tb.AddRow("note", "n/a", "n/a")
+	tb.AddRowF("mcf", "%.1f%%", 1.0/3, 12.25)
+	tb.AddRowF("average", "%.1f%%", Mean([]float64{35.04, 1.0 / 3}), Mean([]float64{-2.5, 12.25}))
+	for _, c := range []struct {
+		row, col string
+		want     float64
+	}{
+		{"soplex", "L2", 35.04},
+		{"soplex", "L3", -2.5},
+		{"mcf", "L2", 1.0 / 3},
+		{"mcf", "L3", 12.25},
+		{"average", "L2", (35.04 + 1.0/3) / 2},
+		{"average", "L3", 4.875},
+	} {
+		if got := tb.Value(c.row, c.col); got != c.want {
+			t.Errorf("Value(%q, %q) = %v, want %v", c.row, c.col, got, c.want)
+		}
+	}
+	for _, c := range [][2]string{
+		{"gcc", "L2"},    // unknown row
+		{"mcf", "L4"},    // unknown column
+		{"mcf", "bench"}, // the label column holds no value
+		{"note", "L2"},   // a text row holds no values
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Value(%q, %q) did not panic", c[0], c[1])
+				}
+			}()
+			tb.Value(c[0], c[1])
+		}()
+	}
+}
