@@ -30,6 +30,11 @@ func benchOpts() experiments.Options {
 	}
 }
 
+// throughputWarmup is the accesses BenchmarkSimulatorThroughput runs
+// before timing: perfbench's soplex-slipabp warmup, so the benchmark times
+// the steady state that workload measures rather than cold fills.
+const throughputWarmup = 500_000
+
 // BenchmarkSimulatorThroughput measures raw accesses/second through the
 // full system, one sub-benchmark per policy in the table (the cost of each
 // policy's machinery per reference). It drives hier.System.Run, the
@@ -41,6 +46,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Run(p.String(), func(b *testing.B) {
 			sys := hier.New(hier.Config{Policy: p, Seed: 1})
 			src := spec.Build(1)
+			sys.Run(trace.Limit(src, throughputWarmup))
 			b.ReportAllocs()
 			b.ResetTimer()
 			sys.Run(trace.Limit(src, uint64(b.N)))

@@ -22,16 +22,22 @@ type Meta struct {
 	Sampling bool
 }
 
-// Line is one cache line's state. The fields are ordered so a Line packs
-// into 24 bytes.
+// Line is one cache line's state, ordered to pack into 24 bytes. Its flags
+// sit in the embedded LineState so it keeps to four fields and four words,
+// which Go returns in registers (TestHotValuesFitRegisters guards this).
 type Line struct {
 	Addr mem.LineAddr
 	// Reuses counts hits since insertion into this level (for the Figure 1
 	// reuse-number breakdown).
 	Reuses uint32
 	Meta   Meta
-	Valid  bool
-	Dirty  bool
+	LineState
+}
+
+// LineState holds a Line's flags; embedding promotes them to Line.
+type LineState struct {
+	Valid bool
+	Dirty bool
 	// Demoted marks lines that have been moved to a farther sublevel;
 	// LRU-PEA preferentially evicts such lines.
 	Demoted bool
@@ -221,7 +227,7 @@ func (l *Level) Lines() uint64 { return uint64(l.numSets * l.ways) }
 // Params returns the energy/latency constants.
 func (l *Level) Params() *energy.LevelParams { return l.cfg.Params }
 
-// Repl exposes the replacement policy (drivers notify promotion hits).
+// Repl exposes the replacement policy (only tests call it).
 func (l *Level) Repl() Repl { return l.repl }
 
 // MQ exposes the movement-queue bank for occupancy checks in tests.
@@ -267,21 +273,18 @@ func (l *Level) chargeMQ(g int) {
 	}
 }
 
-// AccessResult reports the outcome of a lookup.
+// AccessResult reports the outcome of a lookup. Like Line, it keeps to
+// four fields and four words so Access returns it in registers
+// (TestHotValuesFitRegisters guards this).
 type AccessResult struct {
 	Hit bool
 	// Way and Set locate the line on a hit.
 	Way, Set int
-	// Sublevel is the sublevel of Way on a hit.
-	Sublevel int
 	// RDLines is the timestamp-estimated reuse distance of this hit in
 	// whole-level lines (Section 4.1): the group-local estimate rescaled
 	// x64, since a group holds 1/64 of the capacity and sees 1/64 of the
 	// traffic. Only meaningful on hits.
 	RDLines uint64
-	// WasSampling reports whether the hit line was inserted while its page
-	// was sampling (its reuse should be recorded).
-	WasSampling bool
 }
 
 // Access performs a lookup for line a, updating recency, timestamps and
@@ -297,20 +300,17 @@ func (l *Level) Access(a mem.LineAddr, store bool) AccessResult {
 	if w := l.findWay(set, a); w >= 0 {
 		ln := l.line(set, w)
 		l.Stats.Hits.Inc()
-		sub := l.cfg.Params.WaySublevel(w)
-		l.Stats.HitsPerSublevel[sub]++
+		l.Stats.HitsPerSublevel[l.cfg.Params.WaySublevel(w)]++
 		l.Stats.AccessPJ.AddPJ(l.cfg.Params.WayAccessPJ[w])
 		l.chargeMeta()
 		rd := l.est.RDLines(l.T[g], ln.Meta.TL) * NumGroups
-		wasSampling := ln.Meta.Sampling
 		ln.Meta.TL = l.est.Stamp(l.T[g])
 		ln.Reuses++
 		if store {
 			ln.Dirty = true
 		}
 		l.repl.OnHit(set, w)
-		return AccessResult{Hit: true, Way: w, Set: set, Sublevel: sub,
-			RDLines: rd, WasSampling: wasSampling}
+		return AccessResult{Hit: true, Way: w, Set: set, RDLines: rd}
 	}
 	l.Stats.Misses.Inc()
 	return AccessResult{Hit: false, Set: set}
@@ -408,7 +408,7 @@ func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evict
 	ln := l.line(set, way)
 	evicted = *ln
 	meta.TL = l.est.Stamp(l.T[GroupOf(set)])
-	*ln = Line{Valid: true, Addr: a, Dirty: dirty, Meta: meta}
+	*ln = Line{Addr: a, Meta: meta, LineState: LineState{Valid: true, Dirty: dirty}}
 	l.fp[set*l.fpStride+way] = l.fingerprint(a)
 	l.valid[set] |= 1 << way
 	l.demoted[set] &^= 1 << way

@@ -64,8 +64,8 @@ func TestMissThenFillThenHit(t *testing.T) {
 	if !r.Hit || r.Way != way {
 		t.Fatalf("refetch: hit=%v way=%d", r.Hit, r.Way)
 	}
-	if r.Sublevel != l.Params().WaySublevel(way) {
-		t.Error("sublevel mismatch")
+	if l.Stats.HitsPerSublevel[l.Params().WaySublevel(r.Way)] != 1 {
+		t.Errorf("hit not counted in its way's sublevel: %v", l.Stats.HitsPerSublevel)
 	}
 	if l.Stats.Hits.Value() != 1 || l.Stats.Misses.Value() != 1 || l.Stats.Fills.Value() != 1 {
 		t.Errorf("stats: %+v", l.Stats)

@@ -1,10 +1,16 @@
 package hier
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
+	"repro/internal/cache"
 	"repro/internal/mem"
+	"repro/internal/mmu"
+	"repro/internal/policy"
 	"repro/internal/trace"
 )
 
@@ -360,4 +366,46 @@ func TestAccessZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHotValuesFitRegisters holds every value the access path passes or
+// returns per access to the rule under which Go's compiler keeps a value in
+// registers: cmd/compile/internal/ssa.CanSSA as of Go 1.24. A value is at
+// most four words, an array has at most one element, and a struct has at
+// most four fields (ssa.MaxStruct), each held to the same rule. A result
+// that breaks it is stored to the stack field by field and read back with
+// wide loads the CPU cannot forward from those stores, a stall on every
+// access.
+func TestHotValuesFitRegisters(t *testing.T) {
+	for _, v := range []any{cache.Line{}, cache.Meta{}, cache.AccessResult{},
+		policy.Outcome{}, mmu.TranslateResult{}, trace.Access{}} {
+		if why := notSSAable(reflect.TypeOf(v)); why != "" {
+			t.Errorf("%T does not fit in registers: %s", v, why)
+		}
+	}
+}
+
+// notSSAable mirrors ssa.CanSSA over a reflect type: it returns why t
+// breaks the rule, or "" when t keeps to it.
+func notSSAable(t reflect.Type) string {
+	if limit := 4 * unsafe.Sizeof(uintptr(0)); t.Size() > limit {
+		return fmt.Sprintf("%v is %d bytes, over %d", t, t.Size(), limit)
+	}
+	switch t.Kind() {
+	case reflect.Array:
+		if t.Len() > 1 {
+			return fmt.Sprintf("%v has %d elements, over 1", t, t.Len())
+		}
+		return notSSAable(t.Elem())
+	case reflect.Struct:
+		if t.NumField() > 4 {
+			return fmt.Sprintf("%v has %d fields, over 4", t, t.NumField())
+		}
+		for i := 0; i < t.NumField(); i++ {
+			if why := notSSAable(t.Field(i).Type); why != "" {
+				return why
+			}
+		}
+	}
+	return ""
 }

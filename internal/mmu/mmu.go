@@ -176,18 +176,25 @@ func (m *MMU) PTEOf(p mem.PageID) *PTE {
 func (m *MMU) NumPages() int { return len(m.pages) }
 
 // TranslateResult reports what a translation did, so the hierarchy driver
-// can issue the implied metadata traffic and EOU work.
+// can issue the implied metadata traffic and EOU work. Its flags sit in the
+// embedded TranslateEvents so it keeps to three fields and three words,
+// which Go returns in registers (TestHotValuesFitRegisters guards this).
 type TranslateResult struct {
 	PTE *PTE
+	// WritebackProfile is the page whose sampled distribution was displaced
+	// from the TLB and must be written back; WritebackValid marks presence.
+	WritebackProfile mem.PageID
+	TranslateEvents
+}
+
+// TranslateEvents holds a TranslateResult's flags; embedding promotes them.
+type TranslateEvents struct {
 	// TLBMiss reports a page-table walk happened.
 	TLBMiss bool
 	// FetchProfile is set when the page was sampling at miss time: its 32b
 	// distribution must be read through the memory hierarchy (Ë in Fig. 7).
-	FetchProfile bool
-	// WritebackProfile is the page whose sampled distribution was displaced
-	// from the TLB and must be written back; Valid marks presence.
-	WritebackProfile mem.PageID
-	WritebackValid   bool
+	FetchProfile   bool
+	WritebackValid bool
 	// BecameStable is set when the sampling state machine transitioned the
 	// page to stable: the caller must recompute its SLIPs with the EOU
 	// (Í in Fig. 7).
@@ -215,7 +222,8 @@ func (m *MMU) Translate(p mem.PageID) TranslateResult {
 func (m *MMU) miss(p mem.PageID) TranslateResult {
 	pte := m.PTEOf(p)
 	m.Stats.TLBMisses.Inc()
-	res := TranslateResult{PTE: pte, TLBMiss: true}
+	res := TranslateResult{PTE: pte}
+	res.TLBMiss = true
 	s := int32(len(m.tlbPages))
 	if int(s) < m.cfg.TLBEntries {
 		m.tlbPages = append(m.tlbPages, p)

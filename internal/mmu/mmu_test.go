@@ -223,7 +223,8 @@ func (r *stampTLB) translate(p mem.PageID) TranslateResult {
 	}
 	pte := r.pteOf(p)
 	r.stats.TLBMisses.Inc()
-	res := TranslateResult{PTE: pte, TLBMiss: true}
+	res := TranslateResult{PTE: pte}
+	res.TLBMiss = true
 	if len(r.slots) >= r.cfg.TLBEntries {
 		victim := 0
 		for i, st := range r.stamps {
