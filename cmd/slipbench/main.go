@@ -96,6 +96,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "slipbench: -warmup must be >= 0, or -1 for the same as -accesses (got %d)\n", *warmup)
 		os.Exit(2)
 	}
+	var warm *uint64
+	if *warmup >= 0 {
+		w := uint64(*warmup)
+		warm = &w
+	}
+	if err := spec.CheckSizing(*acc, warm); err != nil {
+		fmt.Fprintf(os.Stderr, "slipbench: %v\n", err)
+		os.Exit(2)
+	}
 	if err := workloads.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -133,8 +142,8 @@ func main() {
 		Accesses: *acc, Seed: *seed, Parallelism: *parallel, Out: os.Stdout,
 		TraceCacheBytes: traceBytes, Sampling: *sampling,
 	}
-	if *warmup >= 0 {
-		opts.Warmup = uint64(*warmup)
+	if warm != nil {
+		opts.Warmup = *warm
 		opts.WarmupSet = true
 	}
 	if *benches != "" {

@@ -82,6 +82,14 @@ func main() {
 	if *warmup < -1 {
 		fail("-warmup must be >= 0, or -1 for the same as -accesses (got %d)", *warmup)
 	}
+	var warm *uint64
+	if *warmup >= 0 {
+		w := uint64(*warmup)
+		warm = &w
+	}
+	if err := spec.CheckSizing(*acc, warm); err != nil {
+		fail("%v", err)
+	}
 	if *jobTO <= 0 {
 		fail("-job-timeout must be positive (got %v)", *jobTO)
 	}
@@ -107,13 +115,9 @@ func main() {
 		Workers:    *workers,
 		QueueDepth: *queue,
 		StoreCap:   *storeCap,
-		Defaults:   service.Defaults{Accesses: *acc, Seed: *seed},
+		Defaults:   service.Defaults{Accesses: *acc, Warmup: warm, Seed: *seed},
 		JobTimeout: *jobTO,
 		Log:        logger,
-	}
-	if *warmup >= 0 {
-		w := uint64(*warmup)
-		cfg.Defaults.Warmup = &w
 	}
 	if *traceMB == 0 {
 		cfg.TraceCacheBytes = -1 // disabled

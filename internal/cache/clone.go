@@ -3,12 +3,12 @@ package cache
 import "unsafe"
 
 // Clone returns a deep copy of the level: lines, fingerprint/valid/demoted
-// arrays, replacement state, movement queue and statistics are all
-// duplicated so the copy can be driven independently (and concurrently) of
-// the original. The immutable pieces — Config, energy params, the sublevel
-// masks and the reuse-distance estimator, none of which mutate after New —
-// are shared. This is the primitive behind warm-state snapshots: capture a
-// level once after warmup, then hand each measured run its own copy.
+// arrays, replacement state and statistics are all duplicated so the copy
+// can be driven independently (and concurrently) of the original. The
+// immutable pieces — Config, energy params, the sublevel masks and the
+// reuse-distance estimator, none of which mutate after New — are shared.
+// This is the primitive behind warm-state snapshots: capture a level once
+// after warmup, then hand each measured run its own copy.
 func (l *Level) Clone() *Level {
 	c := *l
 	c.lines = append([]Line(nil), l.lines...)
@@ -16,7 +16,6 @@ func (l *Level) Clone() *Level {
 	c.valid = append([]WayMask(nil), l.valid...)
 	c.demoted = append([]WayMask(nil), l.demoted...)
 	c.repl = l.repl.Clone()
-	c.mq = l.mq.Clone()
 	c.Stats.HitsPerSublevel = append([]uint64(nil), l.Stats.HitsPerSublevel...)
 	return &c
 }
@@ -29,8 +28,7 @@ func (l *Level) SizeBytes() int {
 		len(l.lines)*int(unsafe.Sizeof(Line{})) +
 		len(l.fp) +
 		(len(l.valid)+len(l.demoted))*int(unsafe.Sizeof(WayMask(0))) +
-		len(l.Stats.HitsPerSublevel)*8 +
-		l.mq.sizeBytes()
+		len(l.Stats.HitsPerSublevel)*8
 	switch r := l.repl.(type) {
 	case *lru:
 		n += int(unsafe.Sizeof(*r)) + len(r.order)*8
@@ -48,31 +46,4 @@ func (l *lru) Clone() Repl {
 // Clone implements Repl.
 func (r *rrip) Clone() Repl {
 	return &rrip{rrpv: append([]uint8(nil), r.rrpv...), ways: r.ways, max: r.max}
-}
-
-// Clone returns an independent copy of the queue, in-flight entries
-// included, with the same fixed storage.
-func (q *MovementQueue) Clone() *MovementQueue {
-	c := *q
-	c.entries = append(make([]uint64, 0, q.capacity), q.entries...)
-	return &c
-}
-
-// Clone returns an independent copy of the bank, lane by lane.
-func (b *MQBank) Clone() *MQBank {
-	c := &MQBank{}
-	for g, q := range b.lanes {
-		c.lanes[g] = q.Clone()
-	}
-	return c
-}
-
-// sizeBytes returns the bank's footprint: the lanes and their fixed
-// entry storage.
-func (b *MQBank) sizeBytes() int {
-	n := int(unsafe.Sizeof(*b))
-	for _, q := range b.lanes {
-		n += int(unsafe.Sizeof(*q)) + q.capacity*8
-	}
-	return n
 }

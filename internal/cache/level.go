@@ -54,9 +54,6 @@ const NumGroups = 64
 // GroupOf returns the line-address group of a set index.
 func GroupOf(set int) int { return set & (NumGroups - 1) }
 
-// movementQueueEntries is the movement queue's depth (DESIGN.md §2, row 4).
-const movementQueueEntries = 16
-
 // Config describes one cache level.
 type Config struct {
 	// Params carries capacity-independent energy/latency constants.
@@ -64,7 +61,8 @@ type Config struct {
 	// Bytes is the level capacity.
 	Bytes uint64
 	// ChargeMetadata enables the 12b-metadata access energy on every hit,
-	// fill and movement (on for SLIP and the NUCA policies, off for the
+	// fill and movement, and the movement-queue lookup on every access and
+	// invalidation (on for SLIP and the NUCA policies, off for the
 	// metadata-free baseline).
 	ChargeMetadata bool
 	// UseRRIP selects SRRIP replacement instead of true LRU (the Section 7
@@ -91,7 +89,7 @@ type Stats struct {
 	// MovementPJ covers inter-sublevel movements, insertions and writeback
 	// reads (Figure 11 "movement").
 	MovementPJ stats.Energy
-	// MetadataPJ is the 12b metadata and movement-queue overhead energy.
+	// MetadataPJ is the 12b metadata and movement-queue lookup energy.
 	MetadataPJ stats.Energy
 }
 
@@ -143,7 +141,6 @@ type Level struct {
 	// cum[i] is the way mask of the sublevels below i (len sublevels+1).
 	cum  []WayMask
 	repl Repl
-	mq   *MQBank
 	est  *core.RDEstimator
 	// T holds one access counter per line-address group, driving the
 	// Section 4.1 timestamps group-locally. A group's counter advances only
@@ -196,7 +193,6 @@ func New(cfg Config) *Level {
 	} else {
 		l.repl = NewLRU(numSets, ways)
 	}
-	l.mq = NewMQBank(movementQueueEntries, 4)
 	// The estimator is sized for one group's share of the capacity: its
 	// ticks count group-local accesses (T[g]) and its distances are
 	// rescaled x64 back to whole-level lines in Access. A group sees 1/64
@@ -230,9 +226,6 @@ func (l *Level) Params() *energy.LevelParams { return l.cfg.Params }
 // Repl exposes the replacement policy (only tests call it).
 func (l *Level) Repl() Repl { return l.repl }
 
-// MQ exposes the movement-queue bank for occupancy checks in tests.
-func (l *Level) MQ() *MQBank { return l.mq }
-
 // SetOf returns the set index for a line address.
 func (l *Level) SetOf(a mem.LineAddr) int {
 	return int(uint64(a) & uint64(l.numSets-1))
@@ -265,11 +258,13 @@ func (l *Level) chargeMeta() {
 	}
 }
 
-// chargeMQ probes group g's movement-queue lane (policies with movements
-// must check it on every access).
-func (l *Level) chargeMQ(g int) {
+// chargeMQ charges one lookup of the Section 4.3 movement queue, which
+// every access and invalidation must check for lines in flight between
+// ways. Movements complete off the timing path, so the lookup's energy is
+// the queue's only effect on results.
+func (l *Level) chargeMQ() {
 	if l.cfg.ChargeMetadata {
-		l.Stats.MetadataPJ.AddPJ(l.mq.Lookup(g, l.T[g]))
+		l.Stats.MetadataPJ.AddPJ(energy.MovementQueueLookupPJ)
 	}
 }
 
@@ -296,7 +291,7 @@ func (l *Level) Access(a mem.LineAddr, store bool) AccessResult {
 	g := GroupOf(set)
 	l.T[g]++
 	l.Stats.Accesses.Inc()
-	l.chargeMQ(g)
+	l.chargeMQ()
 	if w := l.findWay(set, a); w >= 0 {
 		ln := l.line(set, w)
 		l.Stats.Hits.Inc()
@@ -420,10 +415,9 @@ func (l *Level) Fill(set, way int, a mem.LineAddr, dirty bool, meta Meta) (evict
 }
 
 // Move relocates the line at (set, from) to (set, to), charging the
-// movement read+write and enqueueing in the movement queue. The displaced
-// line at the destination is returned for the caller to handle. It reports
-// whether the queue stalled.
-func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
+// movement read+write. The displaced line at the destination is returned
+// for the caller to handle.
+func (l *Level) Move(set, from, to int) (displaced Line) {
 	src := l.line(set, from)
 	if !src.Valid {
 		panic("cache: moving an invalid line")
@@ -443,18 +437,15 @@ func (l *Level) Move(set, from, to int) (displaced Line, stalled bool) {
 	l.Stats.Movements.Inc()
 	l.Stats.MovementPJ.AddPJ(l.cfg.Params.WayAccessPJ[from] + l.cfg.Params.WayAccessPJ[to])
 	l.chargeMeta()
-	g := GroupOf(set)
-	stalled = l.mq.Enqueue(g, l.T[g])
 	l.repl.OnFill(set, to)
-	return displaced, stalled
+	return displaced
 }
 
 // Swap exchanges the lines at (set, w1) and (set, w2) — the promotion
 // primitive of NuRAPID and LRU-PEA, which demote the displaced line into
 // the promoted line's old location. Both lines are read and rewritten, so
-// the energy is twice a single movement; two entries occupy the movement
-// queue. It reports whether the queue stalled.
-func (l *Level) Swap(set, w1, w2 int) (stalled bool) {
+// the energy is twice a single movement.
+func (l *Level) Swap(set, w1, w2 int) {
 	if w1 == w2 {
 		panic("cache: swapping a way with itself")
 	}
@@ -469,12 +460,8 @@ func (l *Level) Swap(set, w1, w2 int) (stalled bool) {
 	l.Stats.Movements.Add(2)
 	l.Stats.MovementPJ.AddPJ(2 * (l.cfg.Params.WayAccessPJ[w1] + l.cfg.Params.WayAccessPJ[w2]))
 	l.chargeMeta()
-	g := GroupOf(set)
-	s1 := l.mq.Enqueue(g, l.T[g])
-	s2 := l.mq.Enqueue(g, l.T[g])
 	l.repl.OnFill(set, w1)
 	l.repl.OnFill(set, w2)
-	return s1 || s2
 }
 
 // EvictionRead charges the read required to write back or demote an evicted
@@ -510,14 +497,10 @@ func (l *Level) WritebackTo(a mem.LineAddr) bool {
 }
 
 // Invalidate drops line a if resident, returning the line so callers can
-// handle dirty data. The movement queue is probed for correctness, as
-// invalidations must also check in-flight lines.
+// handle dirty data. Like an access, it looks up the movement queue.
 func (l *Level) Invalidate(a mem.LineAddr) (Line, bool) {
 	set := l.SetOf(a)
-	if l.cfg.ChargeMetadata {
-		g := GroupOf(set)
-		l.Stats.MetadataPJ.AddPJ(l.mq.Lookup(g, l.T[g]))
-	}
+	l.chargeMQ()
 	if w := l.findWay(set, a); w >= 0 {
 		ln := l.line(set, w)
 		out := *ln

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/mem"
+	"repro/internal/stats"
 )
 
 // testLevel builds a paper-configured L2 (256KB, 16 way).
@@ -120,18 +121,36 @@ func TestFillEnergyIsMovement(t *testing.T) {
 	}
 }
 
+// TestMetadataChargedOnlyWhenEnabled pins MetadataPJ charge by charge: a
+// fill, a move and a swap each touch the 12b metadata once; an access and
+// an invalidation each also look up the movement queue, and nothing else
+// does.
 func TestMetadataChargedOnlyWhenEnabled(t *testing.T) {
 	plain, meta := testLevel(false), testLevel(true)
-	a := mem.LineAddr(3)
-	for _, l := range []*Level{plain, meta} {
-		l.Fill(l.SetOf(a), 0, a, false, Meta{})
-		l.Access(a, false)
+	a, b := mem.LineAddr(3), mem.LineAddr(259) // same set (256 sets)
+	set := meta.SetOf(a)
+	metaPJ := meta.Params().MetadataPJ
+	var want stats.Energy
+	step := func(name string, op func(l *Level), charges ...float64) {
+		t.Helper()
+		for _, l := range []*Level{plain, meta} {
+			op(l)
+		}
+		for _, pj := range charges {
+			want.AddPJ(pj)
+		}
+		if got := meta.Stats.MetadataPJ.PJ(); got != want.PJ() {
+			t.Errorf("after %s: MetadataPJ = %v, want %v", name, got, want.PJ())
+		}
 	}
+	step("fill", func(l *Level) { l.Fill(set, 0, a, false, Meta{}) }, metaPJ)
+	step("hit", func(l *Level) { l.Access(a, false) }, energy.MovementQueueLookupPJ, metaPJ)
+	step("move", func(l *Level) { l.Move(set, 0, 12) }, metaPJ)
+	step("fill", func(l *Level) { l.Fill(set, 0, b, false, Meta{}) }, metaPJ)
+	step("swap", func(l *Level) { l.Swap(set, 0, 12) }, metaPJ)
+	step("invalidate", func(l *Level) { l.Invalidate(a) }, energy.MovementQueueLookupPJ)
 	if plain.Stats.MetadataPJ.PJ() != 0 {
 		t.Errorf("baseline charged metadata: %v", plain.Stats.MetadataPJ.PJ())
-	}
-	if meta.Stats.MetadataPJ.PJ() <= 0 {
-		t.Error("metadata-enabled level charged nothing")
 	}
 }
 
@@ -141,7 +160,7 @@ func TestMoveTransfersLineAndCharges(t *testing.T) {
 	set := l.SetOf(a)
 	l.Fill(set, 2, a, true, Meta{L2Code: 5})
 	before := l.Stats.MovementPJ.PJ()
-	displaced, _ := l.Move(set, 2, 10)
+	displaced := l.Move(set, 2, 10)
 	if displaced.Valid {
 		t.Error("move into empty way displaced something")
 	}
@@ -172,7 +191,7 @@ func TestMoveDisplacedLineReturned(t *testing.T) {
 	}
 	l.Fill(set, 0, a, false, Meta{})
 	l.Fill(set, 5, b, true, Meta{})
-	displaced, _ := l.Move(set, 0, 5)
+	displaced := l.Move(set, 0, 5)
 	if !displaced.Valid || displaced.Addr != b || !displaced.Dirty {
 		t.Errorf("displaced = %+v", displaced)
 	}

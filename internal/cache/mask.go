@@ -1,9 +1,10 @@
 // Package cache implements the set-associative cache level with
 // energy-asymmetric ways that every policy in this repository (baseline LRU,
 // SLIP, NuRAPID, LRU-PEA) runs against. The level provides mechanism only —
-// probes, fills, intra-set movements, victim selection within a way mask,
-// per-event energy accounting and the movement queue of Section 4.3 — while
-// the insertion/movement *policies* live in internal/policy.
+// probes, fills, intra-set movements, victim selection within a way mask and
+// per-event energy accounting (the Section 4.3 movement-queue lookup
+// included) — while the insertion/movement *policies* live in
+// internal/policy.
 package cache
 
 import (

@@ -72,13 +72,13 @@ func (g *LevelGeom) ChunkEnergyPJ(first, last int) float64 {
 // vector alpha so that the expected energy of applying that SLIP to a line
 // is the dot product alpha . p over the line's reuse-distance probabilities
 // (Equation 5). Optimize evaluates all EEUs and returns the argmin, exactly
-// the hardware of Figure 8.
+// the hardware of Figure 8. An EOU never changes after NewEOU, so any
+// number of systems (and snapshot clones) may share one.
 type EOU struct {
 	slips []SLIP
 	// coef[j][k] is alpha_kj: the energy coefficient of bin k under SLIP j.
 	coef [][NumBins]float64
 	geom LevelGeom
-	ops  uint64
 }
 
 // NewEOU builds the EEU array for every SLIP of the level; allowBypass
@@ -172,7 +172,6 @@ func (e *EOU) Energy(j int, d *Dist) float64 {
 // its expected per-reference energy. Ties break toward the earlier
 // candidate in the canonical enumeration (deterministic hardware priority).
 func (e *EOU) Optimize(d *Dist) (SLIP, float64) {
-	e.ops++
 	best, bestE := 0, e.Energy(0, d)
 	for j := 1; j < len(e.slips); j++ {
 		if v := e.Energy(j, d); v < bestE {
@@ -181,10 +180,6 @@ func (e *EOU) Optimize(d *Dist) (SLIP, float64) {
 	}
 	return e.slips[best], bestE
 }
-
-// Ops returns how many optimizations have run (each costs EOUOpPJ in the
-// system accounting).
-func (e *EOU) Ops() uint64 { return e.ops }
 
 // Geometry returns the level geometry the unit was built for.
 func (e *EOU) Geometry() LevelGeom { return e.geom }

@@ -59,8 +59,6 @@ type TechNode struct {
 	Name string
 	// WirePJPerBitMM is the signalling energy per bit per millimetre.
 	WirePJPerBitMM float64
-	// WireDelayNsPerMM is the wire delay used for latency sanity checks.
-	WireDelayNsPerMM float64
 	// BankScale multiplies bank-internal access energy relative to 45nm.
 	BankScale float64
 	// DistScale multiplies physical distances relative to 45nm.
@@ -72,12 +70,11 @@ type TechNode struct {
 // Tech45 is the 45nm node of Table 2.
 func Tech45() TechNode {
 	return TechNode{
-		Name:             "45nm",
-		WirePJPerBitMM:   0.16,
-		WireDelayNsPerMM: 0.3,
-		BankScale:        1.0,
-		DistScale:        1.0,
-		DRAMPJPerBit:     20,
+		Name:           "45nm",
+		WirePJPerBitMM: 0.16,
+		BankScale:      1.0,
+		DistScale:      1.0,
+		DRAMPJPerBit:   20,
 	}
 }
 
@@ -87,12 +84,11 @@ func Tech45() TechNode {
 // while the bank-internal term falls to 35% and linear dimensions to 55%.
 func Tech22() TechNode {
 	return TechNode{
-		Name:             "22nm",
-		WirePJPerBitMM:   0.13,
-		WireDelayNsPerMM: 0.25,
-		BankScale:        0.35,
-		DistScale:        0.55,
-		DRAMPJPerBit:     12,
+		Name:           "22nm",
+		WirePJPerBitMM: 0.13,
+		BankScale:      0.35,
+		DistScale:      0.55,
+		DRAMPJPerBit:   12,
 	}
 }
 
@@ -401,7 +397,9 @@ func L1Params(c CoreParams) *LevelParams {
 
 // Fixed per-event costs shared by both levels (Section 5).
 const (
-	// MovementQueueLookupPJ is the synthesized movement-queue lookup cost.
+	// MovementQueueLookupPJ is the synthesized movement-queue lookup cost,
+	// charged as metadata energy on every access and invalidation of a
+	// level that charges metadata.
 	MovementQueueLookupPJ = 0.3
 	// EOUOpPJ is one full EOU optimization (all SLIPs + argmin).
 	EOUOpPJ = 1.27

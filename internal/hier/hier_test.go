@@ -335,9 +335,9 @@ func TestSLIPWithoutABPNeverBypasses(t *testing.T) {
 }
 
 // TestAccessZeroAllocs guards the hot path of every policy in the table:
-// once its scratch (pend lists, TLB arrays, page table, movement-queue
-// lanes) is warm, the steady-state access path — including the
-// batch-boundary fold — allocates nothing.
+// once its scratch (pend lists, TLB arrays, page table) is warm, the
+// steady-state access path — including the batch-boundary fold —
+// allocates nothing.
 func TestAccessZeroAllocs(t *testing.T) {
 	const batchLen = 4096
 	accs := trace.Collect(mixedSource(3), 64*batchLen)

@@ -6,12 +6,12 @@ import (
 )
 
 // Snapshot is a frozen deep copy of a System's mutable state — cache
-// contents and tag arrays, replacement and movement-queue state, MMU page
-// table and TLB, policy bookkeeping, RNG cursors, DRAM/timing/energy
-// counters. A snapshot is immutable once taken: every System() call
-// materializes a fresh, independent machine, so one post-warmup snapshot can
-// seed any number of measured runs, concurrently, each bit-identical to a
-// run that had executed the warmup itself.
+// contents and tag arrays, replacement state, MMU page table and TLB,
+// policy bookkeeping, RNG cursors, DRAM/timing/energy counters. A snapshot
+// is immutable once taken: every System() call materializes a fresh,
+// independent machine, so one post-warmup snapshot can seed any number of
+// measured runs, concurrently, each bit-identical to a run that had
+// executed the warmup itself.
 type Snapshot struct {
 	// frozen is a private clone, never driven; it only ever serves as the
 	// copy source for System().
@@ -47,7 +47,7 @@ func (sn *Snapshot) SizeBytes() int { return sn.size }
 func (sn *Snapshot) Config() Config { return sn.frozen.cfg }
 
 // clone deep-copies every mutable piece of the system. Immutable
-// configuration — energy params, encoders, EOU tables, bin boundaries — is
+// configuration — energy params, encoders, EOUs, bin boundaries — is
 // shared; everything a simulation step can write is duplicated.
 func (s *System) clone() *System {
 	c := &System{
@@ -58,6 +58,8 @@ func (s *System) clone() *System {
 
 		encL2: s.encL2,
 		encL3: s.encL3,
+		eouL2: s.eouL2,
+		eouL3: s.eouL3,
 		cumL2: s.cumL2,
 		cumL3: s.cumL3,
 
@@ -79,12 +81,6 @@ func (s *System) clone() *System {
 		sampleMask:      s.sampleMask,
 		SampledAccesses: s.SampledAccesses,
 		SkippedAccesses: s.SkippedAccesses,
-	}
-	if s.eouL2 != nil {
-		c.eouL2 = s.eouL2.Clone()
-	}
-	if s.eouL3 != nil {
-		c.eouL3 = s.eouL3.Clone()
 	}
 	// The typed SLIP pointers must alias the cloned drivers exactly as the
 	// originals alias theirs (slipL3 IS d3 when the policy is SLIP).

@@ -17,11 +17,10 @@ func stateDigest(s *System) string {
 	var b strings.Builder
 	level := func(name string, l *cache.Level) {
 		st := &l.Stats
-		fmt.Fprintf(&b, "%s a=%d h=%d m=%d f=%d by=%d mv=%d ev=%d wb=%d sub=%v apj=%v mpj=%v metapj=%v mq=%d/%d\n",
+		fmt.Fprintf(&b, "%s a=%d h=%d m=%d f=%d by=%d mv=%d ev=%d wb=%d sub=%v apj=%v mpj=%v metapj=%v\n",
 			name, st.Accesses.Value(), st.Hits.Value(), st.Misses.Value(), st.Fills.Value(),
 			st.Bypasses.Value(), st.Movements.Value(), st.Evictions.Value(), st.Writebacks.Value(),
-			st.HitsPerSublevel, st.AccessPJ.PJ(), st.MovementPJ.PJ(), st.MetadataPJ.PJ(),
-			l.MQ().Lookups(), l.MQ().Stalls())
+			st.HitsPerSublevel, st.AccessPJ.PJ(), st.MovementPJ.PJ(), st.MetadataPJ.PJ())
 		l.ForEachLine(func(set, way int, ln cache.Line) {
 			fmt.Fprintf(&b, "  %d.%d %x d=%v m=%v r=%d dem=%v\n",
 				set, way, uint64(ln.Addr), ln.Dirty, ln.Meta, ln.Reuses, ln.Demoted)

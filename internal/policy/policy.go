@@ -111,7 +111,7 @@ func insertWithDemotion(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.M
 	var out Outcome
 	if l.LineAt(set, way).Valid && demoteTo != 0 && !demoteTo.Has(way) {
 		dest := l.VictimPrefer(set, demoteTo)
-		displaced, _ := l.Move(set, way, dest)
+		displaced := l.Move(set, way, dest)
 		l.MarkDemoted(set, dest, true)
 		if displaced.Valid {
 			out.Evicted = displaced

@@ -142,7 +142,7 @@ func (s *SLIP) Insert(l *cache.Level, a mem.LineAddr, dirty bool, meta cache.Met
 	}
 	var out Outcome
 	for k := len(chain) - 1; k >= 1; k-- {
-		displaced, _ := l.Move(set, chain[k-1], chain[k])
+		displaced := l.Move(set, chain[k-1], chain[k])
 		if k == len(chain)-1 && displaced.Valid {
 			out.Evicted = displaced
 			finishEviction(l, displaced, chain[k])

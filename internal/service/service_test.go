@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -212,11 +213,14 @@ var runRequestCorpus = []string{
 	`{"workload":"milc","policy":"slip","acesses":5}`,
 	`{"workload":"milc","policy":"slip"} trailing`,
 	`{`, `[]`, `null`, ``,
+	// warmup + accesses wraps uint64 to 4 unless sizing is bounded.
+	`{"workload":"milc","policy":"slip","accesses":18446744073709551615,"warmup":5}`,
 }
 
 // FuzzRunRequest drives arbitrary POST bodies through slipd's parser: no
-// input may panic it, and an accepted body's canonical spec, posted back,
-// must parse to the same key.
+// input may panic it, an accepted body's access total
+// (cores x (warmup + accesses)) may not wrap, and its canonical spec,
+// posted back, must parse to the same key.
 func FuzzRunRequest(f *testing.F) {
 	for _, body := range runRequestCorpus {
 		f.Add([]byte(body))
@@ -225,6 +229,11 @@ func FuzzRunRequest(f *testing.F) {
 		_, c, key, err := parseRunRequest(body, testDefaults)
 		if err != nil {
 			return
+		}
+		perCore, carry := bits.Add64(*c.Warmup, c.Accesses, 0)
+		if hi, _ := bits.Mul64(uint64(c.Cores), perCore); carry != 0 || hi != 0 {
+			t.Fatalf("body %q accepted with an access total that wraps: %d cores x (%d + %d)",
+				body, c.Cores, *c.Warmup, c.Accesses)
 		}
 		canon, err := json.Marshal(c)
 		if err != nil {

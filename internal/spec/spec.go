@@ -162,6 +162,9 @@ func (s Spec) Validate() error {
 	if err := CheckBinBits(uint(s.BinBits)); err != nil {
 		return err
 	}
+	if err := CheckSizing(s.Accesses, s.Warmup); err != nil {
+		return err
+	}
 	switch s.Tech {
 	case "", Tech45, Tech22:
 	default:
@@ -197,6 +200,24 @@ func (s Spec) Validate() error {
 func CheckBinBits(bits uint) error {
 	if bits > 8 {
 		return fmt.Errorf("spec: bin_bits must be <= 8 (got %d; counters are uint8)", bits)
+	}
+	return nil
+}
+
+// MaxAccesses bounds a spec's per-core Accesses and Warmup, so that no
+// access count a run derives can wrap: hier.MaxCores (15) cores x 2^41
+// (warmup plus measured window) stays far below 2^64.
+const MaxAccesses = 1 << 40
+
+// CheckSizing is Validate's accesses/warmup check, for a command line to
+// run on its -accesses and -warmup flags (a nil warmup means "same as
+// accesses").
+func CheckSizing(accesses uint64, warmup *uint64) error {
+	if accesses > MaxAccesses {
+		return fmt.Errorf("spec: accesses must be <= %d (got %d)", uint64(MaxAccesses), accesses)
+	}
+	if warmup != nil && *warmup > MaxAccesses {
+		return fmt.Errorf("spec: warmup must be <= %d (got %d)", uint64(MaxAccesses), *warmup)
 	}
 	return nil
 }

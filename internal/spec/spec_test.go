@@ -40,6 +40,12 @@ func TestValidate(t *testing.T) {
 		{"most cores the address map holds", Spec{Workload: "milc", Policy: "baseline", Cores: 15}, ""},
 		{"core region over the profile region", Spec{Workload: "milc", Policy: "baseline", Cores: 16}, "cores must be <= 15"},
 		{"bin bits too wide", Spec{Workload: "milc", Policy: "slip", BinBits: 9}, "bin_bits"},
+		{"most accesses", Spec{Workload: "milc", Policy: "baseline",
+			Accesses: MaxAccesses, Warmup: uptr(MaxAccesses)}, ""},
+		{"accesses past the bound", Spec{Workload: "milc", Policy: "baseline",
+			Accesses: MaxAccesses + 1}, "accesses must be <= 1099511627776"},
+		{"warmup past the bound", Spec{Workload: "milc", Policy: "baseline",
+			Warmup: uptr(MaxAccesses + 1)}, "warmup must be <= 1099511627776"},
 		{"unknown tech", Spec{Workload: "milc", Policy: "baseline", Tech: "7nm"}, "22nm"},
 		{"unknown topology", Spec{Workload: "milc", Policy: "baseline", Topology: "mesh"}, "way-interleaved"},
 		{"dram missing latency", Spec{Workload: "milc", Policy: "baseline",
