@@ -60,10 +60,16 @@ type Options struct {
 	// TraceCacheBytes bounds the suite's trace materialization cache: each
 	// workload's access stream is recorded once (compact varint encoding)
 	// and replayed for every policy that consumes it, which is most of the
-	// non-simulator cost of a benchmark x policy matrix. Zero selects
-	// DefaultTraceCacheBytes; a negative value disables materialization
-	// entirely (sources are regenerated per run), as a suite that runs each
-	// stream once should. Replayed runs are bit-identical to generated ones.
+	// non-simulator cost of a benchmark x policy matrix. The budget caps
+	// every stream the cache holds, including those a PrefetchContext
+	// batch holds until their last reader returns and those that
+	// PrefetchKeepingTraces batches and runs outside a batch (Run, RunS,
+	// RunSpecContext) leave behind. A stream of more accesses than half
+	// the budget's bytes (a record takes at least two) is never recorded.
+	// Zero selects DefaultTraceCacheBytes; a negative value disables
+	// materialization entirely (sources are regenerated per run), as a
+	// suite that runs each stream once should. Replayed runs are
+	// bit-identical to generated ones.
 	TraceCacheBytes int64
 	// WarmCache, when non-nil, memoizes the post-warmup hierarchy state of
 	// each distinct warmup identity (spec minus the measured window): it is
@@ -232,24 +238,53 @@ func (s *Suite) TraceCache() *TraceCache { return s.traces }
 // (nil when it has none; Stats on nil reports zeros).
 func (s *Suite) WarmCache() *WarmCache { return s.opts.WarmCache }
 
-// source builds core i's access stream: a replay of the materialized trace
-// when the cache is enabled, a live generator otherwise. One Replay is
-// consumed across both run phases (warmup then measured) exactly like a
-// live generator would be, so total covers both. Waiting on another run's
-// recording of the same stream ends with ctx; the only error is ctx.Err().
-//
-// A stream that could never be retained — every record takes at least two
-// encoded bytes, so 2*total over the byte budget is a certain eviction —
-// is not materialized at all: recording it would buy no reuse, cost a
-// giant allocation, and (unlike the simulation itself) run outside the
-// context's cancellation checks.
+// streamKey returns the trace-cache key of one core's stream, and whether
+// the cache materializes it. A stream that could never be retained — every
+// record takes at least two encoded bytes, so 2*total over the byte budget
+// is a certain eviction — is not materialized at all: recording it would
+// buy no reuse, cost a giant allocation, and (unlike the simulation
+// itself) run outside the context's cancellation checks.
+func (s *Suite) streamKey(name string, seed, total uint64) (string, bool) {
+	if s.traces == nil || total == 0 || total > uint64(s.traces.Budget())/2 {
+		return "", false
+	}
+	return traceCacheKey(name, seed, total), true
+}
+
+// coreWorkload names the workload core i of c runs: MixWith on every core
+// after the first when it is set, the spec's workload otherwise.
+func coreWorkload(c spec.Spec, i int) string {
+	if i > 0 && c.MixWith != "" {
+		return c.MixWith
+	}
+	return c.Workload
+}
+
+// streams lists the keys of the materialized streams canonical spec c's
+// cores replay, in core order (none when the trace cache is off).
+func (s *Suite) streams(c spec.Spec) []string {
+	var keys []string
+	for i := 0; i < c.Cores; i++ {
+		if k, ok := s.streamKey(coreWorkload(c, i), c.Seed+uint64(i), *c.Warmup+c.Accesses); ok {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// source builds one core's access stream: a replay of the materialized
+// trace when the cache holds (or records) it, a live generator otherwise.
+// One Replay is consumed across both run phases (warmup then measured)
+// exactly like a live generator would be, so total covers both. Waiting on
+// another run's recording of the same stream ends with ctx; the only error
+// is ctx.Err().
 func (s *Suite) source(ctx context.Context, name string, seed, total uint64) (trace.Source, error) {
 	wl, _ := workloads.ByName(name) // canonical specs name valid workloads
-	tc := s.traces
-	if tc == nil || total == 0 || total > uint64(tc.Budget())/2 {
+	key, ok := s.streamKey(name, seed, total)
+	if !ok {
 		return wl.Build(seed), nil
 	}
-	buf, err := tc.Get(ctx, traceCacheKey(name, seed, total), func(context.Context) (*trace.Buffer, error) {
+	buf, err := s.traces.Get(ctx, key, func(context.Context) (*trace.Buffer, error) {
 		return trace.Record(wl.Build(seed), total), nil
 	})
 	if err != nil {
@@ -272,11 +307,7 @@ func (s *Suite) simulate(ctx context.Context, key string, c spec.Spec) (*hier.Re
 	warm := *c.Warmup
 	srcs := make([]trace.Source, cfg.NumCores)
 	for i := range srcs {
-		name := c.Workload
-		if i > 0 && c.MixWith != "" {
-			name = c.MixWith
-		}
-		if srcs[i], err = s.source(ctx, name, c.Seed+uint64(i), warm+c.Accesses); err != nil {
+		if srcs[i], err = s.source(ctx, coreWorkload(c, i), c.Seed+uint64(i), warm+c.Accesses); err != nil {
 			return nil, err
 		}
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // DefaultTraceCacheBytes is the byte budget a zero Options.TraceCacheBytes
-// selects: enough for the full default-sized benchmark set (14 workloads x
-// 4M recorded accesses x ~2.5 B/access ~= 140 MB) with headroom.
+// selects. At the default 2M+2M sizing a recorded stream takes 3.42 bytes
+// per access on average (2.35 for lbm to 4.42 for astar), so the 14
+// benchmark streams of one matrix come to 182.5 MiB, which fits.
 const DefaultTraceCacheBytes = 256 << 20
 
 // TraceCache materializes workload traces once and hands out replays: the
@@ -17,9 +18,12 @@ const DefaultTraceCacheBytes = 256 << 20
 // of trace-generation work is redundant. Entries are keyed by the exact
 // identity of a per-core source — workload name, seed, and total access
 // budget, all taken from the canonical spec — and hold an immutable
-// trace.Buffer (~2-4 bytes per access, the disk codec's record format),
-// sized by its encoded bytes. Eviction is safe at any time because buffers
-// are immutable and replays hold their own reference.
+// trace.Buffer (~2-4 bytes per access, the disk codec's record format, in
+// 64 KiB chunks), sized by the bytes it retains. A PrefetchContext batch
+// removes each stream it replays when the last of its runs that reads it
+// returns; every other stream stays under the LRU byte budget. Removal and
+// eviction are safe at any time because buffers are immutable and replays
+// hold their own reference.
 type TraceCache = lru.Cache[*trace.Buffer]
 
 // TraceCacheStats is a point-in-time snapshot of trace cache activity.

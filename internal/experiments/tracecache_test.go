@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/hier"
+	"repro/internal/spec"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -120,11 +122,13 @@ func TestTraceCacheSharedAcrossPolicies(t *testing.T) {
 	}
 }
 
-// TestTraceCacheBudgetUnderConcurrentPrefetch bounds the cache under the
-// worst case: a parallel Prefetch over more workloads than the byte budget
-// can retain. The budget must hold at every instant eviction can be
-// observed, and the LRU must have evicted rather than refused.
-func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
+// TestTraceCacheBudgetUnderConcurrentRuns bounds the cache under the
+// worst case that still reaches its budget: concurrent runs outside any
+// prefetched batch (a batch frees each stream after its last reader) over
+// more workloads than the byte budget can retain. The budget must hold at
+// every instant eviction can be observed, and the LRU must have evicted
+// rather than refused.
+func TestTraceCacheBudgetUnderConcurrentRuns(t *testing.T) {
 	benches := []string{"soplex", "milc", "sphinx3", "mcf"}
 	const accesses, warmup = 40_000, 40_000
 
@@ -145,10 +149,19 @@ func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
 		WarmupSet:       true,
 		Seed:            7,
 		Benchmarks:      benches,
-		Parallelism:     4,
 		TraceCacheBytes: budget,
 	})
-	s.RunAll(hier.Baseline, hier.SLIPABP)
+	var wg sync.WaitGroup
+	for _, name := range benches {
+		for _, p := range []hier.PolicyKind{hier.Baseline, hier.SLIPABP} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.Run(name, p)
+			}()
+		}
+	}
+	wg.Wait()
 
 	st := s.TraceCache().Stats()
 	if st.Bytes > budget {
@@ -160,6 +173,130 @@ func TestTraceCacheBudgetUnderConcurrentPrefetch(t *testing.T) {
 	}
 	if st.Misses < uint64(len(benches)) {
 		t.Errorf("%d misses, want at least one per workload (%d)", st.Misses, len(benches))
+	}
+}
+
+// checkNoStreamsLeft requires the trace cache to retain no stream.
+func checkNoStreamsLeft(t *testing.T, s *Suite) {
+	t.Helper()
+	if st := s.TraceCache().Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("trace cache retains %d streams (%d bytes) after the batch, want none", st.Entries, st.Bytes)
+	}
+}
+
+// lifetimeOpts sizes the stream-lifetime tests, small enough for the race
+// detector.
+func lifetimeOpts(parallelism int) Options {
+	return Options{
+		Accesses: 20_000, Warmup: 20_000, Seed: 7,
+		Benchmarks:  []string{"soplex", "milc", "sphinx3"},
+		Parallelism: parallelism,
+	}
+}
+
+// TestBatchFreesEveryStream: a prefetched batch records each stream once,
+// serves every other read of it from the cache, and frees it after its
+// last reader, so a finished batch leaves the cache empty. A two-core mix
+// counts as a reader of both its streams. With one worker, the grouped
+// dispatch keeps one stream alive at a time.
+func TestBatchFreesEveryStream(t *testing.T) {
+	pols := append([]hier.PolicyKind{hier.Baseline}, evalPolicies...)
+	t.Run("matrix", func(t *testing.T) {
+		for _, par := range []int{1, 4} {
+			opts := lifetimeOpts(par)
+			var most atomic.Int64 // streams retained at once; read with one worker
+			var s *Suite
+			opts.Progress = func(string, uint64) {
+				if n := int64(s.TraceCache().Stats().Entries); n > most.Load() {
+					most.Store(n)
+				}
+			}
+			s = NewSuite(opts)
+			s.RunAll(pols...)
+			streams, readers := len(opts.Benchmarks), len(opts.Benchmarks)*len(pols)
+			st := s.TraceCache().Stats()
+			if st.Misses != uint64(streams) || st.Hits != uint64(readers-streams) {
+				t.Errorf("parallelism %d: %d misses and %d hits, want %d and %d (one recording per stream)",
+					par, st.Misses, st.Hits, streams, readers-streams)
+			}
+			if par == 1 && most.Load() != 1 {
+				t.Errorf("one worker held up to %d streams at once, want 1", most.Load())
+			}
+			checkNoStreamsLeft(t, s)
+		}
+	})
+	t.Run("mixes", func(t *testing.T) {
+		s := NewSuite(lifetimeOpts(2))
+		var specs []RunSpec
+		for _, p := range []hier.PolicyKind{hier.Baseline, hier.SLIPABP} {
+			specs = append(specs, spec.ForMix("soplex", "mcf", p), spec.Single("soplex", p))
+		}
+		s.Prefetch(specs)
+		// soplex (seed 7) feeds all four runs, mcf (seed 8) the two mixes.
+		if st := s.TraceCache().Stats(); st.Misses != 2 || st.Hits != 4 {
+			t.Errorf("%d misses and %d hits, want 2 and 4", st.Misses, st.Hits)
+		}
+		checkNoStreamsLeft(t, s)
+	})
+}
+
+// TestMemoizedBatchReadsNoStream: a batch whose runs are all memoized
+// looks up no stream and leaves none behind.
+func TestMemoizedBatchReadsNoStream(t *testing.T) {
+	s := NewSuite(lifetimeOpts(2))
+	s.RunAll(hier.Baseline, hier.SLIPABP)
+	before := s.TraceCache().Stats()
+	s.RunAll(hier.Baseline, hier.SLIPABP)
+	if after := s.TraceCache().Stats(); after.Misses != before.Misses || after.Hits != before.Hits {
+		t.Errorf("a memoized batch looked up streams: %+v after %+v", after, before)
+	}
+	checkNoStreamsLeft(t, s)
+}
+
+// TestKeptStreamsServeTheNextBatch: PrefetchKeepingTraces leaves the
+// streams it records in the cache, so a later batch over the same streams
+// records none, and a PrefetchContext batch that reads them last frees
+// them.
+func TestKeptStreamsServeTheNextBatch(t *testing.T) {
+	s := NewSuite(lifetimeOpts(2))
+	ctx := context.Background()
+	n := len(s.Options().Benchmarks)
+	check := func(step string, hits uint64, entries int) {
+		t.Helper()
+		if st := s.TraceCache().Stats(); st.Misses != uint64(n) || st.Hits != hits || st.Entries != entries {
+			t.Errorf("after %s: %d misses, %d hits, %d entries; want %d, %d, %d",
+				step, st.Misses, st.Hits, st.Entries, n, hits, entries)
+		}
+	}
+	_ = s.PrefetchKeepingTraces(ctx, s.matrix(hier.Baseline))
+	check("the first kept batch", 0, n)
+	_ = s.PrefetchKeepingTraces(ctx, s.matrix(hier.SLIPABP))
+	check("the second kept batch", uint64(n), n)
+	_ = s.PrefetchContext(ctx, s.matrix(hier.SLIP))
+	check("a freeing batch", uint64(2*n), 0)
+}
+
+// TestCancelledBatchFreesItsStreams cancels a batch from the first
+// progress callback, after its first reader has recorded its stream. With
+// one worker, the dispatcher stops before that stream's other reader, so
+// the stream goes as the batch returns; with two, both readers of the
+// first stream run and the second frees it. Either way every stream the
+// batch recorded leaves the cache.
+func TestCancelledBatchFreesItsStreams(t *testing.T) {
+	for _, par := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		opts := lifetimeOpts(par)
+		opts.Accesses = 200_000
+		opts.Progress = func(string, uint64) { once.Do(cancel) }
+		s := NewSuite(opts)
+		if _, err := s.RunAllContext(ctx, hier.Baseline, hier.SLIPABP); !errors.Is(err, context.Canceled) {
+			t.Fatalf("parallelism %d: RunAllContext = %v, want context.Canceled", par, err)
+		}
+		if st := s.TraceCache().Stats(); st.Misses == 0 {
+			t.Fatalf("parallelism %d: the batch was cancelled before it recorded a stream", par)
+		}
+		checkNoStreamsLeft(t, s)
 	}
 }
 

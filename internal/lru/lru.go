@@ -152,6 +152,19 @@ func (c *Cache[V]) Put(key string, v V) {
 	c.mu.Unlock()
 }
 
+// Remove drops the retained value for key, if there is one, and reports
+// whether there was. A fill in progress for key is left alone. A removal
+// is not an eviction: it counts in no statistic but the retained ones.
+func (c *Cache[V]) Remove(key string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if ok {
+		c.remove(el)
+	}
+	return ok
+}
+
 // insert retains v, of size n, under key and evicts from the back until
 // the budget holds. Callers hold c.mu.
 func (c *Cache[V]) insert(key string, v V, n int64) {

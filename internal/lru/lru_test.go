@@ -259,6 +259,43 @@ func TestPutRefreshesAndPeekPromotes(t *testing.T) {
 	}
 }
 
+// TestRemove: Remove drops a retained entry and its size without counting
+// an eviction, reports a missing key, and leaves a fill in progress to
+// retain its value.
+func TestRemove(t *testing.T) {
+	c := New(100, func(v int) int64 { return int64(v) })
+	c.Put("a", 10)
+	c.Put("b", 20)
+	if !c.Remove("a") {
+		t.Error("Remove(a) found nothing to remove")
+	}
+	if c.Remove("a") || c.Remove("missing") {
+		t.Error("Remove reported a key that is not retained")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 20 || st.Evictions != 0 {
+		t.Errorf("stats = %+v, want 1 entry, 20 bytes, no evictions", st)
+	}
+
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = c.Get(context.Background(), "f", func(context.Context) (int, error) {
+			<-release
+			return 5, nil
+		})
+	}()
+	waitFor(t, func() bool { return c.Stats().Misses == 1 })
+	if c.Remove("f") {
+		t.Error("Remove dropped a fill in progress")
+	}
+	close(release)
+	<-done
+	if v, ok := c.Peek("f"); !ok || v != 5 {
+		t.Errorf("Peek(f) = %d, %v after the fill; want 5 retained", v, ok)
+	}
+}
+
 // TestUnboundedNeverEvicts: a zero budget keeps every entry.
 func TestUnboundedNeverEvicts(t *testing.T) {
 	c := New[int](0, nil)

@@ -138,7 +138,10 @@ func (s *Server) handleGetRun(w http.ResponseWriter, r *http.Request) {
 // needs are simulated under the request context (cancellable, deadline
 // s.cfg.JobTimeout) on the shared suite's worker pool, one request's
 // prefetch at a time, then the tables are rendered to the response as
-// text.
+// text. A request whose runs are all memoized renders at once, without
+// waiting for the prefetch slot. The prefetch keeps the streams it
+// records in the suite's trace cache, because later experiments replay
+// the same default-seed streams.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if !experiments.ValidExperiment(name) {
@@ -149,19 +152,21 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-	var err error
-	select {
-	case s.expSlot <- struct{}{}:
-		err = s.expSuite.PrefetchContext(ctx, s.expSuite.SpecsFor(name))
-		<-s.expSlot
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	if err != nil {
-		writeError(w, http.StatusGatewayTimeout, "experiment %q timed out or was cancelled: %v", name, err)
-		return
+	if specs := s.expSuite.SpecsFor(name); !s.expSuite.Memoized(specs) {
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
+		defer cancel()
+		var err error
+		select {
+		case s.expSlot <- struct{}{}:
+			err = s.expSuite.PrefetchKeepingTraces(ctx, specs)
+			<-s.expSlot
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		if err != nil {
+			writeError(w, http.StatusGatewayTimeout, "experiment %q timed out or was cancelled: %v", name, err)
+			return
+		}
 	}
 
 	// Rendering only reads the memo (everything is prefetched), so

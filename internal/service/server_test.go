@@ -336,12 +336,12 @@ func TestPostBodyCap(t *testing.T) {
 }
 
 // TestExperimentEndpoint renders a paper experiment over HTTP; fig1 is the
-// cheapest one that simulates.
+// cheapest one that simulates. The render keeps the streams it records.
 func TestExperimentEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the fig1 workload set")
 	}
-	_, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, Defaults: Defaults{Accesses: 10_000}}, nil)
+	srv, ts := testServer(t, Config{Workers: 2, QueueDepth: 2, Defaults: Defaults{Accesses: 10_000}}, nil)
 	resp, err := http.Get(ts.URL + "/v1/experiments/fig1")
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +353,10 @@ func TestExperimentEndpoint(t *testing.T) {
 	}
 	if !strings.Contains(string(raw), "Figure 1") && len(bytes.TrimSpace(raw)) == 0 {
 		t.Errorf("fig1 render empty or unrecognizable:\n%s", raw)
+	}
+	// Later experiments replay the same streams, so the render keeps them.
+	if st := srv.TraceCacheStats(); st.Misses == 0 || st.Entries != int(st.Misses) {
+		t.Errorf("trace cache after GET fig1 = %+v, want every recorded stream kept", st)
 	}
 }
 
@@ -402,6 +406,7 @@ func TestExperimentRendersAgree(t *testing.T) {
 // TestExperimentPrefetchesOneAtATime: while another render holds the
 // prefetch slot, a GET waits for it under its deadline and answers 504
 // without simulating anything; once the slot is free, the GET renders.
+// A GET whose runs are all memoized then renders with the slot held.
 func TestExperimentPrefetchesOneAtATime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates the fig1 workload set")
@@ -425,8 +430,14 @@ func TestExperimentPrefetchesOneAtATime(t *testing.T) {
 		t.Errorf("GET fig1 with the slot held simulated %d runs, want none", len(keys))
 	}
 	<-srv.expSlot
-	if code, body := get(); code != http.StatusOK || !strings.Contains(body, "Figure 1") {
-		t.Errorf("GET fig1 with the slot free = %d, want 200 and the table:\n%s", code, body)
+	code, first := get()
+	if code != http.StatusOK || !strings.Contains(first, "Figure 1") {
+		t.Errorf("GET fig1 with the slot free = %d, want 200 and the table:\n%s", code, first)
+	}
+	srv.expSlot <- struct{}{}
+	defer func() { <-srv.expSlot }()
+	if code, body := get(); code != http.StatusOK || body != first {
+		t.Errorf("memoized GET fig1 with the slot held = %d, want 200 and the first render:\n%s", code, body)
 	}
 }
 

@@ -5,9 +5,11 @@
 package trace_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -82,6 +84,40 @@ func TestRecordKeepsNoSlack(t *testing.T) {
 			t.Errorf("%s: replay differs from the recorded stream", name)
 		}
 	}
+}
+
+// TestRecordAllocatesWithinOneChunk: recording 300k soplex accesses
+// allocates what the buffer keeps plus one chunk (the last chunk before
+// Record trims it) and its fixed cost, not the regrowth of one slice that
+// an append-built buffer pays. What it keeps is its encoded records and,
+// per full chunk, a tail too short for one more record.
+func TestRecordAllocatesWithinOneChunk(t *testing.T) {
+	// The 512-access decode batch (8 KiB) and the list of chunks.
+	const fixed = 16 << 10
+	src := wl("soplex", 7) // built outside the measured window
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buf := trace.Record(src, 300_000)
+	runtime.ReadMemStats(&after)
+	if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(buf.Size()+trace.ChunkBytes+fixed); got > bound {
+		t.Errorf("Record allocated %d bytes to keep %d, want at most %d (Size plus one chunk and %d fixed)", got, buf.Size(), bound, fixed)
+	}
+	full := buf.Size() / trace.ChunkBytes
+	if slack := buf.Size() - trace.EncodedBytes(buf); slack >= max(full, 1)*2*binary.MaxVarintLen64 {
+		t.Errorf("buffer keeps %d bytes beyond its %d encoded bytes over %d full chunks", slack, trace.EncodedBytes(buf), full)
+	}
+}
+
+// TestReplayAcrossChunks checks a replay that crosses chunk boundaries at
+// every batch size checkChunks reads with.
+func TestReplayAcrossChunks(t *testing.T) {
+	const n = 100_000
+	soplex := limited("soplex", 5, n)
+	buf := trace.Record(soplex(), n)
+	if buf.Size() < 3*trace.ChunkBytes {
+		t.Fatalf("buffer of %d bytes spans fewer than three %d-byte chunks", buf.Size(), trace.ChunkBytes)
+	}
+	checkChunks(t, "replay across chunks", func() trace.Source { return buf.Replay() }, n+10, n, soplex)
 }
 
 // TestLimitBatchEquivalence checks limits that end the stream at, just
