@@ -98,23 +98,12 @@ func (s *Stats) TotalPJ() float64 {
 	return s.AccessPJ.PJ() + s.MovementPJ.PJ() + s.MetadataPJ.PJ()
 }
 
-// Reset zeroes every counter and energy bucket (cache contents are
-// untouched); used to discard warmup before measuring steady state.
+// Reset zeroes every counter and energy bucket, keeping the sublevel
+// slice's storage (cache contents are untouched); used to discard warmup
+// before measuring steady state.
 func (s *Stats) Reset() {
-	s.Accesses.Reset()
-	s.Hits.Reset()
-	s.Misses.Reset()
-	s.Fills.Reset()
-	s.Bypasses.Reset()
-	s.Movements.Reset()
-	s.Evictions.Reset()
-	s.Writebacks.Reset()
-	for i := range s.HitsPerSublevel {
-		s.HitsPerSublevel[i] = 0
-	}
-	s.AccessPJ.Reset()
-	s.MovementPJ.Reset()
-	s.MetadataPJ.Reset()
+	clear(s.HitsPerSublevel)
+	*s = Stats{HitsPerSublevel: s.HitsPerSublevel}
 }
 
 // Level is one set-associative, energy-asymmetric cache level.

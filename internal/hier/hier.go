@@ -95,25 +95,13 @@ type coreNode struct {
 	d2  policy.Driver
 	mmu *mmu.MMU
 
-	// Timing. Cycles are derived, never accumulated: instruction time is
-	// Instrs x BaseCPI exactly, and the two integer stall counters hold the
-	// rest, so ScaledCycles can extrapolate the stalls of a set-sampled
-	// run without touching the exact instruction time.
-	Instrs uint64
-	// demandStalls is exposed memory latency (max(0, lat - OverlapCycles)
-	// per simulated access).
-	demandStalls uint64
-	// policyStalls counts the one-cycle TLB blocks for EOU recomputations.
-	policyStalls uint64
+	CoreCounters
 
 	// pendPages lists pages with staged reuse-distance evidence
 	// (PTE.PendDirty); the batch-boundary fold drains it. Scratch: empty
 	// whenever the system is at rest.
 	pendPages []mem.PageID
 }
-
-// stalls returns the core's total stall cycles.
-func (cn *coreNode) stalls() uint64 { return cn.demandStalls + cn.policyStalls }
 
 // System is a simulated machine.
 type System struct {
@@ -134,32 +122,13 @@ type System struct {
 	defCodeL2, defCodeL3 uint8
 	uniformLat           bool
 
-	// slipL2 and slipL3 are the typed SLIP drivers (nil otherwise), kept
-	// for insertion-class statistics.
-	slipL2 []*policy.SLIP
-	slipL3 *policy.SLIP
-
-	// NRHist buckets L3-evicted lines by reuse count: 0, 1, 2, >2 (Fig. 1).
-	NRHist [4]uint64
-
-	// Demand/metadata miss split for Figure 12.
-	L2DemandMisses, L2MetaAccesses, L2MetaMisses uint64
-	L3DemandMisses, L3MetaAccesses, L3MetaMisses uint64
-
-	// EOUOps counts optimizer invocations (two per policy recomputation);
-	// energy is derived as EOUOps x energy.EOUOpPJ.
-	EOUOps uint64
-
 	// Set sampling (Config.SampleK > 1): sampleMask selects the simulated
 	// line-address groups (zero = sampling off). Reuse distances need no
 	// rescaling here — cache.Level keeps per-group timestamps and already
 	// reports distances at whole-level scale.
 	sampleMask uint64
 
-	// SampledAccesses/SkippedAccesses split the driven accesses between the
-	// simulated sample and the short-circuited remainder (both zero when
-	// sampling is off).
-	SampledAccesses, SkippedAccesses uint64
+	Counters
 
 	// view is the Result a stats-only view answers from (see view.go);
 	// nil for a live system.
@@ -199,9 +168,6 @@ func New(cfg Config) *System {
 		UseRRIP:        cfg.UseRRIP,
 	})
 	s.d3 = s.newDriver(3, cfg.Seed)
-	if d, ok := s.d3.(*policy.SLIP); ok {
-		s.slipL3 = d
-	}
 
 	for i := 0; i < cfg.NumCores; i++ {
 		cn := &coreNode{id: i}
@@ -216,9 +182,6 @@ func New(cfg Config) *System {
 			UseRRIP:        cfg.UseRRIP,
 		})
 		cn.d2 = s.newDriver(2, cfg.Seed+uint64(i)*977)
-		if d, ok := cn.d2.(*policy.SLIP); ok {
-			s.slipL2 = append(s.slipL2, d)
-		}
 		if desc.SLIPMachinery {
 			mc := mmu.Config{
 				Seed:            cfg.Seed + uint64(i)*31,
@@ -308,14 +271,15 @@ func (s *System) EOUL2() *slipcore.EOU { return s.eouL2 }
 
 // SLIPDriverL2 returns core i's typed SLIP driver (nil otherwise).
 func (s *System) SLIPDriverL2(i int) *policy.SLIP {
-	if s.slipL2 == nil {
-		return nil
-	}
-	return s.slipL2[i]
+	d, _ := s.cores[i].d2.(*policy.SLIP)
+	return d
 }
 
 // SLIPDriverL3 returns the shared L3 SLIP driver (nil otherwise).
-func (s *System) SLIPDriverL3() *policy.SLIP { return s.slipL3 }
+func (s *System) SLIPDriverL3() *policy.SLIP {
+	d, _ := s.d3.(*policy.SLIP)
+	return d
+}
 
 // CheckInvariants checks the structures every cache level and every
 // core's MMU keep redundantly (cache.Level.CheckInvariants,

@@ -1,9 +1,6 @@
 package hier
 
-import (
-	"repro/internal/mem"
-	"repro/internal/policy"
-)
+import "repro/internal/mem"
 
 // Snapshot is a frozen deep copy of a System's mutable state — cache
 // contents and tag arrays, replacement state, MMU page table and TLB,
@@ -66,26 +63,9 @@ func (s *System) clone() *System {
 		defCodeL2:  s.defCodeL2,
 		defCodeL3:  s.defCodeL3,
 		uniformLat: s.uniformLat,
+		sampleMask: s.sampleMask,
 
-		NRHist: s.NRHist,
-
-		L2DemandMisses: s.L2DemandMisses,
-		L2MetaAccesses: s.L2MetaAccesses,
-		L2MetaMisses:   s.L2MetaMisses,
-		L3DemandMisses: s.L3DemandMisses,
-		L3MetaAccesses: s.L3MetaAccesses,
-		L3MetaMisses:   s.L3MetaMisses,
-
-		EOUOps: s.EOUOps,
-
-		sampleMask:      s.sampleMask,
-		SampledAccesses: s.SampledAccesses,
-		SkippedAccesses: s.SkippedAccesses,
-	}
-	// The typed SLIP pointers must alias the cloned drivers exactly as the
-	// originals alias theirs (slipL3 IS d3 when the policy is SLIP).
-	if d, ok := c.d3.(*policy.SLIP); ok {
-		c.slipL3 = d
+		Counters: s.Counters,
 	}
 	c.cores = make([]*coreNode, len(s.cores))
 	for i, cn := range s.cores {
@@ -94,9 +74,7 @@ func (s *System) clone() *System {
 			l1:           cn.l1.Clone(),
 			l2:           cn.l2.Clone(),
 			d2:           cn.d2.Clone(),
-			Instrs:       cn.Instrs,
-			demandStalls: cn.demandStalls,
-			policyStalls: cn.policyStalls,
+			CoreCounters: cn.CoreCounters,
 		}
 		if len(cn.pendPages) > 0 {
 			// Staged evidence travels with the clone (PTE.Pend already
@@ -105,9 +83,6 @@ func (s *System) clone() *System {
 		}
 		if cn.mmu != nil {
 			nc.mmu = cn.mmu.Clone()
-		}
-		if d, ok := nc.d2.(*policy.SLIP); ok {
-			c.slipL2 = append(c.slipL2, d)
 		}
 		c.cores[i] = nc
 	}

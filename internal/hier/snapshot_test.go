@@ -37,7 +37,7 @@ func stateDigest(s *System) string {
 				m.Stats.PolicyRecomputs.Value(), m.NumPages())
 		}
 		fmt.Fprintf(&b, "core[%d] i=%d cyc=%v ds=%d ps=%d\n",
-			c, s.Result().Instrs(c), s.Result().Cycles(c), s.cores[c].demandStalls, s.cores[c].policyStalls)
+			c, s.Result().Instrs(c), s.Result().Cycles(c), s.cores[c].DemandStalls, s.cores[c].PolicyStalls)
 	}
 	level("l3", s.L3())
 	d := s.DRAM()

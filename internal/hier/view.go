@@ -11,27 +11,25 @@ import (
 // delegates.
 
 // View returns a stats-only System over r. Its Config, its L1, L2 and L3
-// (stats-only levels that answer Name and Stats), the exported counters
-// perfbench reads (EOUOps, SampledAccesses, SkippedAccesses) and the
+// (stats-only levels that answer Name and Stats), its run counters and the
 // accessor delegates answer from r; running, resetting, snapshotting or
 // checking it panics.
 func (r *Result) View() *System {
 	cfg := r.Config
 	s := &System{
-		cfg:             cfg,
-		view:            r,
-		l3:              cache.StatsOnly(cfg.L3Params.Name, r.L3),
-		EOUOps:          r.EOUOps,
-		SampledAccesses: r.SampledAccesses,
-		SkippedAccesses: r.SkippedAccesses,
+		cfg:      cfg,
+		view:     r,
+		l3:       cache.StatsOnly(cfg.L3Params.Name, r.L3),
+		Counters: r.Counters,
 	}
 	l1Name := energy.L1Params(cfg.Core).Name
 	for i := range r.Cores {
 		c := &r.Cores[i]
 		s.cores = append(s.cores, &coreNode{
-			id: i,
-			l1: cache.StatsOnly(l1Name, c.L1),
-			l2: cache.StatsOnly(cfg.L2Params.Name, c.L2),
+			id:           i,
+			l1:           cache.StatsOnly(l1Name, c.L1),
+			l2:           cache.StatsOnly(cfg.L2Params.Name, c.L2),
+			CoreCounters: c.CoreCounters,
 		})
 	}
 	return s

@@ -25,9 +25,6 @@ func (c *Counter) Inc() { c.n++ }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
 // energyUnitsPerPJ is the fixed-point scale of Energy: 1/65536 pJ per unit.
 // A uint64 of these units spans ~2.8e14 pJ (~280 J), far beyond any run,
 // while the quantization error stays below 2^-16 pJ per charged event.
@@ -53,9 +50,6 @@ func ChargePJ(n uint64, pj float64) float64 { return float64(n*units(pj)) / ener
 
 // PJ returns the accumulated energy in picojoules.
 func (e *Energy) PJ() float64 { return float64(e.units) / energyUnitsPerPJ }
-
-// Reset zeroes the accumulator.
-func (e *Energy) Reset() { e.units = 0 }
 
 // Ratio returns a/b, or 0 when b is zero. It is the safe division used all
 // over the reporting code, where empty runs must not produce NaNs.
