@@ -337,11 +337,17 @@ func report(w io.Writer, res *hier.Result) {
 			100*cls2[0], 100*cls2[1], 100*cls2[2], 100*cls2[3])
 		fmt.Fprintf(w, "L3 insertions: ABP %.1f%%, partial %.1f%%, default %.1f%%, other %.1f%%\n",
 			100*cls3[0], 100*cls3[1], 100*cls3[2], 100*cls3[3])
-		m := &res.Cores[0].MMU
+		var hits, misses, fetches, writes, runs uint64
+		for c := range res.Cores {
+			m := &res.Cores[c].MMU
+			hits += m.TLBHits.Value()
+			misses += m.TLBMisses.Value()
+			fetches += m.ProfileFetches.Value()
+			writes += m.ProfileWrites.Value()
+			runs += m.PolicyRecomputs.Value()
+		}
 		fmt.Fprintf(w, "TLB: %d hits, %d misses; profile fetches %d, writebacks %d; EOU runs %d (%.0f pJ)\n\n",
-			m.TLBHits.Value(), m.TLBMisses.Value(),
-			m.ProfileFetches.Value(), m.ProfileWrites.Value(),
-			m.PolicyRecomputs.Value(), res.EOUPJ())
+			hits, misses, fetches, writes, runs, res.EOUPJ())
 	}
 
 	d := &res.DRAM

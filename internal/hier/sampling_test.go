@@ -31,13 +31,16 @@ func digestHash(s *System) string {
 // folding of page reuse evidence, and integer-derived timing/energy
 // primitives. They were recomputed once more, with no behaviour change,
 // when the digest stopped printing movement-queue counts (metapj holds
-// every lookup charge). Any other digest change means unintended drift.
+// every lookup charge). The slip, slip+abp and 2-core pins moved once
+// more, with no behaviour change, when ResetStats began zeroing the MMU
+// counters, so the digest's mmu lines count only the measured window.
+// Any other digest change means unintended drift.
 func TestSamplingOffGoldenIdentity(t *testing.T) {
 	const warm, measured = 120_000, 120_000
 	golden := map[string]string{
 		"baseline":     "a0a0836698e6ec89",
-		"slip":         "d9c383be89cdf925",
-		"slip+abp":     "a87eee586c53e0b5",
+		"slip":         "6b2f5b65e601424e",
+		"slip+abp":     "c3b639b6b9e23569",
 		"nurapid":      "7e1b2d34f46a6d6f",
 		"lru-pea":      "665b97edb13a40a6",
 		"reuse-bypass": "5c89e99824c903c8",
@@ -62,10 +65,11 @@ func TestSamplingOffGoldenIdentity(t *testing.T) {
 }
 
 // TestSamplingOffGoldenIdentityMix extends the golden pin to the
-// multiprogrammed path (two cores sharing the L3).
+// multiprogrammed path (two cores sharing the L3). Its pin moved with the
+// MMU counter reset, as TestSamplingOffGoldenIdentity's did.
 func TestSamplingOffGoldenIdentityMix(t *testing.T) {
 	const warm, measured = 120_000, 120_000
-	const golden = "56d2160b94610d56"
+	const golden = "b6e5b1dce2d5e4dd"
 	s := New(Config{Policy: SLIPABP, NumCores: 2, Seed: 11})
 	a, b := mixedSource(5), streamSource(9)
 	s.Run(trace.Limit(a, warm), trace.Limit(b, warm))
