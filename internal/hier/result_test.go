@@ -3,6 +3,7 @@ package hier
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -72,6 +73,10 @@ func TestResultCheckerCatchesBrokenIdentities(t *testing.T) {
 		"DRAM reads":         func(r *Result) { r.DRAM.Reads.Inc() },
 		"DRAM metadata":      func(r *Result) { r.DRAM.MetadataReads.Inc() },
 		"NR histogram":       func(r *Result) { r.NRHist[2]++ },
+		"EOU ops":            func(r *Result) { r.EOUOps += 2 },
+		"policy stalls":      func(r *Result) { r.Cores[0].PolicyStalls++ },
+		"profile fetches":    func(r *Result) { r.Cores[0].MMU.ProfileFetches.Inc() },
+		"TLB lookups":        func(r *Result) { r.Cores[0].MMU.TLBMisses.Inc() },
 		"non-finite energy":  func(r *Result) { r.Config.Core.PJPerInstr = math.NaN() },
 		"negative energy":    func(r *Result) { r.Config.Core.PJPerInstr = -1 },
 	} {
@@ -91,4 +96,60 @@ func TestResultCheckerCatchesBrokenIdentities(t *testing.T) {
 	if sampled.CheckInvariants() == nil {
 		t.Error("L1 accesses != sampled accesses passes")
 	}
+	sampled.SampledAccesses--
+	sampled.L2MetaAccesses = sampled.Cores[0].MMU.ProfileFetches.Value() + 1
+	if sampled.CheckInvariants() == nil {
+		t.Error("L2 metadata accesses above profile fetches pass under set sampling")
+	}
+}
+
+// TestResetStatsZeroesEveryCounter: right after ResetStats a capture is
+// zero in every field but the configuration, the resident lines' reuse
+// buckets and the lengths of the sublevel slices, on every policy, under
+// set sampling and on two cores. A counter that a reset misses would carry
+// the warmup into the measured window.
+func TestResetStatsZeroesEveryCounter(t *testing.T) {
+	cfgs := []Config{
+		{Policy: SLIPABP, Seed: 7, SampleK: 8, SampleMask: sampleMaskLow(8)},
+		{Policy: SLIPABP, NumCores: 2, Seed: 11},
+	}
+	for _, p := range allPolicies {
+		cfgs = append(cfgs, Config{Policy: p, Seed: 7})
+	}
+	for _, cfg := range cfgs {
+		s := New(cfg)
+		cfg = s.Config()
+		var srcs []trace.Source
+		for c := 0; c < cfg.NumCores; c++ {
+			srcs = append(srcs, trace.Limit(mixedSource(3+2*uint64(c)), 60_000))
+		}
+		s.Run(srcs...)
+		s.ResetStats()
+		r := s.Result()
+		r.Config, r.NRResident = Config{}, [4]uint64{}
+		for _, field := range nonZeroFields("Result", reflect.ValueOf(*r)) {
+			t.Errorf("%v K=%d cores=%d: %s is not zero after ResetStats", cfg.Policy, cfg.SampleK, cfg.NumCores, field)
+		}
+	}
+}
+
+// nonZeroFields lists the paths of v's non-zero leaves, descending into
+// structs, arrays and slices (so a slice's length is not compared).
+func nonZeroFields(path string, v reflect.Value) []string {
+	var out []string
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = append(out, nonZeroFields(path+"."+v.Type().Field(i).Name, v.Field(i))...)
+		}
+	case reflect.Array, reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			out = append(out, nonZeroFields(fmt.Sprintf("%s[%d]", path, i), v.Index(i))...)
+		}
+	default:
+		if !v.IsZero() {
+			out = append(out, path)
+		}
+	}
+	return out
 }
