@@ -4,21 +4,18 @@ package hier
 //
 // Evidence sites in accessL2/accessL3 stage observations into PTE.Pend
 // instead of applying Dist.Add inline (see stageEvidence). This file folds
-// the staged counts into the real distributions in a canonical order —
-// cores ascending, pages ascending, L2 vector before L3, bins low to high —
-// so the fold result is a pure function of the *set* of observations in
-// the batch, never of the interleaving that produced them. The
-// distributions' saturating halving makes Dist.Add order-sensitive, so
-// this order and the fixed batch cadence are part of the simulated
-// semantics: the digest goldens pin both, and folding each observation
-// immediately instead would change them.
+// each staged page's counts into that page's own two distributions, L2
+// vector before L3 and bins low to high, so the fold result is a pure
+// function of the *set* of observations a page collected in the batch,
+// never of the interleaving that produced them. A page's fold reads and
+// writes nothing of any other page, so the order in which pages fold
+// changes no bit. The distributions' saturating halving makes Dist.Add
+// order-sensitive, so the order within a page and the fixed 4096-access
+// batch cadence are part of the simulated semantics: the digest goldens
+// pin both, and folding each observation immediately instead would change
+// them.
 
-import (
-	"slices"
-
-	"repro/internal/core"
-	"repro/internal/mem"
-)
+import "repro/internal/core"
 
 // applyPend folds one page's staged counts into its distributions in the
 // canonical intra-page order (L2 vector first, bins low to high, each
@@ -45,10 +42,6 @@ func applyPend(l2, l3 *core.Dist, counts *[2][core.NumBins]uint16) {
 // counters far from saturation.
 func (s *System) FoldPending() {
 	for _, cn := range s.cores {
-		if len(cn.pendPages) == 0 {
-			continue
-		}
-		sortPages(cn.pendPages)
 		for _, page := range cn.pendPages {
 			pte := cn.mmu.PTEOf(page)
 			applyPend(&pte.L2Dist, &pte.L3Dist, &pte.Pend)
@@ -57,13 +50,4 @@ func (s *System) FoldPending() {
 		}
 		cn.pendPages = cn.pendPages[:0]
 	}
-}
-
-// sortPages orders a page list ascending. Staged pages are unique (the
-// PendDirty bit gates appends), so the order is total and the fold
-// deterministic. slices.Sort is allocation-free, which keeps the whole
-// access + fold path at zero allocations per access once its scratch
-// buffers are warm (asserted by TestAccessZeroAllocs).
-func sortPages(pages []mem.PageID) {
-	slices.Sort(pages)
 }
